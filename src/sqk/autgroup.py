@@ -127,19 +127,20 @@ def symmetric_aut_group(S: SymmetricQuandle,
 
 
 def inner_group(S: SymmetricQuandle) -> PermGroup:
-    """Closure of the translations. Every element is verified to be a
-    symmetric quandle automorphism."""
+    """Closure of the translations. Each distinct translation is verified to
+    be a symmetric quandle automorphism; that covers every element, since
+    the closure consists of products of translations and a composite of
+    symmetric automorphisms is again one."""
     gens: list[perm.Perm] = []
     for t in S.quandle.translations():
         if t not in gens:
             gens.append(t)
-    G = PermGroup.from_generators(S.order, gens)
-    for p in G.elements:
-        if not is_symmetric_isomorphism_map(S, S, p):
+    for t in gens:
+        if not is_symmetric_isomorphism_map(S, S, t):
             raise InternalVerificationFailed(
-                f"inner closure element {perm.cycle_string(p)} is not a "
-                "symmetric automorphism")
-    return G
+                f"translation {perm.cycle_string(t)} is not a symmetric "
+                "automorphism")
+    return PermGroup.from_generators(S.order, gens)
 
 
 def orbits(G: PermGroup) -> OrbitDecomposition:

@@ -16,25 +16,29 @@ from . import catalog, fileio
 from .autgroup import PermGroup, aut_group, inner_group, orbits, symmetric_aut_group
 from .cosets import build_quandle, build_rack, build_symmetric_quandle, validate_presentation
 from .decomposition import decompose
-from .errors import FormatError, SizeBoundExceeded, SqkError
+from .errors import (
+    AxiomQ2Violated,
+    AxiomQ3Violated,
+    FormatError,
+    NotDualCompatible,
+    NotEquivariant,
+    NotInvolution,
+    SizeBoundExceeded,
+    SqkError,
+)
 from .perm import perm_line
 from .quandle import (
     Quandle,
     find_quandle_isomorphism,
     is_kei,
     q1_violation,
-    q2_violation,
-    q3_violation,
     quandle_from_table,
 )
 from .symmetric import (
     SymmetricQuandle,
     attach_involution,
-    dual_violation,
     enumerate_good_involutions,
-    equivariance_violation,
     find_symmetric_isomorphism,
-    involution_violation,
 )
 
 
@@ -91,56 +95,47 @@ def _print_group(G: PermGroup, out: list[str], heading: str) -> None:
 
 def cmd_check(args, out: list[str]) -> int:
     qf = _load_qnd(args.file)
-    table = qf.table
-    out.append(f"order: {len(table)}")
+    out.append(f"order: {len(qf.table)}")
 
-    q2 = q2_violation(table)
-    q3 = q3_violation(table) if q2 is None else None
-    rack_ok = q2 is None and q3 is None
-    if q2 is not None:
-        out.append(f"rack: no (column {q2} is not a bijection)")
-    elif q3 is not None:
-        out.append(f"rack: no (self-distributivity fails at {q3})")
+    # one validation of the table serves every verdict below
+    Q = None
+    try:
+        Q = quandle_from_table(qf.table, allow_rack=True)
+    except AxiomQ2Violated as exc:
+        out.append(f"rack: no (column {exc.b} is not a bijection)")
+    except AxiomQ3Violated as exc:
+        out.append(f"rack: no (self-distributivity fails at {exc.triple})")
     else:
         out.append("rack: yes")
-
-    q1 = q1_violation(table)
-    quandle_ok = rack_ok and q1 is None
+    rack_ok = Q is not None
+    quandle_ok = rack_ok and not Q.rack_only
     if quandle_ok:
         out.append("quandle: yes")
     elif rack_ok:
-        out.append(f"quandle: no (idempotence fails at {q1})")
+        out.append(f"quandle: no (idempotence fails at {q1_violation(Q.op)})")
     else:
         out.append("quandle: no")
+    out.append(f"kei: {'yes' if quandle_ok and is_kei(Q) else 'no'}")
 
-    kei_ok = False
-    if quandle_ok:
-        kei_ok = is_kei(quandle_from_table(table))
-    out.append(f"kei: {'yes' if kei_ok else 'no'}")
-
-    rho_ok = True
+    rho_ok = qf.rho is None
     if qf.rho is None:
         out.append("rho: absent")
     else:
         out.append("rho: present")
         if not quandle_ok:
-            rho_ok = False
             out.append("good involution: no (table is not a quandle)")
         else:
-            Q = quandle_from_table(table)
-            inv = involution_violation(qf.rho)
-            eqv = equivariance_violation(Q.op, qf.rho)
-            dl = dual_violation(Q.op, Q.dual, qf.rho)
-            if inv is not None:
-                rho_ok = False
-                out.append(f"good involution: no (not an involution at {inv})")
-            elif eqv is not None:
-                rho_ok = False
-                out.append(f"good involution: no (not equivariant at {eqv})")
-            elif dl is not None:
-                rho_ok = False
-                out.append(f"good involution: no (dual compatibility fails at {dl})")
+            try:
+                attach_involution(Q, qf.rho)
+            except NotInvolution as exc:
+                out.append(f"good involution: no (not an involution at {exc.a})")
+            except NotEquivariant as exc:
+                out.append(f"good involution: no (not equivariant at {exc.pair})")
+            except NotDualCompatible as exc:
+                out.append("good involution: no (dual compatibility fails "
+                           f"at {exc.pair})")
             else:
+                rho_ok = True
                 out.append("good involution: yes")
 
     promised = rack_ok if qf.kind == "rack" else quandle_ok

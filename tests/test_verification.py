@@ -1,0 +1,216 @@
+"""The verification layer bites: corrupted presentations, tables, involutions,
+isomorphisms and translations are rejected, and coset assembly stays within
+a product budget that a cell-by-cell re-check would exceed."""
+
+import dataclasses
+from itertools import combinations
+
+import pytest
+
+from sqk import (
+    PermGroup,
+    Quandle,
+    SymmetricQuandle,
+    attach_involution,
+    build_rack,
+    build_symmetric_quandle,
+    conj_symmetric_quandle,
+    decompose,
+    inner_group,
+    paper_example_presentation,
+    quandle_from_table,
+    symmetric_group,
+    validate_presentation,
+    verify_decomposition,
+)
+from sqk import cosets
+from sqk.errors import InternalVerificationFailed, SqkError
+from sqk.quandle import Isomorphism
+
+
+def transposition_quandle(m):
+    """T_m: the transpositions of S_m under conjugation, rho = identity."""
+    points = list(combinations(range(m), 2))
+    index = {p: k for k, p in enumerate(points)}
+
+    def conj(a, b):
+        swap = {b[0]: b[1], b[1]: b[0]}
+        i, j = (swap.get(x, x) for x in a)
+        return index[(min(i, j), max(i, j))]
+
+    table = [[conj(a, b) for b in points] for a in points]
+    return attach_involution(quandle_from_table(table), list(range(len(points))))
+
+
+def presentations():
+    conj_s3 = conj_symmetric_quandle(symmetric_group(3))
+    return [("paper example", paper_example_presentation()),
+            ("Conj(S3) over inn", decompose(conj_s3, "inn").presentation),
+            ("T4 over inn", decompose(transposition_quandle(4), "inn").presentation)]
+
+
+def commutes_with_subgroup(G, z, H):
+    return all(G.mul(z, h) == G.mul(h, z) for h in H.elements)
+
+
+@pytest.mark.parametrize("name,P", presentations())
+def test_assemble_rejects_every_c1_failure(name, P):
+    # _assemble is called directly, past the C1 gate in _require; it must
+    # raise exactly for the z that do not commute with their subgroup
+    G = P.group
+    failures = 0
+    for j in range(P.orbit_count):
+        for z in range(G.order):
+            bad = dataclasses.replace(P, z=P.z[:j] + (z,) + P.z[j + 1:])
+            if commutes_with_subgroup(G, z, P.subgroups[j]):
+                cosets._assemble(bad)
+                continue
+            failures += 1
+            assert not validate_presentation(bad, "rack")["C1"].passed
+            with pytest.raises(InternalVerificationFailed):
+                cosets._assemble(bad)
+    assert failures > 0
+
+
+def _corrupting(monkeypatch, which, p, q):
+    """Make _assemble return a table with cell (p, q) moved by one."""
+    real = cosets._assemble
+
+    def corrupted(P):
+        spaces, labels, op, dual_direct, global_index = real(P)
+        table = op if which == "op" else dual_direct
+        table[p][q] = (table[p][q] + 1) % len(labels)
+        return spaces, labels, op, dual_direct, global_index
+
+    monkeypatch.setattr(cosets, "_assemble", corrupted)
+
+
+@pytest.mark.parametrize("name,P", presentations())
+def test_flipped_table_cell_is_rejected(name, P, monkeypatch):
+    n = build_symmetric_quandle(P).sq.order
+    for p in range(n):
+        for q in range(n):
+            with monkeypatch.context() as m:
+                _corrupting(m, "op", p, q)
+                with pytest.raises(SqkError):
+                    build_symmetric_quandle(P)
+                with pytest.raises(SqkError):
+                    build_rack(P)
+
+
+@pytest.mark.parametrize("name,P", presentations())
+def test_flipped_dual_cell_is_rejected(name, P, monkeypatch):
+    n = build_symmetric_quandle(P).sq.order
+    for p in range(n):
+        for q in range(n):
+            with monkeypatch.context() as m:
+                _corrupting(m, "dual", p, q)
+                with pytest.raises(InternalVerificationFailed, match="dual"):
+                    build_symmetric_quandle(P)
+
+
+@pytest.mark.parametrize("name,P", presentations())
+def test_flipped_rho_entry_is_rejected(name, P):
+    sq = build_symmetric_quandle(P).sq
+    n = sq.order
+    for a in range(n):
+        for v in range(n):
+            if v == sq.rho[a]:
+                continue
+            rho = list(sq.rho)
+            rho[a] = v
+            with pytest.raises(SqkError):
+                attach_involution(sq.quandle, rho)
+
+
+def _is_symmetric_iso(op1, rho1, op2, rho2, f):
+    n = len(op1)
+    return sorted(f) == list(range(n)) and \
+        all(f[op1[a][b]] == op2[f[a]][f[b]] for a in range(n) for b in range(n)) and \
+        all(f[rho1[a]] == rho2[f[a]] for a in range(n))
+
+
+def test_corrupted_psi_is_reported():
+    S = conj_symmetric_quandle(symmetric_group(3))
+    d = decompose(S, "inn")
+    built = d.built.sq
+    n = S.order
+
+    def report_for(m):
+        psi = Isomorphism(source=d.psi.source, target=d.psi.target, map=tuple(m))
+        return verify_decomposition(S, dataclasses.replace(d, psi=psi))
+
+    for k in range(n):
+        for v in range(n):
+            if v == d.psi.map[k]:
+                continue
+            m = list(d.psi.map)
+            m[k] = v
+            report = report_for(m)
+            assert not report.ok
+            assert not report["psi bijective"].passed
+    # swaps keep psi bijective: the report fails exactly when the swapped
+    # map is not a symmetric isomorphism
+    caught = 0
+    for a, b in combinations(range(n), 2):
+        m = list(d.psi.map)
+        m[a], m[b] = m[b], m[a]
+        still_iso = _is_symmetric_iso(built.quandle.op, built.rho,
+                                      S.quandle.op, S.rho, m)
+        assert report_for(m).ok == still_iso
+        caught += not still_iso
+    assert caught > 0
+
+
+def _unchecked(op, rho):
+    """A SymmetricQuandle that skipped validation."""
+    n = len(op)
+    dual = [[0] * n for _ in range(n)]
+    for b in range(n):
+        for a in range(n):
+            dual[op[a][b]][b] = a
+    Q = Quandle(order=n, op=tuple(map(tuple, op)),
+                dual=tuple(map(tuple, dual)))
+    return SymmetricQuandle(quandle=Q, rho=tuple(rho))
+
+
+@pytest.mark.parametrize("S", [conj_symmetric_quandle(symmetric_group(3)),
+                               transposition_quandle(4)],
+                         ids=["Conj(S3)", "T4"])
+def test_inner_group_rejects_a_corrupted_translation(S):
+    # swap two entries of one column: the column stays a bijection, and
+    # inner_group must raise exactly when some column stops being a
+    # symmetric automorphism of the corrupted table
+    n = S.order
+    caught = 0
+    for b in range(n):
+        for a1, a2 in combinations(range(n), 2):
+            op = [list(row) for row in S.quandle.op]
+            op[a1][b], op[a2][b] = op[a2][b], op[a1][b]
+            cols = [tuple(op[a][c] for a in range(n)) for c in range(n)]
+            sound = all(_is_symmetric_iso(op, S.rho, op, S.rho, t) for t in cols)
+            if sound:
+                inner_group(_unchecked(op, S.rho))
+                continue
+            caught += 1
+            with pytest.raises(InternalVerificationFailed):
+                inner_group(_unchecked(op, S.rho))
+    assert caught > 0
+
+
+def test_decompose_product_budget(monkeypatch):
+    # decompose(T_5, "inn") makes about 800 group products; re-checking
+    # every cell over every pair of coset representatives made about 44,000
+    S = transposition_quandle(5)
+    calls = [0]
+    real = PermGroup.mul
+
+    def counting(self, x, y):
+        calls[0] += 1
+        return real(self, x, y)
+
+    monkeypatch.setattr(PermGroup, "mul", counting)
+    d = decompose(S, "inn")
+    assert d.verification.ok
+    assert d.presentation.group.order == 120
+    assert calls[0] <= 2000
