@@ -279,6 +279,16 @@ def cmd_catalog(args, out: list[str]) -> int:
     return 0
 
 
+def _size_bound(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqk", description=__doc__)
     sub = parser.add_subparsers(dest="verb")
@@ -294,13 +304,13 @@ def _build_parser() -> _Parser:
 
     p = add("involutions", cmd_involutions, help="enumerate all good involutions")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=12)
 
     p = add("aut", cmd_aut, help="automorphism group of a quandle")
     p.add_argument("file")
     p.add_argument("--symmetric", action="store_true",
                    help="automorphisms commuting with rho (requires rho)")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=12)
 
     p = add("inn", cmd_inn, help="inner automorphism group (requires rho)")
     p.add_argument("file")
@@ -308,14 +318,14 @@ def _build_parser() -> _Parser:
     p = add("orbits", cmd_orbits, help="orbit decomposition under inn or aut")
     p.add_argument("file")
     p.add_argument("--group", choices=("inn", "aut"), default="inn")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=12)
 
     p = add("decompose", cmd_decompose,
             help="coset presentation over inn or aut, with verified psi")
     p.add_argument("file")
     p.add_argument("--group", choices=("inn", "aut"), default="inn")
     p.add_argument("--emit-prs", metavar="PATH")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=12)
 
     p = add("build", cmd_build, help="build the quandle of a .prs file")
     p.add_argument("file")

@@ -24,7 +24,7 @@ from .cosets import (
 )
 from .errors import InternalVerificationFailed, NoInversionClosedTransversal
 from .groups import FiniteGroup, centralizer, conjugacy_classes
-from .quandle import Isomorphism
+from .quandle import Isomorphism, product_violation
 from .report import Check, Report
 from .symmetric import DEFAULT_MAX_N, SymmetricQuandle
 
@@ -102,8 +102,7 @@ def verify_decomposition(S: SymmetricQuandle, D: DecompositionResult) -> Report:
         checks.append(Check("psi bijective", False, "not a bijection onto the input"))
         return Report(tuple(checks))
 
-    hom = next(((a, b) for a in range(n) for b in range(n)
-                if f[built.quandle.op[a][b]] != S.quandle.op[f[a]][f[b]]), None)
+    hom = product_violation(built.quandle.op, S.quandle.op, f)
     checks.append(Check("psi homomorphism", hom is None,
                         "" if hom is None else f"fails at {hom}"))
     eq = next((a for a in range(n) if f[built.rho[a]] != S.rho[f[a]]), None)
@@ -159,11 +158,11 @@ def conj_presentation(G: FiniteGroup) -> CosetPresentation:
     n = G.order
     if sorted(psi) != list(range(n)):
         raise InternalVerificationFailed("conjugation psi is not a bijection")
+    ab = product_violation(built.sq.quandle.op, target.quandle.op, psi)
+    if ab is not None:
+        raise InternalVerificationFailed(
+            "conjugation psi breaks the product at ({},{})".format(*ab))
     for a in range(n):
-        for b in range(n):
-            if psi[built.sq.quandle.op[a][b]] != target.quandle.op[psi[a]][psi[b]]:
-                raise InternalVerificationFailed(
-                    f"conjugation psi breaks the product at ({a},{b})")
         if psi[built.sq.rho[a]] != target.rho[psi[a]]:
             raise InternalVerificationFailed(
                 f"conjugation psi breaks rho at {a}")

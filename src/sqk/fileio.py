@@ -193,11 +193,19 @@ def parse_prs(text: str, base_dir: str = ".") -> CosetPresentation:
             key, eq, val = chunk.partition("=")
             if not eq:
                 raise FormatError(f"orbit {i}: bad field {chunk.strip()!r}")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key in fields:
+                raise FormatError(f"orbit {i}: field {key!r} given twice")
+            fields[key] = val.strip()
         if set(fields) != {"H", "z", "r", "kappa"}:
             raise FormatError(
                 f"orbit {i}: fields must be H, z, r, kappa; got {sorted(fields)}")
-        subgroups.append(subgroup_from_elements(G, _ints(fields["H"], "H")))
+        H = _ints(fields["H"], "H")
+        for h in H:
+            if not 0 <= h < G.order:
+                raise FormatError(f"orbit {i} H: element index {h} not in "
+                                  f"0..{G.order - 1}")
+        subgroups.append(subgroup_from_elements(G, H))
         zs.append(_one_int(fields["z"], f"orbit {i} z"))
         rs.append(_one_int(fields["r"], f"orbit {i} r"))
         kappas.append(_one_int(fields["kappa"], f"orbit {i} kappa"))

@@ -13,7 +13,7 @@ from .errors import (
     SizeBoundExceeded,
     SqkError,
 )
-from .quandle import Isomorphism, Quandle, Table, _search_maps
+from .quandle import Isomorphism, Quandle, Table, _search_maps, product_violation
 
 DEFAULT_MAX_N = 12
 
@@ -36,22 +36,32 @@ def involution_violation(rho: Sequence[int]) -> int | None:
 
 
 def equivariance_violation(op: Table, rho: Sequence[int]) -> tuple[int, int] | None:
-    """First (a,b) with rho(a*b) != rho(a)*b, or None."""
-    n = len(op)
-    for a in range(n):
-        for b in range(n):
-            if rho[op[a][b]] != op[rho[a]][b]:
-                return (a, b)
+    """First (a,b) with rho(a*b) != rho(a)*b, or None.
+
+    Row a holds iff compose(op[a], rho) equals row rho(a); a row is scanned
+    cell by cell only when that comparison fails.
+    """
+    for a, row in enumerate(op):
+        target = op[rho[a]]
+        if perm.compose(row, rho) != tuple(target):
+            for b, ab in enumerate(row):
+                if rho[ab] != target[b]:
+                    return (a, b)
     return None
 
 
 def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int] | None:
-    """First (a,b) with a*rho(b) != the dual product, or None."""
-    n = len(op)
-    for a in range(n):
-        for b in range(n):
-            if op[a][rho[b]] != dual[a][b]:
-                return (a, b)
+    """First (a,b) with a*rho(b) != the dual product, or None.
+
+    Row a holds iff compose(rho, op[a]) equals the dual row; a row is
+    scanned cell by cell only when that comparison fails.
+    """
+    for a, row in enumerate(op):
+        target = dual[a]
+        if perm.compose(rho, row) != tuple(target):
+            for b, rb in enumerate(rho):
+                if row[rb] != target[b]:
+                    return (a, b)
     return None
 
 
@@ -141,7 +151,6 @@ def is_symmetric_isomorphism_map(S1: SymmetricQuandle, S2: SymmetricQuandle,
     n = S1.order
     if S2.order != n or sorted(f) != list(range(n)):
         return False
-    op1, op2 = S1.quandle.op, S2.quandle.op
-    if any(f[op1[a][b]] != op2[f[a]][f[b]] for a in range(n) for b in range(n)):
+    if product_violation(S1.quandle.op, S2.quandle.op, f) is not None:
         return False
-    return all(f[S1.rho[a]] == S2.rho[f[a]] for a in range(n))
+    return perm.compose(S1.rho, f) == perm.compose(f, S2.rho)

@@ -193,3 +193,35 @@ def test_output_determinism(tmp_path):
         first = run(args)
         second = run(args)
         assert first == second
+
+
+Z4_PRS = ("presentation 1\ngroup 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n"
+          "orbit 0: {}\n")
+
+
+def test_build_out_of_range_subgroup_index_is_malformed(tmp_path):
+    prs = tmp_path / "bad.prs"
+    prs.write_text(Z4_PRS.format("H = 0 4 ; z = 1 ; r = 0 ; kappa = 0"))
+    code, text = run(["build", str(prs), "--level", "rack"])
+    assert code == 2
+    assert text == "error: orbit 0 H: element index 4 not in 0..3\n"
+
+
+def test_build_repeated_orbit_field_is_malformed(tmp_path):
+    prs = tmp_path / "bad.prs"
+    prs.write_text(Z4_PRS.format("H = 0 2 ; z = 1 ; z = 3 ; r = 0 ; kappa = 0"))
+    code, text = run(["build", str(prs), "--level", "rack"])
+    assert code == 2
+    assert text == "error: orbit 0: field 'z' given twice\n"
+
+
+def test_negative_max_n_is_a_usage_error(tmp_path):
+    p = _catalog_file(tmp_path, "r4.qnd", "dihedral-quandle", "4")
+    for verb in ("involutions", "aut", "orbits", "decompose"):
+        code, text = run([verb, p, "--max-n", "-1"])
+        assert code == 2, verb
+        assert text.startswith("usage error: argument --max-n: must be "
+                               "non-negative"), verb
+    code, text = run(["involutions", p, "--max-n", "x"])
+    assert (code, text) == (2, "usage error: argument --max-n: invalid int "
+                               "value: 'x'\n")
