@@ -14,7 +14,7 @@ from typing import Iterable
 from . import perm
 from .errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
 from .groups import GroupLike, Subgroup
-from .quandle import Quandle, all_automorphism_maps
+from .quandle import Quandle, Table, _MapSearch
 from .symmetric import DEFAULT_MAX_N, SymmetricQuandle, is_symmetric_isomorphism_map
 
 
@@ -97,33 +97,168 @@ class OrbitDecomposition:
 
 
 def _greedy_generators(elements: tuple[perm.Perm, ...]) -> list[perm.Perm]:
-    """Small generating set: scan elements in order, keep what grows the closure."""
-    n = len(elements[0]) if elements else 0
-    closure = {perm.identity(n)}
+    """Small generating set: scan elements in order, keep what grows the closure.
+
+    One closure grows as generators are kept, as in perm.spanning_points:
+    the elements reached so far are closed under the old generators, so
+    only the new generator is applied to them; new elements get every
+    generator.
+    """
+    compose = perm.compose
+    reached = [perm.identity(len(elements[0]))]
+    seen = set(reached)
     gens: list[perm.Perm] = []
     for p in elements:
-        if p not in closure:
-            gens.append(p)
-            closure = mulclose(gens)
+        if p in seen:
+            continue
+        gens.append(p)
+        old = len(reached)
+        for i in range(old):
+            q = compose(reached[i], p)
+            if q not in seen:
+                seen.add(q)
+                reached.append(q)
+        i = old
+        while i < len(reached):
+            x = reached[i]
+            for g in gens:
+                q = compose(x, g)
+                if q not in seen:
+                    seen.add(q)
+                    reached.append(q)
+            i += 1
     return gens
 
 
+def _generation_order(op: Table,
+                      rho: perm.Perm | None) -> tuple[list[int], list[int]]:
+    """Every point, in the order the subquandles generated by 0..k are
+    reached for k = 0, 1, ..., and the points k not in the subquandle
+    generated by 0..k-1.
+
+    Scanning k in order, a k not reached yet is appended, then the closure
+    under * (and rho, when given): each new member is multiplied with every
+    member on both sides. For a finite set, closure under * alone makes it
+    closed under the dual operation too. So the points before k are
+    exactly the subquandle generated by 0..k-1 when k is not in it.
+    """
+    n = len(op)
+    seen = [False] * n
+    members: list[int] = []
+    bases: list[int] = []
+    for k in range(n):
+        if seen[k]:
+            continue
+        seen[k] = True
+        bases.append(k)
+        i = len(members)
+        members.append(k)
+        while i < len(members):
+            x = members[i]
+            new = [op[x][y] for y in members[:i + 1]]
+            new += [op[y][x] for y in members[:i]]
+            if rho is not None:
+                new.append(rho[x])
+            for y in new:
+                if not seen[y]:
+                    seen[y] = True
+                    members.append(y)
+            i += 1
+    return members, bases
+
+
+def _orbit(point: int, gens: list[perm.Perm]) -> set[int]:
+    orb = {point}
+    frontier = [point]
+    for a in frontier:
+        for g in gens:
+            b = g[a]
+            if b not in orb:
+                orb.add(b)
+                frontier.append(b)
+    return orb
+
+
+def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
+    """The automorphisms of op (commuting with rho, when given), found along
+    the pointwise stabilizer chain G = G_0 >= G_1 >= ... >= G_n = 1, where
+    G_k fixes 0..k-1; see aut_group for why the result is exact."""
+    n = len(op)
+    order, bases = _generation_order(op, rho)
+    pos = [0] * n
+    for i, a in enumerate(order):
+        pos[a] = i
+    search = _MapSearch(op, op, rho, rho, order)
+    ident = perm.identity(n)
+    gens: list[perm.Perm] = []
+    size = 1
+    for k in reversed(bases):
+        # the points before k in the order are the subquandle generated by
+        # 0..k-1, fixed by all of G_k; so are the images sought
+        orbit = {k}
+        prefix = tuple(order[:pos[k]])
+        for v in search.candidates[k]:
+            if pos[v] <= pos[k] or v in orbit:
+                continue
+            hit = search.run(prefix + (v,))
+            if hit:
+                gens.append(hit[0])
+                orbit = _orbit(k, gens)
+        size *= len(orbit)
+    elements = tuple(sorted(mulclose(gens) | {ident}))
+    if len(elements) != size:
+        raise InternalVerificationFailed(
+            f"automorphism closure has {len(elements)} elements, the "
+            f"stabilizer chain {size}")
+    return PermGroup(n, elements, _greedy_generators(elements))
+
+
 def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
-    """All operation-preserving permutations, found by backtracking."""
+    """All operation-preserving permutations, found along the pointwise
+    stabilizer chain G = G_0 >= G_1 >= ... >= G_n = 1, where G_k fixes
+    0..k-1 (Sims' chain on the base 0, 1, ..., n-1).
+
+    Levels run k = n-1 down to 0, so the generators found so far fix
+    0..k-1 and, by induction, generate G_{k+1}.
+
+    * Forced points: an automorphism fixing 0..k-1 fixes the subquandle
+      they generate (for a finite set, closure under * is enough). A k in
+      it has the trivial orbit {k}, and no search is made for it.
+    * One search per coset: for every other k, each candidate image v (same
+      translation cycle type) not yet in the orbit of k under the
+      generators gets one find-first search for an automorphism with
+      f(i) = i for i < k and f(k) = v. A hit is a new generator; it is
+      accepted only after the complete-map check (every product). A miss
+      is an exhaustive proof that v is not in the orbit of k under G_k.
+    * So each orbit is exact, and the generators found generate G_k, since
+      |G_k| is the orbit length times |G_{k+1}| (Schreier-Sims). Each
+      generator passed the full check, so their closure, listed by
+      mulclose, is G and holds only automorphisms.
+    * Cross-check: the closure must have as many elements as the product
+      of the orbit lengths, or InternalVerificationFailed is raised.
+
+    The elements are sorted and the generators are the greedy ones over
+    that list, so the result does not depend on the generators found.
+    """
     if Q.order > max_n:
         raise SizeBoundExceeded(Q.order, max_n)
-    maps = all_automorphism_maps(Q)
-    return PermGroup(Q.order, maps, _greedy_generators(tuple(maps)))
+    return _chain_group(Q.op)
 
 
 def symmetric_aut_group(S: SymmetricQuandle,
                         max_n: int = DEFAULT_MAX_N) -> PermGroup:
-    """The subgroup of aut_group commuting with rho."""
-    full = aut_group(S.quandle, max_n)
-    rho = S.rho
-    els = tuple(p for p in full.elements
-                if all(p[rho[a]] == rho[p[a]] for a in range(S.order)))
-    return PermGroup(S.order, els, _greedy_generators(els))
+    """The automorphisms commuting with rho, along the same stabilizer chain
+    as aut_group, with rho as a search constraint: candidate images keep
+    rho fixed-point status, each search checks f(rho(a)) = rho(f(a)), and
+    the forced points are the closure of 0..k-1 under * and rho. The same
+    argument applies: misses are exhaustive, forced points have trivial
+    orbits, the generators found pass the full check (products and rho)
+    and generate the group, and its order is cross-checked against the
+    product of the orbit lengths.
+    """
+    if S.order > max_n:
+        raise SizeBoundExceeded(S.order, max_n)
+    return _chain_group(S.quandle.op, S.rho)
 
 
 def inner_group(S: SymmetricQuandle) -> PermGroup:

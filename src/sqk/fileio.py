@@ -206,17 +206,19 @@ def parse_prs(text: str, base_dir: str = ".") -> CosetPresentation:
                 raise FormatError(f"orbit {i} H: element index {h} not in "
                                   f"0..{G.order - 1}")
         subgroups.append(subgroup_from_elements(G, H))
-        zs.append(_one_int(fields["z"], f"orbit {i} z"))
-        rs.append(_one_int(fields["r"], f"orbit {i} r"))
-        kappas.append(_one_int(fields["kappa"], f"orbit {i} kappa"))
+        zs.append(_one_index(fields["z"], f"orbit {i} z", "element", G.order))
+        rs.append(_one_index(fields["r"], f"orbit {i} r", "element", G.order))
+        kappas.append(_one_index(fields["kappa"], f"orbit {i} kappa", "orbit", k))
     return CosetPresentation(group=G, subgroups=tuple(subgroups), z=tuple(zs),
                              r=tuple(rs), kappa=tuple(kappas))
 
 
-def _one_int(text: str, what: str) -> int:
+def _one_index(text: str, what: str, kind: str, bound: int) -> int:
     vals = _ints(text, what)
     if len(vals) != 1:
         raise FormatError(f"{what}: expected one integer")
+    if not 0 <= vals[0] < bound:
+        raise FormatError(f"{what}: {kind} index {vals[0]} not in 0..{bound - 1}")
     return vals[0]
 
 

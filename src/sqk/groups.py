@@ -7,6 +7,7 @@ For permutation groups acting on the right this reads a.(x*y) = (a.x).y.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -74,7 +75,8 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
 
 @dataclass(frozen=True)

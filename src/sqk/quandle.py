@@ -192,76 +192,125 @@ def is_homomorphism_map(Q1: Quandle, Q2: Quandle, f: Sequence[int]) -> bool:
     return product_violation(Q1.op, Q2.op, f) is None
 
 
+class _MapSearch:
+    """Backtracking search for operation-preserving bijections op1 -> op2.
+
+    The set-up is done once and shared by every run: the keys of each
+    element (the cycle type of its translation, which an isomorphism must
+    match, and, when rho constraints are present, its rho fixed-point
+    status), the candidate images that share its key, and the checks of
+    each position. Elements are assigned images in the given order
+    (default 0, 1, ...); each product a*b = c, and each pair (a, rho1(a)),
+    is checked at the position where the last of its elements is assigned.
+    candidates is None when the keys do not match up, so no bijection
+    exists.
+    """
+
+    def __init__(self, op1: Table, op2: Table,
+                 rho1: perm.Perm | None = None,
+                 rho2: perm.Perm | None = None,
+                 order: Sequence[int] | None = None):
+        self.op1, self.op2, self.rho1, self.rho2 = op1, op2, rho1, rho2
+        self.candidates: list[list[int]] | None = None
+        n = len(op1)
+        if len(op2) != n:
+            return
+        key1 = [(perm.cycle_type(col), rho1 is not None and rho1[b] == b)
+                for b, col in enumerate(zip(*op1))]
+        key2 = [(perm.cycle_type(col), rho2 is not None and rho2[b] == b)
+                for b, col in enumerate(zip(*op2))]
+        if sorted(key1) != sorted(key2):
+            return
+        self.key1, self.key2 = key1, key2
+        self.candidates = [[v for v in range(n) if key2[v] == key1[a]]
+                           for a in range(n)]
+        self.order = tuple(range(n)) if order is None else tuple(order)
+        pos = [0] * n
+        for i, a in enumerate(self.order):
+            pos[a] = i
+        self.products: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for a, row in enumerate(op1):
+            for b, c in enumerate(row):
+                self.products[max(pos[a], pos[b], pos[c])].append((a, b, c))
+        self.rho_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        if rho1 is not None:
+            for a, c in enumerate(rho1):
+                self.rho_pairs[max(pos[a], pos[c])].append((a, c))
+
+    def run(self, prefix: Sequence[int] = (),
+            find_all: bool = False) -> list[perm.Perm]:
+        """The maps sending the first len(prefix) elements of the order to
+        the entries of prefix.
+
+        The remaining elements are assigned in order, candidates tried in
+        ascending order, so results come out least first (lexicographically
+        for the default order); without find_all the search stops at the
+        first. Every product is checked once all three of its elements are
+        assigned; complete maps are re-checked in full before being
+        accepted.
+        """
+        if self.candidates is None:
+            return []
+        op1, op2, rho1, rho2 = self.op1, self.op2, self.rho1, self.rho2
+        candidates, order = self.candidates, self.order
+        products, rho_pairs = self.products, self.rho_pairs
+        n = len(op1)
+        f = [-1] * n
+        used = [False] * n
+        results: list[perm.Perm] = []
+
+        def consistent(i: int) -> bool:
+            for a, b, c in products[i]:
+                if f[c] != op2[f[a]][f[b]]:
+                    return False
+            for a, c in rho_pairs[i]:
+                if f[c] != rho2[f[a]]:
+                    return False
+            return True
+
+        def full_check() -> bool:
+            if product_violation(op1, op2, f) is not None:
+                return False
+            return rho1 is None or perm.compose(rho1, f) == perm.compose(f, rho2)
+
+        def extend(i: int) -> bool:
+            if i == n:
+                if full_check():
+                    results.append(tuple(f))
+                    return not find_all
+                return False
+            a = order[i]
+            for v in candidates[a]:
+                if used[v]:
+                    continue
+                f[a] = v
+                used[v] = True
+                if consistent(i) and extend(i + 1):
+                    return True
+                used[v] = False
+                f[a] = -1
+            return False
+
+        for i, v in enumerate(prefix):
+            a = order[i]
+            if used[v] or self.key2[v] != self.key1[a]:
+                return []
+            f[a] = v
+            used[v] = True
+            if not consistent(i):
+                return []
+        extend(len(prefix))
+        return results
+
+
 def _search_maps(op1: Table, op2: Table,
                  rho1: perm.Perm | None = None,
                  rho2: perm.Perm | None = None,
                  find_all: bool = False) -> list[perm.Perm]:
-    """Backtracking search for operation-preserving bijections op1 -> op2.
-
-    Images are assigned to elements 0,1,... in order, candidates tried in
-    ascending order, so results come out lexicographically least first.
-    Candidate sets are pruned by the cycle type of each translation (an
-    isomorphism must match them) and, when rho constraints are present, by
-    rho fixed-point status. Partial maps are checked against every product
-    whose three participants are already assigned; complete maps are
-    re-checked in full before being accepted.
-    """
-    n = len(op1)
-    if len(op2) != n:
-        return []
-    cols1 = [tuple(op1[a][b] for a in range(n)) for b in range(n)]
-    cols2 = [tuple(op2[a][b] for a in range(n)) for b in range(n)]
-    key1 = [(perm.cycle_type(cols1[b]),
-             rho1 is not None and rho1[b] == b) for b in range(n)]
-    key2 = [(perm.cycle_type(cols2[b]),
-             rho2 is not None and rho2[b] == b) for b in range(n)]
-    if sorted(key1) != sorted(key2):
-        return []
-    candidates = [[v for v in range(n) if key2[v] == key1[a]] for a in range(n)]
-
-    f = [-1] * n
-    used = [False] * n
-    results: list[perm.Perm] = []
-
-    def consistent(a: int) -> bool:
-        fa = f[a]
-        for b in range(a + 1):
-            c = op1[a][b]
-            if c <= a and f[c] != op2[fa][f[b]]:
-                return False
-            c = op1[b][a]
-            if c <= a and f[c] != op2[f[b]][fa]:
-                return False
-        if rho1 is not None:
-            c = rho1[a]
-            if c <= a and f[c] != rho2[fa]:
-                return False
-        return True
-
-    def full_check() -> bool:
-        if product_violation(op1, op2, f) is not None:
-            return False
-        return rho1 is None or perm.compose(rho1, f) == perm.compose(f, rho2)
-
-    def extend(a: int) -> bool:
-        if a == n:
-            if full_check():
-                results.append(tuple(f))
-                return not find_all
-            return False
-        for v in candidates[a]:
-            if used[v]:
-                continue
-            f[a] = v
-            used[v] = True
-            if consistent(a) and extend(a + 1):
-                return True
-            used[v] = False
-            f[a] = -1
-        return False
-
-    extend(0)
-    return results
+    """Operation-preserving bijections op1 -> op2 (commuting with the rho
+    constraints, when given), lexicographically least first: the first
+    one, or every one with find_all. See _MapSearch."""
+    return _MapSearch(op1, op2, rho1, rho2).run(find_all=find_all)
 
 
 def find_quandle_isomorphism(Q1: Quandle, Q2: Quandle) -> Isomorphism | None:

@@ -1,21 +1,32 @@
+import random
+
 import pytest
 
 from conftest import catalog_symmetric_quandles
-from helpers import bf_automorphisms, compose_then
+from helpers import bf_automorphisms, compose_then, relabel
 from sqk import (
+    antipodal,
     attach_involution,
     aut_group,
+    autgroup,
+    conj_symmetric_quandle,
+    dihedral_group,
     dihedral_quandle,
     inner_group,
     is_homogeneous,
     orbits,
+    quandle,
+    quandle_from_table,
     stabilizer,
     symmetric_aut_group,
+    symmetric_group,
     transporter,
     trivial_quandle,
 )
-from sqk.errors import SizeBoundExceeded
+from sqk.autgroup import PermGroup
+from sqk.errors import InternalVerificationFailed, SizeBoundExceeded
 from sqk.perm import identity, inverse
+from sqk.quandle import _MapSearch, all_automorphism_maps
 
 INNER_R4 = ((0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1))
 
@@ -172,3 +183,125 @@ def test_is_homogeneous(anti4, conj_s3):
     # Conj(S3): every automorphism fixes the identity element, so the
     # action cannot be transitive
     assert not is_homogeneous(conj_s3)
+
+
+def _transposition_quandle(m):
+    """T_m: the transpositions of S_m under conjugation, with rho = id."""
+    ts = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            t = list(range(m))
+            t[i], t[j] = j, i
+            ts.append(tuple(t))
+    table = [[ts.index(compose_then(compose_then(b, a), b)) for b in ts]
+             for a in ts]
+    return attach_involution(quandle_from_table(table), list(range(len(ts))))
+
+
+def _relabelled(S, seed):
+    """S transported along a uniformly random bijection."""
+    p = list(range(S.order))
+    random.Random(seed).shuffle(p)
+    rho = [0] * S.order
+    for a in range(S.order):
+        rho[p[a]] = p[S.rho[a]]
+    return attach_involution(quandle_from_table(relabel(S.quandle.op, p)), rho)
+
+
+def _reference_group(S, symmetric):
+    """Every automorphism listed by backtracking (filtered by rho), with the
+    greedy generators recomputing the closure from scratch for each one."""
+    maps = all_automorphism_maps(S.quandle)
+    if symmetric:
+        maps = [f for f in maps
+                if all(f[S.rho[a]] == S.rho[f[a]] for a in range(S.order))]
+    gens = []
+    closure = {identity(S.order)}
+    for f in maps:
+        if f not in closure:
+            gens.append(f)
+            closure = autgroup.mulclose(gens)
+    return PermGroup(S.order, maps, gens)
+
+
+def _differential_cases():
+    cases = [(name, S) for name, S in catalog_symmetric_quandles(12)]
+    for name, S in [("R_8", antipodal(8)), ("R_12", antipodal(12)),
+                    ("Conj(S3)", conj_symmetric_quandle(symmetric_group(3))),
+                    ("Conj(D4)", conj_symmetric_quandle(dihedral_group(4))),
+                    ("T_4", _transposition_quandle(4))]:
+        cases += [(f"{name} seed {seed}", _relabelled(S, seed))
+                  for seed in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("S", [pytest.param(S, id=name)
+                               for name, S in _differential_cases()])
+def test_chain_matches_listing_every_automorphism(S):
+    for symmetric, G in ((False, aut_group(S.quandle)),
+                         (True, symmetric_aut_group(S))):
+        ref = _reference_group(S, symmetric)
+        assert G.elements == ref.elements, symmetric
+        assert G.generators == ref.generators, symmetric
+        assert orbits(G) == orbits(ref), symmetric
+
+
+def test_map_search_in_any_order_finds_every_automorphism():
+    for name, S in _differential_cases():
+        if S.order > 6:
+            continue
+        op = S.quandle.op
+        expected = bf_automorphisms(op)
+        assert all_automorphism_maps(S.quandle) == expected, name
+        order = list(range(S.order))
+        random.Random(S.order).shuffle(order)
+        found = _MapSearch(op, op, order=order).run(find_all=True)
+        assert sorted(found) == expected, name
+
+
+def test_aut_group_complete_map_checks_are_few(monkeypatch):
+    # listing Aut(Conj(D_12)) leaf by leaf checks all 768 complete maps.
+    # The chain checks only the generators it keeps, and each one moves k
+    # outside the orbit of the earlier ones, so it at least doubles the
+    # group they generate: at most log2(768) < 10 of them
+    calls = []
+    checked = quandle.product_violation
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(quandle, "product_violation", counted)
+    G = aut_group(conj_symmetric_quandle(dihedral_group(12)).quandle, 24)
+    assert G.order == 768
+    assert 1 <= len(calls) <= 9
+
+
+def test_closure_missing_an_element_is_caught(monkeypatch):
+    closure = autgroup.mulclose
+
+    def lossy(perms):
+        els = closure(perms)
+        els.discard(max(els))
+        return els
+
+    monkeypatch.setattr(autgroup, "mulclose", lossy)
+    with pytest.raises(InternalVerificationFailed):
+        aut_group(dihedral_quandle(6))
+
+
+def test_chain_missing_a_generator_is_caught(monkeypatch):
+    run = _MapSearch.run
+    dropped = []
+
+    def lossy(self, prefix=(), find_all=False):
+        hits = run(self, prefix, find_all)
+        if hits and not dropped:
+            dropped.append(hits[0])
+            return []
+        return hits
+
+    monkeypatch.setattr(_MapSearch, "run", lossy)
+    with pytest.raises(InternalVerificationFailed):
+        aut_group(trivial_quandle(3))
+    assert dropped == [(0, 2, 1)]

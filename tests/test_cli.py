@@ -207,6 +207,30 @@ def test_build_out_of_range_subgroup_index_is_malformed(tmp_path):
     assert text == "error: orbit 0 H: element index 4 not in 0..3\n"
 
 
+def test_build_out_of_range_z_is_malformed(tmp_path):
+    prs = tmp_path / "bad.prs"
+    prs.write_text(Z4_PRS.format("H = 0 ; z = 4 ; r = 0 ; kappa = 0"))
+    code, text = run(["build", str(prs), "--level", "rack"])
+    assert code == 2
+    assert text == "error: orbit 0 z: element index 4 not in 0..3\n"
+
+
+def test_build_out_of_range_r_is_malformed(tmp_path):
+    prs = tmp_path / "bad.prs"
+    prs.write_text(Z4_PRS.format("H = 0 ; z = 0 ; r = -1 ; kappa = 0"))
+    code, text = run(["build", str(prs), "--level", "rack"])
+    assert code == 2
+    assert text == "error: orbit 0 r: element index -1 not in 0..3\n"
+
+
+def test_build_out_of_range_kappa_is_malformed(tmp_path):
+    prs = tmp_path / "bad.prs"
+    prs.write_text(Z4_PRS.format("H = 0 ; z = 0 ; r = 0 ; kappa = 1"))
+    code, text = run(["build", str(prs), "--level", "rack"])
+    assert code == 2
+    assert text == "error: orbit 0 kappa: orbit index 1 not in 0..0\n"
+
+
 def test_build_repeated_orbit_field_is_malformed(tmp_path):
     prs = tmp_path / "bad.prs"
     prs.write_text(Z4_PRS.format("H = 0 2 ; z = 1 ; z = 3 ; r = 0 ; kappa = 0"))
