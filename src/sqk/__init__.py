@@ -27,7 +27,6 @@ from .catalog import (
 from .cosets import (
     CosetPresentation,
     LabeledQuandle,
-    LabeledSymmetricQuandle,
     build_quandle,
     build_rack,
     build_symmetric_quandle,
@@ -55,12 +54,9 @@ from .groups import (
 from .quandle import (
     Isomorphism,
     Quandle,
-    Translation,
-    dual_op,
     find_quandle_isomorphism,
     is_kei,
     quandle_from_table,
-    translation,
 )
 from .report import Check, Report
 from .symmetric import (

@@ -50,7 +50,7 @@ class PermGroup(GroupLike):
         if ident not in self._index:
             raise InternalVerificationFailed("identity permutation missing")
         self.identity = self._index[ident]
-        self._inv = tuple(self._index[perm.inverse(p)] for p in self.elements)
+        self._inv: tuple[int, ...] | None = None
         self.generators = tuple(self._index[tuple(p)] for p in generator_perms)
 
     @property
@@ -61,6 +61,11 @@ class PermGroup(GroupLike):
         return self._index[perm.compose(self.elements[x], self.elements[y])]
 
     def inv(self, x: int) -> int:
+        # built on the first call, as aut and orbits make none; not a
+        # functools.cached_property, whose write to __dict__ made the
+        # PermGroup.mul calls of --emit-prs a tenth slower (CPython 3.11)
+        if self._inv is None:
+            self._inv = tuple(self._index[perm.inverse(p)] for p in self.elements)
         return self._inv[x]
 
     def name_of(self, x: int) -> str:
@@ -68,15 +73,6 @@ class PermGroup(GroupLike):
 
     def index_of(self, p: perm.Perm) -> int | None:
         return self._index.get(tuple(p))
-
-    def apply(self, x: int, point: int) -> int:
-        """The right action point . x."""
-        return self.elements[x][point]
-
-    def is_closed(self) -> bool:
-        els = set(self.elements)
-        return all(perm.compose(p, q) in els
-                   for p in self.elements for q in self.elements)
 
     @classmethod
     def from_generators(cls, degree: int,

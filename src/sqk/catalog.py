@@ -8,8 +8,8 @@ nothing here is trusted by fiat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable
 
 from .cosets import CosetPresentation
 from .errors import (
@@ -161,65 +161,39 @@ def paper_example_presentation() -> CosetPresentation:
                              kappa=(0, 1))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    parameters: tuple[str, ...]  # parameter names, for usage messages
-    produces: str                # "quandle" | "symmetric_quandle" | "group" | "presentation"
-
-
-ENTRIES: tuple[CatalogEntry, ...] = (
-    CatalogEntry("dihedral-quandle", ("n",), "quandle"),
-    CatalogEntry("antipodal", ("n",), "symmetric_quandle"),
-    CatalogEntry("conj", ("group-name", "params..."), "symmetric_quandle"),
-    CatalogEntry("quaternion", (), "group"),
-    CatalogEntry("cyclic", ("n",), "group"),
-    CatalogEntry("dihedral-group", ("n",), "group"),
-    CatalogEntry("sym", ("n",), "group"),
-    CatalogEntry("paper-example", (), "presentation"),
-)
-
-
-def _int_params(name: str, params: list[str], count: int) -> list[int]:
-    if len(params) != count:
-        expected = " ".join(e.parameters[k] for e in ENTRIES if e.name == name
-                            for k in range(len(e.parameters)))
-        raise ParameterOutOfRange(
-            f"catalog {name} takes {count} parameter(s): {expected or '(none)'}")
-    try:
-        return [int(p) for p in params]
-    except ValueError:
-        raise ParameterOutOfRange(f"catalog {name}: parameters must be integers")
+# name -> (parameter names, for usage messages; the kind produced, one of
+# "quandle", "symmetric_quandle", "group", "presentation"; the constructor).
+# conj takes a group spec rather than integers; build_entry resolves it.
+ENTRIES: dict[str, tuple[tuple[str, ...], str, Callable]] = {
+    "dihedral-quandle": (("n",), "quandle", dihedral_quandle),
+    "antipodal": (("n",), "symmetric_quandle", antipodal),
+    "conj": (("group-name", "params..."), "symmetric_quandle",
+             conj_symmetric_quandle),
+    "quaternion": ((), "group", quaternion_group),
+    "cyclic": (("n",), "group", cyclic_group),
+    "dihedral-group": (("n",), "group", dihedral_group),
+    "sym": (("n",), "group", symmetric_group),
+    "paper-example": ((), "presentation", paper_example_presentation),
+}
 
 
 def build_entry(name: str, params: list[str]):
     """Resolve a catalog spec to (produces, object)."""
-    if name == "dihedral-quandle":
-        (n,) = _int_params(name, params, 1)
-        return "quandle", dihedral_quandle(n)
-    if name == "antipodal":
-        (n,) = _int_params(name, params, 1)
-        return "symmetric_quandle", antipodal(n)
+    if name not in ENTRIES:
+        raise ParameterOutOfRange(f"unknown catalog entry {name!r}")
+    names, produces, make = ENTRIES[name]
     if name == "conj":
         if not params:
             raise ParameterOutOfRange("catalog conj needs a group spec")
         _, G = build_entry(params[0], params[1:])
         if not isinstance(G, FiniteGroup):
             raise ParameterOutOfRange(f"{params[0]} is not a group entry")
-        return "symmetric_quandle", conj_symmetric_quandle(G)
-    if name == "quaternion":
-        _int_params(name, params, 0)
-        return "group", quaternion_group()
-    if name == "cyclic":
-        (n,) = _int_params(name, params, 1)
-        return "group", cyclic_group(n)
-    if name == "dihedral-group":
-        (n,) = _int_params(name, params, 1)
-        return "group", dihedral_group(n)
-    if name == "sym":
-        (n,) = _int_params(name, params, 1)
-        return "group", symmetric_group(n)
-    if name == "paper-example":
-        _int_params(name, params, 0)
-        return "presentation", paper_example_presentation()
-    raise ParameterOutOfRange(f"unknown catalog entry {name!r}")
+        return produces, make(G)
+    if len(params) != len(names):
+        raise ParameterOutOfRange(f"catalog {name} takes {len(names)} "
+                                  f"parameter(s): {' '.join(names) or '(none)'}")
+    try:
+        ints = [int(p) for p in params]
+    except ValueError:
+        raise ParameterOutOfRange(f"catalog {name}: parameters must be integers")
+    return produces, make(*ints)

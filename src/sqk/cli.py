@@ -78,19 +78,27 @@ def _symmetric(qf: fileio.QndFile, path: str) -> SymmetricQuandle:
     return attach_involution(_quandle(qf), qf.rho)
 
 
-def _print_group(G: PermGroup, out: list[str], heading: str) -> None:
-    out.append(f"group: {heading}")
-    out.append(f"degree: {G.degree}")
-    out.append(f"order: {G.order}")
+def _print_generators(G: PermGroup, out: list[str], heading: str) -> None:
     gens = G.generators if G.generators else tuple(range(G.order))
-    out.append(f"generators ({len(gens)}):")
+    out.append(f"{heading} ({len(gens)}):")
     for g in gens:
         out.append("  " + perm_line(G.elements[g]))
+
+
+def _print_orbits(G: PermGroup, out: list[str]) -> None:
     dec = orbits(G)
     out.append(f"orbits ({dec.count}):")
     for i, orb in enumerate(dec.orbits):
         out.append(f"  orbit {i}: rep {dec.representatives[i]}, "
                    f"size {len(orb)}: " + " ".join(map(str, orb)))
+
+
+def _print_group(G: PermGroup, out: list[str], heading: str) -> None:
+    out.append(f"group: {heading}")
+    out.append(f"degree: {G.degree}")
+    out.append(f"order: {G.order}")
+    _print_generators(G, out, "generators")
+    _print_orbits(G, out)
 
 
 def cmd_check(args, out: list[str]) -> int:
@@ -152,15 +160,16 @@ def cmd_involutions(args, out: list[str]) -> int:
     return 0
 
 
+def _aut(qf: fileio.QndFile, path: str, symmetric: bool,
+         max_n: int) -> tuple[PermGroup, str]:
+    if symmetric:
+        return symmetric_aut_group(_symmetric(qf, path), max_n), "aut (symmetric)"
+    return aut_group(_quandle(qf), max_n), "aut"
+
+
 def cmd_aut(args, out: list[str]) -> int:
-    qf = _load_qnd(args.file)
-    if args.symmetric:
-        S = _symmetric(qf, args.file)
-        G = symmetric_aut_group(S, args.max_n)
-        _print_group(G, out, "aut (symmetric)")
-    else:
-        G = aut_group(_quandle(qf), args.max_n)
-        _print_group(G, out, "aut")
+    G, heading = _aut(_load_qnd(args.file), args.file, args.symmetric, args.max_n)
+    _print_group(G, out, heading)
     return 0
 
 
@@ -173,20 +182,11 @@ def cmd_inn(args, out: list[str]) -> int:
 def cmd_orbits(args, out: list[str]) -> int:
     qf = _load_qnd(args.file)
     if args.group == "inn":
-        G = inner_group(_symmetric(qf, args.file))
-        heading = "inn"
-    elif qf.rho is not None:
-        G = symmetric_aut_group(_symmetric(qf, args.file), args.max_n)
-        heading = "aut (symmetric)"
+        G, heading = inner_group(_symmetric(qf, args.file)), "inn"
     else:
-        G = aut_group(_quandle(qf), args.max_n)
-        heading = "aut"
+        G, heading = _aut(qf, args.file, qf.rho is not None, args.max_n)
     out.append(f"group: {heading}")
-    dec = orbits(G)
-    out.append(f"orbits ({dec.count}):")
-    for i, orb in enumerate(dec.orbits):
-        out.append(f"  orbit {i}: rep {dec.representatives[i]}, "
-                   f"size {len(orb)}: " + " ".join(map(str, orb)))
+    _print_orbits(G, out)
     return 0
 
 
@@ -196,10 +196,7 @@ def cmd_decompose(args, out: list[str]) -> int:
     G: PermGroup = result.presentation.group
     out.append(f"group: {args.group}")
     out.append(f"group order: {G.order}")
-    gens = G.generators if G.generators else tuple(range(G.order))
-    out.append(f"group generators ({len(gens)}):")
-    for g in gens:
-        out.append("  " + perm_line(G.elements[g]))
+    _print_generators(G, out, "group generators")
     P = result.presentation
     out.append(f"orbits ({P.orbit_count}):")
     dec = orbits(G)
@@ -212,7 +209,7 @@ def cmd_decompose(args, out: list[str]) -> int:
     for i in range(P.orbit_count):
         out.append(f"r_{i} = " + perm_line(G.elements[P.r[i]]))
     out.append("psi:")
-    for k in range(result.built.sq.order):
+    for k in range(result.built.quandle.order):
         out.append(f"  {result.built.label_name(k)} -> {result.psi.map[k]}")
     out.append("verification:")
     for line in result.verification.lines():
@@ -230,13 +227,10 @@ def cmd_build(args, out: list[str]) -> int:
         for line in report.lines():
             out.append(line)
         return 1
-    if args.level == "symmetric":
-        built = build_symmetric_quandle(P)
-        text = fileio.format_qnd(built)
-    else:
-        labeled = build_quandle(P) if args.level == "quandle" else build_rack(P)
-        names = [labeled.label_name(k) for k in range(labeled.quandle.order)]
-        text = fileio.format_qnd(labeled.quandle, labels=names)
+    # looked up per call, so wrappers bound to these names see the build
+    builders = {"rack": build_rack, "quandle": build_quandle,
+                "symmetric": build_symmetric_quandle}
+    text = fileio.format_qnd(builders[args.level](P))
     if args.output:
         _write(args.output, text)
     else:

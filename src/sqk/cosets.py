@@ -136,10 +136,13 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
 
 @dataclass(frozen=True)
 class LabeledQuandle:
+    """A built rack, quandle or symmetric quandle with its coset labels; sq
+    is set only at the symmetric level, where quandle is sq.quandle."""
     quandle: Quandle
     presentation: CosetPresentation
     labels: tuple[tuple[int, int], ...]   # element -> (orbit index, coset rep)
     cosets: tuple[CosetSpace, ...]        # one coset space per orbit
+    sq: SymmetricQuandle | None = None
 
     def label_name(self, k: int) -> str:
         i, x = self.labels[k]
@@ -147,22 +150,6 @@ class LabeledQuandle:
 
     def index_of(self, i: int, x: int) -> int:
         """Element index of the coset H_i x (any member x)."""
-        rep = self.cosets[i].representatives[self.cosets[i].coset_index[x]]
-        return self.labels.index((i, rep))
-
-
-@dataclass(frozen=True)
-class LabeledSymmetricQuandle:
-    sq: SymmetricQuandle
-    presentation: CosetPresentation
-    labels: tuple[tuple[int, int], ...]
-    cosets: tuple[CosetSpace, ...]
-
-    def label_name(self, k: int) -> str:
-        i, x = self.labels[k]
-        return f"H{i}[{self.presentation.group.name_of(x)}]"
-
-    def index_of(self, i: int, x: int) -> int:
         rep = self.cosets[i].representatives[self.cosets[i].coset_index[x]]
         return self.labels.index((i, rep))
 
@@ -217,50 +204,42 @@ def _assemble(P: CosetPresentation):
     return spaces, tuple(labels), op, dual_direct, global_index
 
 
-def build_rack(P: CosetPresentation) -> LabeledQuandle:
-    """Rack on the union of coset spaces; requires only C1."""
-    _require(P, "rack")
-    spaces, labels, op, dual_direct, _ = _assemble(P)
-    Q = quandle_from_table(op, allow_rack=True)
+def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
+    """The object of P at the given level, once its conditions pass. At the
+    symmetric level rho(H_i x) = H_kappa(i) (r_i x) is checked independent
+    of the representative, then re-validated as a good involution."""
+    _require(P, level)
+    G = P.group
+    spaces, labels, op, dual_direct, global_index = _assemble(P)
+
+    rho = None
+    if level == "symmetric":
+        rho = [global_index(P.kappa[i], G.mul(P.r[i], x)) for (i, x) in labels]
+        for p, (i, x) in enumerate(labels):
+            for x1 in spaces[i].cosets[spaces[i].coset_index[x]]:
+                if global_index(P.kappa[i], G.mul(P.r[i], x1)) != rho[p]:
+                    raise InternalVerificationFailed(
+                        f"rho at element {p} depends on the coset representative")
+
+    Q = quandle_from_table(op, allow_rack=(level == "rack"))
     if Q.dual != tuple(tuple(row) for row in dual_direct):
         raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
-    return LabeledQuandle(quandle=Q, presentation=P, labels=labels, cosets=spaces)
+    sq = attach_involution(Q, rho) if rho is not None else None
+    return LabeledQuandle(quandle=Q, presentation=P, labels=labels,
+                          cosets=spaces, sq=sq)
+
+
+def build_rack(P: CosetPresentation) -> LabeledQuandle:
+    """Rack on the union of coset spaces; requires only C1."""
+    return _build(P, "rack")
 
 
 def build_quandle(P: CosetPresentation) -> LabeledQuandle:
     """Quandle on the union of coset spaces; requires C1 and C2."""
-    _require(P, "quandle")
-    spaces, labels, op, dual_direct, _ = _assemble(P)
-    Q = quandle_from_table(op, allow_rack=False)
-    if Q.dual != tuple(tuple(row) for row in dual_direct):
-        raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
-    return LabeledQuandle(quandle=Q, presentation=P, labels=labels, cosets=spaces)
+    return _build(P, "quandle")
 
 
-def build_symmetric_quandle(P: CosetPresentation) -> LabeledSymmetricQuandle:
+def build_symmetric_quandle(P: CosetPresentation) -> LabeledQuandle:
     """Symmetric quandle from the full data; requires all six conditions.
-
-    rho(H_i x) = H_kappa(i) (r_i x) is computed, checked independent of the
-    representative, and then re-validated as a good involution on the built
-    table rather than assumed.
-    """
-    _require(P, "symmetric")
-    G = P.group
-    spaces, labels, op, dual_direct, global_index = _assemble(P)
-    n = len(labels)
-
-    rho = [0] * n
-    for p, (i, x) in enumerate(labels):
-        rho[p] = global_index(P.kappa[i], G.mul(P.r[i], x))
-    for p, (i, _) in enumerate(labels):
-        for x1 in spaces[i].cosets[spaces[i].coset_index[labels[p][1]]]:
-            if global_index(P.kappa[i], G.mul(P.r[i], x1)) != rho[p]:
-                raise InternalVerificationFailed(
-                    f"rho at element {p} depends on the coset representative")
-
-    Q = quandle_from_table(op, allow_rack=False)
-    if Q.dual != tuple(tuple(row) for row in dual_direct):
-        raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
-    sq = attach_involution(Q, rho)
-    return LabeledSymmetricQuandle(sq=sq, presentation=P, labels=labels,
-                                   cosets=spaces)
+    The result carries the symmetric quandle as sq."""
+    return _build(P, "symmetric")

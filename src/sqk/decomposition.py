@@ -12,13 +12,14 @@ from the built coset object back to the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .autgroup import PermGroup, inner_group, orbits, stabilizer, symmetric_aut_group, transporter
 from .catalog import conj_symmetric_quandle
 from .cosets import (
     CosetPresentation,
-    LabeledSymmetricQuandle,
+    LabeledQuandle,
     build_symmetric_quandle,
     validate_presentation,
 )
@@ -34,7 +35,7 @@ GROUP_CHOICES = ("inn", "aut")
 @dataclass(frozen=True)
 class DecompositionResult:
     presentation: CosetPresentation
-    built: LabeledSymmetricQuandle
+    built: LabeledQuandle       # at the symmetric level
     psi: Isomorphism            # built -> input
     group_choice: str
     verification: Report
@@ -80,34 +81,38 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
                                  group_choice=group_choice,
                                  verification=Report(()))
     report = verify_decomposition(S, result)
-    result = DecompositionResult(presentation=P, built=built, psi=psi,
-                                 group_choice=group_choice, verification=report)
+    result = replace(result, verification=report)
     if not report.ok:
         raise InternalVerificationFailed(
             "; ".join(c.line() for c in report.failures))
     return result
 
 
+def _psi_checks(source: SymmetricQuandle, target: SymmetricQuandle,
+                f: Sequence[int]) -> list[Check]:
+    """That f: source -> target is a bijection and then that it is a quandle
+    homomorphism intertwining the involutions."""
+    n = target.order
+    if not (len(f) == source.order == n and sorted(f) == list(range(n))):
+        return [Check("psi bijective", False, "not a bijection onto the input")]
+    hom = product_violation(source.quandle.op, target.quandle.op, f)
+    eq = next((a for a in range(n) if f[source.rho[a]] != target.rho[f[a]]), None)
+    return [Check("psi bijective", True),
+            Check("psi homomorphism", hom is None,
+                  "" if hom is None else f"fails at {hom}"),
+            Check("psi intertwines rho", eq is None,
+                  "" if eq is None else f"fails at {eq}")]
+
+
 def verify_decomposition(S: SymmetricQuandle, D: DecompositionResult) -> Report:
     """Re-check everything: the six presentation conditions, and that psi is
     a bijective quandle homomorphism intertwining the involutions."""
     checks = list(validate_presentation(D.presentation, "symmetric").checks)
-    n = S.order
-    f = D.psi.map
-    built = D.built.sq
-
-    if len(f) == built.order == n and sorted(f) == list(range(n)):
-        checks.append(Check("psi bijective", True))
-    else:
-        checks.append(Check("psi bijective", False, "not a bijection onto the input"))
+    psi = _psi_checks(D.built.sq, S, D.psi.map)
+    checks += psi
+    if not psi[0].passed:
         return Report(tuple(checks))
-
-    hom = product_violation(built.quandle.op, S.quandle.op, f)
-    checks.append(Check("psi homomorphism", hom is None,
-                        "" if hom is None else f"fails at {hom}"))
-    eq = next((a for a in range(n) if f[built.rho[a]] != S.rho[f[a]]), None)
-    checks.append(Check("psi intertwines rho", eq is None,
-                        "" if eq is None else f"fails at {eq}"))
+    n = S.order
     total = sum(sp.count for sp in D.built.cosets)
     checks.append(Check("coset count", total == n,
                         "" if total == n else f"{total} cosets for {n} elements"))
@@ -153,17 +158,10 @@ def conj_presentation(G: FiniteGroup) -> CosetPresentation:
 
     # the built object must agree with Conj(G) under psi(H_i x) = x^-1 g_i x
     built = build_symmetric_quandle(P)
-    target = conj_symmetric_quandle(G)
     psi = tuple(G.conj(z[i], x) for (i, x) in built.labels)
-    n = G.order
-    if sorted(psi) != list(range(n)):
-        raise InternalVerificationFailed("conjugation psi is not a bijection")
-    ab = product_violation(built.sq.quandle.op, target.quandle.op, psi)
-    if ab is not None:
+    failures = [c for c in _psi_checks(built.sq, conj_symmetric_quandle(G), psi)
+                if not c.passed]
+    if failures:
         raise InternalVerificationFailed(
-            "conjugation psi breaks the product at ({},{})".format(*ab))
-    for a in range(n):
-        if psi[built.sq.rho[a]] != target.rho[psi[a]]:
-            raise InternalVerificationFailed(
-                f"conjugation psi breaks rho at {a}")
+            "conjugation " + "; ".join(c.line() for c in failures))
     return P

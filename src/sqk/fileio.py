@@ -16,9 +16,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .cosets import CosetPresentation, LabeledSymmetricQuandle
+from .cosets import CosetPresentation, LabeledQuandle
 from .errors import FormatError
-from .groups import FiniteGroup, GroupLike, subgroup_from_elements
+from .groups import FiniteGroup, GroupLike, group_from_table, subgroup_from_elements
 from .quandle import Quandle
 from .symmetric import SymmetricQuandle
 
@@ -58,8 +58,6 @@ def _read_header(line: str, keywords: tuple[str, ...]) -> tuple[str, int]:
 def _parse_group_block(lines: list[str], pos: int) -> tuple[FiniteGroup, int]:
     """Parse a group block starting at lines[pos]; return (group, next pos).
     Validation of the table happens in group_from_table."""
-    from .groups import group_from_table
-
     _, n = _read_header(lines[pos], ("group",))
     pos += 1
     if pos + n > len(lines):
@@ -137,12 +135,13 @@ def parse_qnd(text: str) -> QndFile:
     return QndFile(kind=kind, table=tuple(table), rho=tuple(rho) if rho else None)
 
 
-def format_qnd(obj: Quandle | SymmetricQuandle | LabeledSymmetricQuandle,
-               labels: list[str] | None = None) -> str:
-    if isinstance(obj, LabeledSymmetricQuandle):
-        if labels is None:
-            labels = [obj.label_name(k) for k in range(obj.sq.order)]
-        obj = obj.sq
+def format_qnd(obj: Quandle | SymmetricQuandle | LabeledQuandle) -> str:
+    """A built object is written with its rho line when it has one, and
+    with one comment line per element naming its coset."""
+    labels = None
+    if isinstance(obj, LabeledQuandle):
+        labels = [obj.label_name(k) for k in range(obj.quandle.order)]
+        obj = obj.sq if obj.sq is not None else obj.quandle
     if isinstance(obj, SymmetricQuandle):
         Q, rho = obj.quandle, obj.rho
     else:
@@ -230,8 +229,6 @@ def group_to_table(G: GroupLike) -> FiniteGroup:
     n = G.order
     table = [[G.mul(x, y) for y in range(n)] for x in range(n)]
     names = [G.name_of(x) for x in range(n)]
-    from .groups import group_from_table
-
     return group_from_table(table, names)
 
 

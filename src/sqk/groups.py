@@ -168,21 +168,21 @@ def group_from_table(table: Sequence[Sequence[int]],
 
 
 def subgroup_closure(G: GroupLike, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup of G containing gens."""
+    """Smallest subgroup of G containing gens: the elements reached from e
+    by right multiplication by gens. For x and y = g1...gk reached, so is
+    x y, and a finite product-closed set containing e is a subgroup."""
     gens = [G.check_index(g) for g in gens]
     elements = {G.identity}
-    frontier = [g for g in gens if g not in elements]
-    elements.update(frontier)
+    frontier = [G.identity]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                for y in (G.mul(x, g), G.mul(g, x)):
-                    if y not in elements:
-                        elements.add(y)
-                        nxt.append(y)
+                y = G.mul(x, g)
+                if y not in elements:
+                    elements.add(y)
+                    nxt.append(y)
         frontier = nxt
-    # a nonempty product-closed subset of a finite group is a subgroup
     return Subgroup(parent=G, elements=tuple(sorted(elements)))
 
 

@@ -78,10 +78,6 @@ def spanning_points(maps: list[Perm]) -> list[int]:
     return kept
 
 
-def is_permutation(p) -> bool:
-    return sorted(p) == list(range(len(p)))
-
-
 def is_involution(p: Perm) -> bool:
     return all(p[p[a]] == a for a in range(len(p)))
 

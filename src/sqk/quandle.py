@@ -16,7 +16,6 @@ from .errors import (
     AxiomQ2Violated,
     AxiomQ3Violated,
     FormatError,
-    IndexOutOfRange,
 )
 
 Table = tuple[tuple[int, ...], ...]
@@ -35,12 +34,6 @@ class Quandle:
 
     def translations(self) -> tuple[perm.Perm, ...]:
         return tuple(zip(*self.op))
-
-
-@dataclass(frozen=True)
-class Translation:
-    base: int
-    map: perm.Perm
 
 
 @dataclass(frozen=True)
@@ -149,21 +142,6 @@ def quandle_from_table(table: Sequence[Sequence[int]],
             raise AxiomQ1Violated(a)
         rack_only = True
     return Quandle(order=n, op=op, dual=_dual_table(op), rack_only=rack_only)
-
-
-def dual_op(Q: Quandle, a: int, b: int) -> int:
-    """The unique x with x*b = a."""
-    if not 0 <= a < Q.order:
-        raise IndexOutOfRange(a, Q.order)
-    if not 0 <= b < Q.order:
-        raise IndexOutOfRange(b, Q.order)
-    return Q.dual[a][b]
-
-
-def translation(Q: Quandle, b: int) -> Translation:
-    if not 0 <= b < Q.order:
-        raise IndexOutOfRange(b, Q.order)
-    return Translation(base=b, map=Q.column(b))
 
 
 def is_kei(Q: Quandle) -> bool:

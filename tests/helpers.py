@@ -79,3 +79,14 @@ def relabel(table, p):
 def compose_then(p, q):
     """Apply p, then q (the package's product convention)."""
     return tuple(q[p[a]] for a in range(len(p)))
+
+
+def bf_subgroup(G, gens):
+    """Subgroup generated by gens: e and gens, closed under all products of
+    two members, on both sides, until nothing new appears."""
+    els = {G.identity, *gens}
+    while True:
+        new = {G.mul(x, y) for x in els for y in els} - els
+        if not new:
+            return tuple(sorted(els))
+        els |= new

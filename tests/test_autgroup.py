@@ -23,7 +23,7 @@ from sqk import (
     transporter,
     trivial_quandle,
 )
-from sqk.autgroup import PermGroup
+from sqk.autgroup import PermGroup, mulclose
 from sqk.errors import InternalVerificationFailed, SizeBoundExceeded
 from sqk.perm import identity, inverse
 from sqk.quandle import _MapSearch, all_automorphism_maps
@@ -78,7 +78,16 @@ def test_symmetric_aut_trivial3():
 def test_inner_r4(inn_r4):
     assert inn_r4.elements == INNER_R4
     assert inn_r4.order == 4
-    assert inn_r4.is_closed()
+    assert set(mulclose(inn_r4.elements)) == set(inn_r4.elements)
+
+
+def test_inverse_table_is_built_on_first_inv():
+    G = aut_group(conj_symmetric_quandle(dihedral_group(4)).quandle)
+    orbits(G)
+    assert G._inv is None
+    for x in range(G.order):
+        assert G.elements[G.inv(x)] == inverse(G.elements[x])
+    assert G._inv is not None
 
 
 def test_inner_trivial():

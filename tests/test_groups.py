@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bf_conjugacy_classes
+from helpers import bf_conjugacy_classes, bf_subgroup
 from sqk import (
     centralizes,
     conjugacy_classes,
@@ -92,6 +94,18 @@ def test_subgroup_closure_empty(quat):
 def test_subgroup_closure_idempotent(quat):
     H = subgroup_closure(quat, {B})
     assert subgroup_closure(quat, H.elements).elements == H.elements
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic_group(6),
+                                  lambda: symmetric_group(3),
+                                  lambda: dihedral_group(4), quaternion_group,
+                                  lambda: symmetric_group(4)],
+                         ids=["Z6", "S3", "D4", "Q8", "S4"])
+def test_subgroup_closure_matches_two_sided_closure(make):
+    G = make()
+    singles = [(g,) for g in range(G.order)]
+    for gens in singles + list(combinations(range(G.order), 2)):
+        assert subgroup_closure(G, gens).elements == bf_subgroup(G, gens), gens
 
 
 def test_subgroup_closure_out_of_range(quat):

@@ -7,12 +7,10 @@ from helpers import bf_dual, relabel
 from sqk import (
     build_symmetric_quandle,
     dihedral_quandle,
-    dual_op,
     find_quandle_isomorphism,
     is_kei,
     paper_example_presentation,
     quandle_from_table,
-    translation,
     trivial_quandle,
 )
 from sqk.errors import AxiomQ1Violated, AxiomQ2Violated, AxiomQ3Violated, FormatError
@@ -64,7 +62,7 @@ def test_bad_shape():
 def test_dual_r4(r4):
     # solve 2*0 - x = 1 mod 4 by scanning column 0
     assert bf_dual(R4_TABLE, 1, 0) == 3
-    assert dual_op(r4, 1, 0) == 3
+    assert r4.dual[1][0] == 3
     for a in range(4):
         for b in range(4):
             assert r4.dual[a][b] == bf_dual(R4_TABLE, a, b)
@@ -84,11 +82,11 @@ def test_dual_equals_op_on_kei(r4):
 
 
 def test_translation(r4):
-    assert translation(r4, 0).map == (0, 3, 2, 1)
-    assert translation(r4, 1).map == (2, 1, 0, 3)
+    assert r4.column(0) == (0, 3, 2, 1)
+    assert r4.column(1) == (2, 1, 0, 3)
     T = trivial_quandle(5)
     for b in range(5):
-        assert translation(T, b).map == (0, 1, 2, 3, 4)
+        assert T.column(b) == (0, 1, 2, 3, 4)
 
 
 def test_is_kei(r4, conj_s3):
@@ -149,4 +147,4 @@ def test_dihedral_quandles_validate(n):
     Q = dihedral_quandle(n)
     assert is_kei(Q)
     for b in range(n):
-        assert sorted(translation(Q, b).map) == list(range(n))
+        assert sorted(Q.column(b)) == list(range(n))
