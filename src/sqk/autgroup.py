@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import perm
 from .errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
-from .groups import GroupLike, Subgroup
+from .groups import CosetSpace, GroupLike, Subgroup
 from .quandle import Quandle, Table, _MapSearch
 from .symmetric import DEFAULT_MAX_N, SymmetricQuandle, is_symmetric_isomorphism_map
 
@@ -36,7 +36,11 @@ def mulclose(perms: Iterable[perm.Perm]) -> set[perm.Perm]:
 
 
 class PermGroup(GroupLike):
-    """A group of permutations of 0..degree-1, stored exhaustively."""
+    """A group of permutations of 0..degree-1, stored exhaustively.
+
+    The generators, when given, generate the group (every constructor in
+    this module makes sure of it); orbits reads them, and an empty
+    generator list stands for every element."""
 
     def __init__(self, degree: int, elements: Iterable[perm.Perm],
                  generator_perms: Iterable[perm.Perm] = ()):
@@ -73,12 +77,6 @@ class PermGroup(GroupLike):
 
     def index_of(self, p: perm.Perm) -> int | None:
         return self._index.get(tuple(p))
-
-    @classmethod
-    def from_generators(cls, degree: int,
-                        gens: Iterable[perm.Perm]) -> "PermGroup":
-        gens = [tuple(p) for p in gens]
-        return cls(degree, mulclose(gens + [perm.identity(degree)]), gens)
 
 
 @dataclass(frozen=True)
@@ -258,23 +256,41 @@ def symmetric_aut_group(S: SymmetricQuandle,
 
 
 def inner_group(S: SymmetricQuandle) -> PermGroup:
-    """Closure of the translations. Each distinct translation is verified to
-    be a symmetric quandle automorphism; that covers every element, since
-    the closure consists of products of translations and a composite of
-    symmetric automorphisms is again one."""
-    gens: list[perm.Perm] = []
-    for t in S.quandle.translations():
-        if t not in gens:
-            gens.append(t)
-    for t in gens:
+    """The group generated by the translations s_b: a -> a*b.
+
+    Only the translations at perm.spanning_points of the columns are
+    checked to be symmetric quandle automorphisms, and only they are
+    closed. They generate every translation: once s_b is a verified
+    automorphism, s_{a*b} = s_b^-1 s_a s_b (so s_a in the group gives
+    s_{a*b} in it), and every point is reached from the spanning points by
+    their translations. A composite of symmetric automorphisms is one, so
+    every element of the closure is. The printed generators are still
+    every distinct translation, in column order; each is looked up in the
+    closure as a cross-check, and a miss raises InternalVerificationFailed.
+    """
+    cols = S.quandle.translations()
+    span = [cols[c] for c in perm.spanning_points(list(cols))]
+    for t in span:
         if not is_symmetric_isomorphism_map(S, S, t):
             raise InternalVerificationFailed(
                 f"translation {perm.cycle_string(t)} is not a symmetric "
                 "automorphism")
-    return PermGroup.from_generators(S.order, gens)
+    elements = mulclose(span) | {perm.identity(S.order)}
+    gens = list(dict.fromkeys(cols))
+    for t in gens:
+        if t not in elements:
+            raise InternalVerificationFailed(
+                f"translation {perm.cycle_string(t)} is missing from the "
+                "closure of the spanning translations")
+    return PermGroup(S.order, elements, gens)
 
 
 def orbits(G: PermGroup) -> OrbitDecomposition:
+    """Orbits on 0..degree-1 by the orbit algorithm on G's generators: the
+    orbit of a is the closure of {a} under the generators (a finite set
+    closed under a permutation is closed under its inverse), which costs
+    O(degree * generators) rather than a scan of every element."""
+    gens = [G.elements[g] for g in G.generators] or list(G.elements)
     n = G.degree
     orbit_index = [-1] * n
     orbs: list[tuple[int, ...]] = []
@@ -282,7 +298,7 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
     for a in range(n):
         if orbit_index[a] >= 0:
             continue
-        members = sorted({p[a] for p in G.elements})
+        members = sorted(_orbit(a, gens))
         idx = len(orbs)
         for m in members:
             orbit_index[m] = idx
@@ -292,12 +308,56 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
                               orbit_index=tuple(orbit_index))
 
 
-def stabilizer(G: PermGroup, q: int) -> Subgroup:
-    """Indices of the elements fixing q, as a subgroup of G."""
+@dataclass(frozen=True)
+class Stabilizer(Subgroup):
+    """The elements of a PermGroup fixing point, as stabilizer lists them."""
+    point: int
+
+
+def stabilizer(G: PermGroup, q: int) -> Stabilizer:
+    """Indices of the elements fixing q, as a subgroup of G that records q."""
     if not 0 <= q < G.degree:
         raise IndexOutOfRange(q, G.degree)
     elems = tuple(i for i, p in enumerate(G.elements) if p[q] == q)
-    return Subgroup(parent=G, elements=elems)
+    return Stabilizer(parent=G, elements=elems, point=q)
+
+
+def stabilizer_cosets(H: Subgroup) -> tuple[CosetSpace, tuple[int, ...]] | None:
+    """H\\G listed by image point, with the point q.x of each coset, when H
+    is exactly the stabilizer of its recorded point q in a PermGroup G;
+    None otherwise, and the caller lists the cosets by products.
+
+    Orbit-stabilizer: (h x)[q] = x[h[q]] = x[q] for h fixing q, and
+    x[q] = y[q] iff x y^-1 fixes q, so H x <-> q.x is a bijection from
+    H\\G onto the orbit of q. One pass over G in index order, with no
+    products, puts every element in its coset: members come out ascending
+    and cosets by least element, as right_cosets orders them. The point is
+    not trusted. The coset of the identity is Stab(q), and it must equal H:
+    then every element of H fixes q, and |H| times the orbit length is |G|.
+    """
+    G = H.parent
+    if not (isinstance(H, Stabilizer) and isinstance(G, PermGroup)
+            and 0 <= H.point < G.degree):
+        return None
+    q = H.point
+    slot: dict[int, int] = {}
+    cosets: list[list[int]] = []
+    points: list[int] = []
+    coset_index: list[int] = []
+    for x, g in enumerate(G.elements):
+        c = slot.get(g[q])
+        if c is None:
+            c = slot[g[q]] = len(cosets)
+            cosets.append([])
+            points.append(g[q])
+        cosets[c].append(x)
+        coset_index.append(c)
+    if cosets[coset_index[G.identity]] != list(H.elements):
+        return None
+    space = CosetSpace(parent=G, subgroup=H, cosets=tuple(map(tuple, cosets)),
+                       representatives=tuple(c[0] for c in cosets),
+                       coset_index=tuple(coset_index))
+    return space, tuple(points)
 
 
 def transporter(G: PermGroup, frm: int, to: int) -> int | None:

@@ -14,7 +14,7 @@ import sys
 
 from . import catalog, fileio
 from .autgroup import PermGroup, aut_group, inner_group, orbits, symmetric_aut_group
-from .cosets import build_quandle, build_rack, build_symmetric_quandle, validate_presentation
+from .cosets import build_quandle, build_rack, build_symmetric_quandle
 from .decomposition import decompose
 from .errors import (
     AxiomQ2Violated,
@@ -23,6 +23,7 @@ from .errors import (
     NotDualCompatible,
     NotEquivariant,
     NotInvolution,
+    PresentationInvalid,
     SizeBoundExceeded,
     SqkError,
 )
@@ -199,7 +200,7 @@ def cmd_decompose(args, out: list[str]) -> int:
     _print_generators(G, out, "group generators")
     P = result.presentation
     out.append(f"orbits ({P.orbit_count}):")
-    dec = orbits(G)
+    dec = result.orbits
     for i in range(P.orbit_count):
         out.append(f"  i={i}: q={dec.representatives[i]}, "
                    f"orbit size {len(dec.orbits[i])}, |H|={P.subgroups[i].order}")
@@ -222,15 +223,18 @@ def cmd_decompose(args, out: list[str]) -> int:
 
 def cmd_build(args, out: list[str]) -> int:
     P = fileio.parse_prs(_read(args.file), os.path.dirname(args.file) or ".")
-    report = validate_presentation(P, args.level)
-    if not report.ok:
-        for line in report.lines():
-            out.append(line)
-        return 1
     # looked up per call, so wrappers bound to these names see the build
     builders = {"rack": build_rack, "quandle": build_quandle,
                 "symmetric": build_symmetric_quandle}
-    text = fileio.format_qnd(builders[args.level](P))
+    try:
+        built = builders[args.level](P)
+    except PresentationInvalid as exc:
+        # the builder validates once; a failed report is printed whole
+        if exc.report is None:
+            raise
+        out.extend(exc.report.lines())
+        return 1
+    text = fileio.format_qnd(built)
     if args.output:
         _write(args.output, text)
     else:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import perm
+from .autgroup import stabilizer_cosets
 from .errors import InternalVerificationFailed, PresentationInvalid
 from .groups import CosetSpace, GroupLike, Subgroup, centralizes, right_cosets
 from .quandle import Quandle, quandle_from_table
@@ -158,7 +160,7 @@ def _require(P: CosetPresentation, level: str) -> None:
     report = validate_presentation(P, level)
     if not report.ok:
         bad = report.failures[0]
-        raise PresentationInvalid(bad.name, bad.detail)
+        raise PresentationInvalid(bad.name, bad.detail, report)
 
 
 def _assemble(P: CosetPresentation):
@@ -171,10 +173,19 @@ def _assemble(P: CosetPresentation):
     y1 = h y with h in H_j, y1^-1 z_j y1 = w iff h commutes with z_j, which
     is C1, so w is recomputed from every member of H_j y. For x1 = h x with
     h in H_i, H_i (x1 w) = H_i (x w) holds in any group by associativity, so
-    that side needs no check. Each cell then costs one product."""
+    that side needs no check.
+
+    When every H_i is verified to be the stabilizer of a point q_i of a
+    permutation group (autgroup.stabilizer_cosets), H_i x <-> q_i.x, and
+    H_i (x w) is the coset at the point w[q_i.x]: each column is filled by
+    the point action of its twisting element, one permutation per column
+    (_fill_by_points). Otherwise each cell costs one product. Either way
+    the result is the same table, checked the same way by the builders."""
     G = P.group
     k = P.orbit_count
-    spaces = tuple(right_cosets(G, P.subgroups[i]) for i in range(k))
+    listed = [stabilizer_cosets(H) for H in P.subgroups]
+    spaces = tuple(ls[0] if ls else right_cosets(G, H)
+                   for ls, H in zip(listed, P.subgroups))
     labels: list[tuple[int, int]] = []
     offset = []
     for i in range(k):
@@ -194,14 +205,50 @@ def _assemble(P: CosetPresentation):
                     f"column {q} depends on the coset representative "
                     f"(z_{j} does not commute with H_{j})")
         twist.append(w)
-    twist_inv = [G.inv(w) for w in twist]
 
-    op = [[global_index(i, G.mul(x, w)) for w in twist] for (i, x) in labels]
-    # y^-1 z_j^-1 y = w^-1; the builders compare this with the dual read
-    # off op by inverting its columns
-    dual_direct = [[global_index(i, G.mul(x, w)) for w in twist_inv]
-                   for (i, x) in labels]
+    if all(listed):
+        op, dual_direct = _fill_by_points(G, [ls[1] for ls in listed],
+                                          offset, twist)
+    else:
+        twist_inv = [G.inv(w) for w in twist]
+        op = [[global_index(i, G.mul(x, w)) for w in twist]
+              for (i, x) in labels]
+        # y^-1 z_j^-1 y = w^-1; the builders compare this with the dual
+        # read off op by inverting its columns
+        dual_direct = [[global_index(i, G.mul(x, w)) for w in twist_inv]
+                       for (i, x) in labels]
     return spaces, tuple(labels), op, dual_direct, global_index
+
+
+def _fill_by_points(G, points: list[tuple[int, ...]], offset: list[int],
+                    twist: list[int]):
+    """op and the dual of point-stabilizer orbits by the point action.
+
+    points[i][c] is the point q_i.x of coset c of orbit i, so the row of
+    H_i x has point p = q_i.x and (x w)[q_i] = w[p]. With lab_i[p] the
+    element index of the coset at p, column b is lab_i[w_b[p]] over the
+    rows' points, and the dual column is the same with w_b^-1 (as in the
+    product path). Orbits are filled apart, since two orbits may be the
+    same points."""
+    compose = perm.compose
+    labs = []
+    for i, pts in enumerate(points):
+        lab = [-1] * G.degree
+        for c, p in enumerate(pts):
+            lab[p] = offset[i] + c
+        labs.append(lab)
+
+    def column(w: perm.Perm) -> list[int]:
+        col: list[int] = []
+        for pts, lab in zip(points, labs):
+            col += compose(compose(pts, w), lab)
+        return col
+
+    ws = [G.elements[w] for w in twist]
+    op = [list(row) for row in zip(*map(column, ws))]
+    dual = [list(row) for row in
+            zip(*(column(perm.inverse(w)) for w in ws))]
+    return op, dual
 
 
 def _build(P: CosetPresentation, level: str) -> LabeledQuandle:

@@ -7,7 +7,9 @@ minimal representative q_i of each orbit, and put H_i = stabilizer(q_i),
 z_i = the translation by q_i, kappa(i) = the orbit of rho(q_i), and r_i =
 the least group element carrying q_kappa(i) to rho(q_i). The map
 psi(H_i x) = q_i . x is then checked to be a symmetric quandle isomorphism
-from the built coset object back to the input.
+from the built coset object back to the input. Since H_i is the stabilizer
+of q_i, H_i x <-> q_i . x is the orbit-stabilizer bijection, and coset
+assembly lists and fills the cosets by that point action.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .autgroup import PermGroup, inner_group, orbits, stabilizer, symmetric_aut_group, transporter
+from .autgroup import (
+    OrbitDecomposition,
+    PermGroup,
+    inner_group,
+    orbits,
+    stabilizer,
+    symmetric_aut_group,
+    transporter,
+)
 from .catalog import conj_symmetric_quandle
 from .cosets import (
     CosetPresentation,
@@ -39,6 +49,7 @@ class DecompositionResult:
     psi: Isomorphism            # built -> input
     group_choice: str
     verification: Report
+    orbits: OrbitDecomposition  # of the group on the input's points
 
 
 def decompose(S: SymmetricQuandle, group_choice: str = "inn",
@@ -79,7 +90,7 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
     psi = Isomorphism(source=built.sq, target=S, map=psi_map)
     result = DecompositionResult(presentation=P, built=built, psi=psi,
                                  group_choice=group_choice,
-                                 verification=Report(()))
+                                 verification=Report(()), orbits=dec)
     report = verify_decomposition(S, result)
     result = replace(result, verification=report)
     if not report.ok:

@@ -93,7 +93,7 @@ class NotDualCompatible(SqkError):
         self.pair = (a, b)
 
 
-class OddOrder(SqkError):
+class OddOrder(ParameterOutOfRange):
     def __init__(self, n: int):
         super().__init__(f"antipodal involution needs even order, got {n}")
         self.n = n
@@ -106,12 +106,16 @@ class GoodInvolutionCheckFailed(SqkError):
 # coset presentations and decomposition
 
 class PresentationInvalid(SqkError):
-    def __init__(self, condition: str, detail: str = ""):
+    """condition is the first failing one; report, when set, is the whole
+    per-condition report it was read from."""
+
+    def __init__(self, condition: str, detail: str = "", report=None):
         msg = f"presentation condition {condition} fails"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
         self.condition = condition
+        self.report = report
 
 
 class NoInversionClosedTransversal(SqkError):

@@ -16,8 +16,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from . import perm
 from .cosets import CosetPresentation, LabeledQuandle
-from .errors import FormatError
+from .errors import FormatError, InternalVerificationFailed
 from .groups import FiniteGroup, GroupLike, group_from_table, subgroup_from_elements
 from .quandle import Quandle
 from .symmetric import SymmetricQuandle
@@ -223,13 +224,33 @@ def _one_index(text: str, what: str, kind: str, bound: int) -> int:
 
 def group_to_table(G: GroupLike) -> FiniteGroup:
     """Re-express any group-like object as an explicit multiplication table.
-    Element indices are preserved; permutation elements become name tokens."""
+    Element indices are preserved; permutation elements become name tokens.
+
+    A permutation group's table is built from its generators (every element
+    when it has none), column by column along a breadth-first spanning tree
+    from the identity. With R_g[x] = x g, column y g holds
+    x (y g) = (x y) g = R_g[x y]: column y gathered through R_g. That costs
+    one product per element and generator, plus one gather per column. The
+    table is then validated by group_from_table like any other."""
     if isinstance(G, FiniteGroup):
         return G
     n = G.order
-    table = [[G.mul(x, y) for y in range(n)] for x in range(n)]
+    gens = G.generators or range(n)
+    right = [[G.mul(x, g) for x in range(n)] for g in gens]
+    cols: list[tuple[int, ...] | None] = [None] * n
+    cols[G.identity] = tuple(range(n))
+    reached = [G.identity]
+    for y in reached:
+        for R in right:
+            yg = R[y]
+            if cols[yg] is None:
+                cols[yg] = perm.compose(cols[y], R)
+                reached.append(yg)
+    if len(reached) != n:
+        raise InternalVerificationFailed(
+            f"the generators reach {len(reached)} of {n} group elements")
     names = [G.name_of(x) for x in range(n)]
-    return group_from_table(table, names)
+    return group_from_table(list(zip(*cols)), names)
 
 
 def format_prs(P: CosetPresentation) -> str:

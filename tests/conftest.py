@@ -1,5 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from helpers import relabel
 from sqk import (
     antipodal,
     attach_involution,
@@ -7,6 +11,7 @@ from sqk import (
     cyclic_group,
     dihedral_group,
     dihedral_quandle,
+    quandle_from_table,
     quaternion_group,
     symmetric_group,
     trivial_quandle,
@@ -58,3 +63,27 @@ def catalog_symmetric_quandles(max_order=12):
     out.append(("(T3, id)", attach_involution(trivial_quandle(3),
                                               [0, 1, 2])))
     return [(name, s) for name, s in out if s.order <= max_order]
+
+
+def transposition_quandle(m):
+    """T_m: the transpositions of S_m under conjugation, rho = identity."""
+    points = list(combinations(range(m), 2))
+    index = {p: k for k, p in enumerate(points)}
+
+    def conj(a, b):
+        swap = {b[0]: b[1], b[1]: b[0]}
+        i, j = (swap.get(x, x) for x in a)
+        return index[(min(i, j), max(i, j))]
+
+    table = [[conj(a, b) for b in points] for a in points]
+    return attach_involution(quandle_from_table(table), list(range(len(points))))
+
+
+def relabelled(S, seed):
+    """S transported along a seeded uniformly random bijection."""
+    p = list(range(S.order))
+    random.Random(seed).shuffle(p)
+    rho = [0] * S.order
+    for a in range(S.order):
+        rho[p[a]] = p[S.rho[a]]
+    return attach_involution(quandle_from_table(relabel(S.quandle.op, p)), rho)

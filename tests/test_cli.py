@@ -1,3 +1,4 @@
+from sqk import cosets
 from sqk.cli import run
 
 
@@ -249,3 +250,25 @@ def test_negative_max_n_is_a_usage_error(tmp_path):
     code, text = run(["involutions", p, "--max-n", "x"])
     assert (code, text) == (2, "usage error: argument --max-n: invalid int "
                                "value: 'x'\n")
+
+
+def test_build_validates_the_presentation_once(tmp_path, monkeypatch):
+    good = _catalog_file(tmp_path, "pe.prs", "paper-example")
+    bad = tmp_path / "z4.prs"
+    bad.write_text("presentation 1\ngroup 4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n"
+                   "3 0 1 2\norbit 0: H = 0 2 ; z = 1 ; r = 0 ; kappa = 0\n")
+    calls = [0]
+    real = cosets.validate_presentation
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cosets, "validate_presentation", counting)
+    for path, level, code, last in ((good, "symmetric", 0, "# 3: H1[a]"),
+                                    (str(bad), "symmetric", 1, "C6: pass"),
+                                    (str(bad), "rack", 0, "# 1: H0[1]")):
+        calls[0] = 0
+        got, text = run(["build", path, "--level", level])
+        assert (got, calls[0]) == (code, 1), text
+        assert text.splitlines()[-1] == last

@@ -115,7 +115,7 @@ TRANSCRIPTS = {
     "build z4-rack quandle": (1, "125b0c98ec9192722ef873d73bfbcda8bf82f52869342f54130768e216abb484"),
     "build z4-rack rack": (0, "c871dfcc80bf5752e2804908c360213f40928babe7fefde2b2c14fb1ac603ccf"),
     "build z4-rack symmetric": (1, "e866773fcc2e0fc63abb5fc17c83ef0ef044c76484cb2111c4a6d80f7a64b0cd"),
-    "catalog antipodal 5": (1, "ea3ee880b6af7cb84979874441d7fb8ac00b7001b1415137bd61c5ade2ed0ab0"),
+    "catalog antipodal 5": (2, "0daab97bfc33ca91ac922eca9221d6ccb2e01acecb7395a320cad6d1706a56d1"),
     "catalog antipodal 6": (0, "f4f4f000cbde87b10ae1f111b210ef9eb1b052bc515ac9c0651c139faa664b87"),
     "catalog conj": (2, "2e662de46586980c0302196a047aa256f917284b294010d7674b880ef360e790"),
     "catalog conj antipodal 4": (2, "8d3d7fd8d5d2779a1a0b05ed181d2580a5b2cd587d343b7f11e0bb3ffc45371a"),

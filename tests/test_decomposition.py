@@ -2,24 +2,35 @@ import dataclasses
 
 import pytest
 
-from conftest import catalog_symmetric_quandles
+from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
 from helpers import bf_inversion_closed_transversal_exists
 from sqk import (
+    antipodal,
     attach_involution,
+    build_quandle,
     build_symmetric_quandle,
     centralizes,
     conj_presentation,
     conj_symmetric_quandle,
+    cosets,
     cyclic_group,
     decompose,
+    dihedral_group,
     dihedral_quandle,
     enumerate_good_involutions,
     find_symmetric_isomorphism,
+    inner_group,
+    orbits,
     quaternion_group,
+    right_cosets,
+    single_orbit_presentation,
+    stabilizer,
+    subgroup_closure,
     symmetric_group,
     trivial_quandle,
     verify_decomposition,
 )
+from sqk.autgroup import Stabilizer, stabilizer_cosets
 from sqk.errors import NoInversionClosedTransversal
 from sqk.quandle import Isomorphism
 
@@ -175,3 +186,117 @@ def test_conj_presentation_matches_exhaustive_search():
             assert exists
         except NoInversionClosedTransversal:
             assert not exists
+
+
+# the point action against the product path
+
+def _decompose_cases():
+    """(id, S, group choice, max_n): the catalog over inn and aut, and
+    seeded relabellings of larger quandles over both."""
+    cases = [(f"{name} {choice}", S, choice, 12)
+             for name, S in catalog_symmetric_quandles(12)
+             for choice in ("inn", "aut")]
+    for name, S in [("R_8", antipodal(8)), ("R_12", antipodal(12)),
+                    ("T_4", transposition_quandle(4)),
+                    ("T_5", transposition_quandle(5)),
+                    ("Conj(D12)", conj_symmetric_quandle(dihedral_group(12)))]:
+        for seed in range(2):
+            R = relabelled(S, seed)
+            cases += [(f"{name} seed {seed} {choice}", R, choice, 24)
+                      for choice in ("inn", "aut")]
+    return cases
+
+
+DECOMPOSE_CASES = [pytest.param(S, choice, max_n, id=name)
+                   for name, S, choice, max_n in _decompose_cases()]
+
+
+def _product_path(P):
+    """Coset spaces, labels, op, dual and rho of P by right_cosets and one
+    group product per cell, as the paper's formulas read."""
+    G = P.group
+    spaces = [right_cosets(G, H) for H in P.subgroups]
+    labels, offset = [], []
+    for i, sp in enumerate(spaces):
+        offset.append(len(labels))
+        labels += [(i, x) for x in sp.representatives]
+
+    def index(i, g):
+        return offset[i] + spaces[i].coset_index[g]
+
+    twist = [G.conj(P.z[j], y) for j, y in labels]
+    op = [[index(i, G.mul(x, w)) for w in twist] for i, x in labels]
+    dual = [[index(i, G.mul(x, G.inv(w))) for w in twist] for i, x in labels]
+    rho = [index(P.kappa[i], G.mul(P.r[i], x)) for i, x in labels]
+    return spaces, labels, op, dual, rho
+
+
+def _same_spaces(got, ref):
+    return [(sp.cosets, sp.representatives, sp.coset_index) for sp in got] == \
+        [(sp.cosets, sp.representatives, sp.coset_index) for sp in ref]
+
+
+@pytest.mark.parametrize("S,choice,max_n", DECOMPOSE_CASES)
+def test_point_path_matches_product_path(S, choice, max_n):
+    P = decompose(S, choice, max_n).presentation
+    # every subgroup is a verified point stabilizer, so the point path runs
+    assert all(stabilizer_cosets(H) is not None for H in P.subgroups)
+    spaces, labels, op, dual, _ = cosets._assemble(P)
+    built = build_symmetric_quandle(P)
+    ref_spaces, ref_labels, ref_op, ref_dual, ref_rho = _product_path(P)
+    assert list(labels) == list(built.labels) == ref_labels
+    assert _same_spaces(spaces, ref_spaces)
+    assert _same_spaces(built.cosets, ref_spaces)
+    assert op == ref_op
+    assert dual == ref_dual
+    assert built.sq.quandle.op == tuple(map(tuple, ref_op))
+    assert built.sq.quandle.dual == tuple(map(tuple, ref_dual))
+    assert built.sq.rho == tuple(ref_rho)
+
+
+@pytest.mark.parametrize("S,choice,max_n", DECOMPOSE_CASES)
+def test_orbits_from_generators_match_an_element_scan(S, choice, max_n):
+    d = decompose(S, choice, max_n)
+    G = d.presentation.group
+    scan = sorted({tuple(sorted({p[a] for p in G.elements}))
+                   for a in range(G.degree)})
+    dec = orbits(G)
+    assert list(dec.orbits) == scan
+    assert dec.representatives == tuple(orb[0] for orb in scan)
+    assert all(a in dec.orbits[dec.orbit_index[a]] for a in range(G.degree))
+    assert d.orbits == dec
+
+
+def test_subgroup_smaller_than_the_stabilizer_takes_the_product_path():
+    S = transposition_quandle(5)
+    G = inner_group(S)
+    z = G.index_of(S.quandle.column(0))
+    small = subgroup_closure(G, [z])
+    assert small.order < stabilizer(G, 0).order
+    H = Stabilizer(parent=G, elements=small.elements, point=0)
+    assert all(G.elements[h][0] == 0 for h in H.elements)
+    assert stabilizer_cosets(H) is None
+    P = single_orbit_presentation(G, H, z)
+    built = build_quandle(P)
+    plain = build_quandle(single_orbit_presentation(G, small, z))
+    spaces, labels, op, _, _ = _product_path(P)
+    assert len(labels) == G.order // small.order
+    assert built.labels == plain.labels == tuple(labels)
+    assert _same_spaces(built.cosets, spaces)
+    assert built.quandle.op == plain.quandle.op == tuple(map(tuple, op))
+
+
+def test_stabilizer_of_another_point_takes_the_product_path():
+    # Stab((0 1)) moves (0 2), so recording that point must not be trusted
+    S = transposition_quandle(4)
+    G = inner_group(S)
+    H = stabilizer(G, 0)
+    assert stabilizer_cosets(H) is not None
+    wrong = dataclasses.replace(H, point=1)
+    assert any(G.elements[h][1] != 1 for h in H.elements)
+    assert stabilizer_cosets(wrong) is None
+    z = G.index_of(S.quandle.column(0))
+    right = build_quandle(single_orbit_presentation(G, H, z))
+    moved = build_quandle(single_orbit_presentation(G, wrong, z))
+    assert moved.labels == right.labels
+    assert moved.quandle.op == right.quandle.op

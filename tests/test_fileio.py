@@ -1,15 +1,21 @@
 import pytest
 
 from sqk import (
+    PermGroup,
+    antipodal,
     attach_involution,
     build_symmetric_quandle,
+    conj_symmetric_quandle,
     cyclic_group,
+    inner_group,
     paper_example_presentation,
     quandle_from_table,
     quaternion_group,
+    symmetric_aut_group,
+    symmetric_group,
     validate_presentation,
 )
-from sqk.errors import FormatError
+from sqk.errors import FormatError, InternalVerificationFailed
 from sqk.fileio import (
     format_grp,
     format_prs,
@@ -153,3 +159,39 @@ def test_decomposition_presentation_survives_prs(anti4):
     rebuilt = build_symmetric_quandle(P)
     assert rebuilt.sq.quandle.op == d.built.sq.quandle.op
     assert rebuilt.sq.rho == d.built.sq.rho
+
+
+def _perm_groups():
+    return [inner_group(antipodal(8)), symmetric_aut_group(antipodal(8)),
+            inner_group(conj_symmetric_quandle(symmetric_group(4))),
+            symmetric_aut_group(antipodal(24), 24)]
+
+
+@pytest.mark.parametrize("G", _perm_groups())
+def test_group_to_table_of_a_perm_group_is_its_product_table(G, monkeypatch):
+    n = G.order
+    product = tuple(tuple(G.mul(x, y) for y in range(n)) for x in range(n))
+    names = tuple(G.name_of(x) for x in range(n))
+    calls = [0]
+    real = PermGroup.mul
+
+    def counting(self, x, y):
+        calls[0] += 1
+        return real(self, x, y)
+
+    monkeypatch.setattr(PermGroup, "mul", counting)
+    T = group_to_table(G)
+    assert T.product == product
+    assert T.names == names
+    assert T.identity == G.identity
+    # one product per element and generator, not one per cell
+    assert calls[0] == n * len(G.generators)
+    # no generators stands for every element
+    assert group_to_table(PermGroup(G.degree, G.elements)).product == product
+
+
+def test_group_to_table_rejects_generators_that_miss_elements():
+    G = inner_group(antipodal(8))
+    one = PermGroup(G.degree, G.elements, [G.elements[G.generators[0]]])
+    with pytest.raises(InternalVerificationFailed, match="reach"):
+        group_to_table(one)

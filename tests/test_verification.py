@@ -7,11 +7,14 @@ from itertools import combinations
 
 import pytest
 
+from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
 from sqk import (
     PermGroup,
     Quandle,
     SymmetricQuandle,
+    antipodal,
     attach_involution,
+    autgroup,
     build_rack,
     build_symmetric_quandle,
     conj_symmetric_quandle,
@@ -23,23 +26,11 @@ from sqk import (
     validate_presentation,
     verify_decomposition,
 )
-from sqk import cosets
+from sqk import cosets, perm
+from sqk.autgroup import mulclose
 from sqk.errors import InternalVerificationFailed, SqkError
+from sqk.perm import identity
 from sqk.quandle import Isomorphism
-
-
-def transposition_quandle(m):
-    """T_m: the transpositions of S_m under conjugation, rho = identity."""
-    points = list(combinations(range(m), 2))
-    index = {p: k for k, p in enumerate(points)}
-
-    def conj(a, b):
-        swap = {b[0]: b[1], b[1]: b[0]}
-        i, j = (swap.get(x, x) for x in a)
-        return index[(min(i, j), max(i, j))]
-
-    table = [[conj(a, b) for b in points] for a in points]
-    return attach_involution(quandle_from_table(table), list(range(len(points))))
 
 
 def presentations():
@@ -198,10 +189,7 @@ def test_inner_group_rejects_a_corrupted_translation(S):
     assert caught > 0
 
 
-def test_decompose_product_budget(monkeypatch):
-    # decompose(T_5, "inn") makes about 800 group products; re-checking
-    # every cell over every pair of coset representatives made about 44,000
-    S = transposition_quandle(5)
+def _count_mul(monkeypatch):
     calls = [0]
     real = PermGroup.mul
 
@@ -210,7 +198,69 @@ def test_decompose_product_budget(monkeypatch):
         return real(self, x, y)
 
     monkeypatch.setattr(PermGroup, "mul", counting)
+    return calls
+
+
+def test_decompose_product_budget(monkeypatch):
+    # decompose(T_5, "inn") makes about 500 group products; re-checking
+    # every cell over every pair of coset representatives made about 44,000
+    S = transposition_quandle(5)
+    calls = _count_mul(monkeypatch)
     d = decompose(S, "inn")
     assert d.verification.ok
     assert d.presentation.group.order == 120
     assert calls[0] <= 2000
+
+
+def test_decompose_fills_columns_by_the_point_action(monkeypatch):
+    # one group product per cell of op and of the dual made 8,940 calls on
+    # R_64; with the point action about 600 remain, for the C1 and rho
+    # obligations
+    calls = _count_mul(monkeypatch)
+    d = decompose(antipodal(64), "inn")
+    assert d.verification.ok
+    assert d.presentation.group.order == 64
+    assert calls[0] <= 1000
+
+
+def test_inner_group_checks_only_spanning_translations(monkeypatch):
+    # R_64 has 32 distinct translations; two of them span
+    checks = [0]
+    real = autgroup.is_symmetric_isomorphism_map
+
+    def counting(*args):
+        checks[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(autgroup, "is_symmetric_isomorphism_map", counting)
+    G = inner_group(antipodal(64))
+    assert G.order == 64
+    assert len(G.generators) == 32
+    assert checks[0] <= 2
+
+
+def _inner_cases():
+    cases = list(catalog_symmetric_quandles(12))
+    for name, S in [("R_8", antipodal(8)), ("T_4", transposition_quandle(4)),
+                    ("Conj(S3)", conj_symmetric_quandle(symmetric_group(3)))]:
+        cases += [(f"{name} seed {seed}", relabelled(S, seed))
+                  for seed in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("S", [pytest.param(S, id=name)
+                               for name, S in _inner_cases()])
+def test_inner_group_equals_the_closure_of_every_translation(S):
+    distinct = list(dict.fromkeys(S.quandle.translations()))
+    ref = PermGroup(S.order, mulclose(distinct + [identity(S.order)]), distinct)
+    G = inner_group(S)
+    assert G.elements == ref.elements
+    assert G.generators == ref.generators
+
+
+def test_translation_missing_from_the_closure_is_reported(monkeypatch):
+    # with only the first translation closed, the others are missing
+    monkeypatch.setattr(perm, "spanning_points", lambda maps: [0])
+    for S in (transposition_quandle(4), antipodal(8)):
+        with pytest.raises(InternalVerificationFailed, match="missing"):
+            inner_group(S)
