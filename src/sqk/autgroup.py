@@ -54,7 +54,6 @@ class PermGroup(GroupLike):
         if ident not in self._index:
             raise InternalVerificationFailed("identity permutation missing")
         self.identity = self._index[ident]
-        self._inv: tuple[int, ...] | None = None
         self.generators = tuple(self._index[tuple(p)] for p in generator_perms)
 
     @property
@@ -65,12 +64,7 @@ class PermGroup(GroupLike):
         return self._index[perm.compose(self.elements[x], self.elements[y])]
 
     def inv(self, x: int) -> int:
-        # built on the first call, as aut and orbits make none; not a
-        # functools.cached_property, whose write to __dict__ made the
-        # PermGroup.mul calls of --emit-prs a tenth slower (CPython 3.11)
-        if self._inv is None:
-            self._inv = tuple(self._index[perm.inverse(p)] for p in self.elements)
-        return self._inv[x]
+        return self._index[perm.inverse(self.elements[x])]
 
     def name_of(self, x: int) -> str:
         return perm.cycle_token(self.elements[x])

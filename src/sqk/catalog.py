@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Callable
 
+from . import perm
 from .cosets import CosetPresentation
 from .errors import (
     GoodInvolutionCheckFailed,
@@ -124,24 +125,10 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise ParameterOutOfRange(f"symmetric_group supports 1 <= n <= 4, got {n}")
     els = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(els)}
-    table = [[index[tuple(q[p[i]] for i in range(n))] for q in els] for p in els]
-
-    def token(p):
-        out = []
-        seen = set()
-        for s in range(n):
-            if s in seen or p[s] == s:
-                continue
-            cyc, t = [s], p[s]
-            seen.add(s)
-            while t != s:
-                cyc.append(t)
-                seen.add(t)
-                t = p[t]
-            out.append("(" + "".join(map(str, cyc)) + ")")
-        return "".join(out) if out else "id"
-
-    return group_from_table(table, [token(p) for p in els])
+    table = [[index[perm.compose(p, q)] for q in els] for p in els]
+    names = ["".join("(" + "".join(map(str, c)) + ")"
+                     for c in perm.cycles(p) if len(c) > 1) or "id" for p in els]
+    return group_from_table(table, names)
 
 
 def paper_example_presentation() -> CosetPresentation:

@@ -9,6 +9,7 @@ stable field order; two runs on identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -287,7 +288,9 @@ def _size_bound(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="sqk", description=__doc__)
     sub = parser.add_subparsers(dest="verb")
 

@@ -9,11 +9,13 @@ union of the right coset spaces H_i\\G with
 
 Six side conditions make this well defined and a good involution; they are
 validated explicitly. Assembly then re-checks the consequences it relies on
-as proof obligations, not cell by cell: the twisting element y^-1 z_j y is
-the same for every member of H_j y (this is C1), and rho(H_i x) is the same
-for every member of H_i x. Independence from the choice of x in the product
-holds in any group by associativity. The finished tables are re-validated
-against the quandle and good-involution axioms rather than trusted.
+as proof obligations, once per orbit rather than per cell or per coset:
+the twisting element y^-1 z_j y is the same for every member of H_j y
+(this is C1), and rho(H_i x) is the same for every member of H_i x (this
+is C3). Each verdict is the same at every coset of the orbit, so one coset
+is checked. Independence from the choice of x in the product holds in any
+group by associativity. The finished tables are re-validated against the
+quandle and good-involution axioms rather than trusted.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
     def c1() -> Check:
         for i in range(k):
             if not centralizes(G, P.z[i], P.subgroups[i]):
+                zi = P.z[i]
                 h = next(h for h in P.subgroups[i].elements
-                         if G.conj(h, P.z[i]) != h)
+                         if G.mul(h, zi) != G.mul(zi, h))
                 return Check("C1", False, f"z_{i} does not centralize h={h}")
         return Check("C1", True)
 
@@ -101,9 +104,9 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
     def c3() -> Check:
         for i in range(k):
             Hk = set(P.subgroups[P.kappa[i]].elements)
-            ri = P.r[i]
+            ri, ri_inv = P.r[i], G.inv(P.r[i])
             for h in P.subgroups[i].elements:
-                if G.mul(G.mul(ri, h), G.inv(ri)) not in Hk:
+                if G.mul(G.mul(ri, h), ri_inv) not in Hk:
                     return Check("C3", False,
                                  f"r_{i} h r_{i}^-1 escapes H_{P.kappa[i]} at h={h}")
         return Check("C3", True)
@@ -168,105 +171,89 @@ def _assemble(P: CosetPresentation):
     from the z_j^-1 formula.
 
     H_i x * H_j y = H_i (x w) with the twisting element w = y^-1 z_j y.
-    That this does not depend on the representatives is checked as a proof
-    obligation, in O(|G|) products per orbit rather than per cell. For
-    y1 = h y with h in H_j, y1^-1 z_j y1 = w iff h commutes with z_j, which
-    is C1, so w is recomputed from every member of H_j y. For x1 = h x with
-    h in H_i, H_i (x1 w) = H_i (x w) holds in any group by associativity, so
-    that side needs no check.
+    That this does not depend on the representatives is a proof
+    obligation, checked once per orbit. For y1 = h y with h in H_j,
+    y1^-1 z_j y1 = w iff h commutes with z_j, so the check at any one
+    coset of H_j has the verdict of the check at all of them: z_j must
+    commute with H_j, which is C1. For x1 = h x with h in H_i,
+    H_i (x1 w) = H_i (x w) holds in any group by associativity, so that
+    side needs no check.
 
-    When every H_i is verified to be the stabilizer of a point q_i of a
+    Each orbit gives the point of each coset and the element index at each
+    point. When H_i is verified to be the stabilizer of a point q_i of a
     permutation group (autgroup.stabilizer_cosets), H_i x <-> q_i.x, and
-    H_i (x w) is the coset at the point w[q_i.x]: each column is filled by
-    the point action of its twisting element, one permutation per column
-    (_fill_by_points). Otherwise each cell costs one product. Either way
-    the result is the same table, checked the same way by the builders."""
+    H_i (x w) is the coset at the point w[q_i.x], so w moves the points by
+    its permutation. Otherwise the point of H_i x is x itself, moved by one
+    product. Column b is the element index at every moved point, orbit by
+    orbit; the dual column is the same with w_b^-1. Two orbits may have the
+    same points, so each keeps its own index."""
     G = P.group
-    k = P.orbit_count
     listed = [stabilizer_cosets(H) for H in P.subgroups]
     spaces = tuple(ls[0] if ls else right_cosets(G, H)
                    for ls, H in zip(listed, P.subgroups))
     labels: list[tuple[int, int]] = []
     offset = []
-    for i in range(k):
+    for i, sp in enumerate(spaces):
         offset.append(len(labels))
-        labels.extend((i, rep) for rep in spaces[i].representatives)
+        labels.extend((i, rep) for rep in sp.representatives)
 
     def global_index(i: int, g: int) -> int:
         return offset[i] + spaces[i].coset_index[g]
 
-    # the twisting element of each column, the same for every member y1
-    twist = []
-    for q, (j, y) in enumerate(labels):
-        w = G.conj(P.z[j], y)
-        for y1 in spaces[j].cosets[spaces[j].coset_index[y]]:
-            if G.conj(P.z[j], y1) != w:
-                raise InternalVerificationFailed(
-                    f"column {q} depends on the coset representative "
-                    f"(z_{j} does not commute with H_{j})")
-        twist.append(w)
+    for j, H in enumerate(P.subgroups):
+        if not centralizes(G, P.z[j], H):
+            raise InternalVerificationFailed(
+                f"the columns of orbit {j} depend on the coset representative "
+                f"(z_{j} does not commute with H_{j})")
 
-    if all(listed):
-        op, dual_direct = _fill_by_points(G, [ls[1] for ls in listed],
-                                          offset, twist)
-    else:
-        twist_inv = [G.inv(w) for w in twist]
-        op = [[global_index(i, G.mul(x, w)) for w in twist]
-              for (i, x) in labels]
-        # y^-1 z_j^-1 y = w^-1; the builders compare this with the dual
-        # read off op by inverting its columns
-        dual_direct = [[global_index(i, G.mul(x, w)) for w in twist_inv]
-                       for (i, x) in labels]
-    return spaces, tuple(labels), op, dual_direct, global_index
+    # (points, element index at each point, moved by permutation?)
+    orbits = []
+    for i, (ls, sp) in enumerate(zip(listed, spaces)):
+        if ls:
+            lab = [-1] * G.degree
+            for c, p in enumerate(ls[1]):
+                lab[p] = offset[i] + c
+            orbits.append((ls[1], lab, True))
+        else:
+            orbits.append((sp.representatives,
+                           [offset[i] + c for c in sp.coset_index], False))
 
-
-def _fill_by_points(G, points: list[tuple[int, ...]], offset: list[int],
-                    twist: list[int]):
-    """op and the dual of point-stabilizer orbits by the point action.
-
-    points[i][c] is the point q_i.x of coset c of orbit i, so the row of
-    H_i x has point p = q_i.x and (x w)[q_i] = w[p]. With lab_i[p] the
-    element index of the coset at p, column b is lab_i[w_b[p]] over the
-    rows' points, and the dual column is the same with w_b^-1 (as in the
-    product path). Orbits are filled apart, since two orbits may be the
-    same points."""
-    compose = perm.compose
-    labs = []
-    for i, pts in enumerate(points):
-        lab = [-1] * G.degree
-        for c, p in enumerate(pts):
-            lab[p] = offset[i] + c
-        labs.append(lab)
-
-    def column(w: perm.Perm) -> list[int]:
+    def column(w: int) -> list[int]:
         col: list[int] = []
-        for pts, lab in zip(points, labs):
-            col += compose(compose(pts, w), lab)
+        for pts, lab, by_point in orbits:
+            moved = (perm.compose(pts, G.elements[w]) if by_point
+                     else [G.mul(x, w) for x in pts])
+            col += perm.compose(moved, lab)
         return col
 
-    ws = [G.elements[w] for w in twist]
-    op = [list(row) for row in zip(*map(column, ws))]
-    dual = [list(row) for row in
-            zip(*(column(perm.inverse(w)) for w in ws))]
-    return op, dual
+    twist = [G.conj(P.z[j], y) for j, y in labels]
+    op = [list(row) for row in zip(*map(column, twist))]
+    dual_direct = [list(row) for row in
+                   zip(*(column(G.inv(w)) for w in twist))]
+    return spaces, tuple(labels), op, dual_direct, global_index
 
 
 def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
     """The object of P at the given level, once its conditions pass. At the
     symmetric level rho(H_i x) = H_kappa(i) (r_i x) is checked independent
-    of the representative, then re-validated as a good involution."""
+    of the representative, once per orbit, then re-validated as a good
+    involution. For x1 = h x with h in H_i, r_i x1 and r_i x lie in one
+    coset of H_kappa(i) iff r_i h r_i^-1 does, whatever x is; so checking
+    r_i h against r_i for every h in H_i is exactly C3."""
     _require(P, level)
     G = P.group
     spaces, labels, op, dual_direct, global_index = _assemble(P)
 
     rho = None
     if level == "symmetric":
+        for i, H in enumerate(P.subgroups):
+            home = global_index(P.kappa[i], P.r[i])
+            if any(global_index(P.kappa[i], G.mul(P.r[i], h)) != home
+                   for h in H.elements):
+                raise InternalVerificationFailed(
+                    f"rho on orbit {i} depends on the coset representative "
+                    f"(r_{i} H_{i} r_{i}^-1 escapes H_{P.kappa[i]})")
         rho = [global_index(P.kappa[i], G.mul(P.r[i], x)) for (i, x) in labels]
-        for p, (i, x) in enumerate(labels):
-            for x1 in spaces[i].cosets[spaces[i].coset_index[x]]:
-                if global_index(P.kappa[i], G.mul(P.r[i], x1)) != rho[p]:
-                    raise InternalVerificationFailed(
-                        f"rho at element {p} depends on the coset representative")
 
     Q = quandle_from_table(op, allow_rack=(level == "rack"))
     if Q.dual != tuple(tuple(row) for row in dual_direct):

@@ -225,9 +225,9 @@ def right_cosets(G: GroupLike, H: Subgroup | Iterable[int]) -> CosetSpace:
 
 
 def centralizes(G: GroupLike, z: int, H: Subgroup) -> bool:
-    """True iff z^-1 h z = h for every h in H."""
+    """True iff z^-1 h z = h, that is h z = z h, for every h in H."""
     z = G.check_index(z)
-    return all(G.conj(h, z) == h for h in H.elements)
+    return all(G.mul(h, z) == G.mul(z, h) for h in H.elements)
 
 
 def centralizer(G: GroupLike, x: int) -> Subgroup:

@@ -81,15 +81,6 @@ def test_inner_r4(inn_r4):
     assert set(mulclose(inn_r4.elements)) == set(inn_r4.elements)
 
 
-def test_inverse_table_is_built_on_first_inv():
-    G = aut_group(conj_symmetric_quandle(dihedral_group(4)).quandle)
-    orbits(G)
-    assert G._inv is None
-    for x in range(G.order):
-        assert G.elements[G.inv(x)] == inverse(G.elements[x])
-    assert G._inv is not None
-
-
 def test_inner_trivial():
     S = attach_involution(trivial_quandle(4), [0, 1, 2, 3])
     assert inner_group(S).elements == (identity(4),)

@@ -63,6 +63,32 @@ def test_assemble_rejects_every_c1_failure(name, P):
     assert failures > 0
 
 
+def test_build_rejects_every_c3_failure(monkeypatch):
+    # past the C3 gate in _require, the rho obligation must raise exactly
+    # for the r that conjugate H_j out of H_kappa(j)
+    monkeypatch.setattr(cosets, "_require", lambda P, level: None)
+    failures = 0
+    for _, P in presentations():
+        G = P.group
+        for j in range(P.orbit_count):
+            Hk = P.subgroups[P.kappa[j]]
+            for r in range(G.order):
+                bad = dataclasses.replace(P, r=P.r[:j] + (r,) + P.r[j + 1:])
+                if all(G.mul(G.mul(r, h), G.inv(r)) in Hk
+                       for h in P.subgroups[j].elements):
+                    try:
+                        build_symmetric_quandle(bad)
+                    except InternalVerificationFailed as exc:
+                        assert "rho" not in str(exc)
+                    except SqkError:
+                        pass
+                    continue
+                failures += 1
+                with pytest.raises(InternalVerificationFailed, match="rho"):
+                    build_symmetric_quandle(bad)
+    assert failures > 0
+
+
 def _corrupting(monkeypatch, which, p, q):
     """Make _assemble return a table with cell (p, q) moved by one."""
     real = cosets._assemble
@@ -221,6 +247,28 @@ def test_decompose_fills_columns_by_the_point_action(monkeypatch):
     assert d.verification.ok
     assert d.presentation.group.order == 64
     assert calls[0] <= 1000
+
+
+def test_decompose_makes_inverses_on_demand(monkeypatch):
+    # a full inverse table and the C1 and rho checks on every coset member
+    # made 735 perm.inverse and 2,595 PermGroup.mul calls on T_6
+    inverses = [0]
+    real = perm.inverse
+
+    def counting(p):
+        inverses[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(perm, "inverse", counting)
+    calls = _count_mul(monkeypatch)
+    d = decompose(transposition_quandle(6), "inn")
+    assert d.verification.ok
+    assert d.presentation.group.order == 720
+    assert inverses[0] <= 100
+    assert calls[0] <= 1000
+    G = d.presentation.group
+    assert all(perm.compose(G.elements[x], G.elements[G.inv(x)]) ==
+               identity(G.degree) for x in range(G.order))
 
 
 def test_inner_group_checks_only_spanning_translations(monkeypatch):
