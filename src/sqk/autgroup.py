@@ -19,28 +19,18 @@ from .symmetric import DEFAULT_MAX_N, SymmetricQuandle, is_symmetric_isomorphism
 
 
 def mulclose(perms: Iterable[perm.Perm]) -> set[perm.Perm]:
-    """Closure of a set of permutations under composition."""
+    """Closure of a set of permutations under composition. perm.compose is
+    looked up per call, so a rebinding of it sees every product."""
     gens = list(perms)
-    els = set(gens)
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = perm.compose(p, g)
-                if q not in els:
-                    els.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return els
+    return set(perm.closure(gens, gens, perm.compose))
 
 
 class PermGroup(GroupLike):
     """A group of permutations of 0..degree-1, stored exhaustively.
 
     The generators, when given, generate the group (every constructor in
-    this module makes sure of it); orbits reads them, and an empty
-    generator list stands for every element."""
+    this module makes sure of it); with none given, every element is a
+    generator. orbits and the printers read them."""
 
     def __init__(self, degree: int, elements: Iterable[perm.Perm],
                  generator_perms: Iterable[perm.Perm] = ()):
@@ -54,7 +44,8 @@ class PermGroup(GroupLike):
         if ident not in self._index:
             raise InternalVerificationFailed("identity permutation missing")
         self.identity = self._index[ident]
-        self.generators = tuple(self._index[tuple(p)] for p in generator_perms)
+        self.generators = (tuple(self._index[tuple(p)] for p in generator_perms)
+                           or tuple(range(len(els))))
 
     @property
     def order(self) -> int:
@@ -85,37 +76,11 @@ class OrbitDecomposition:
 
 
 def _greedy_generators(elements: tuple[perm.Perm, ...]) -> list[perm.Perm]:
-    """Small generating set: scan elements in order, keep what grows the closure.
-
-    One closure grows as generators are kept, as in perm.spanning_points:
-    the elements reached so far are closed under the old generators, so
-    only the new generator is applied to them; new elements get every
-    generator.
-    """
-    compose = perm.compose
-    reached = [perm.identity(len(elements[0]))]
-    seen = set(reached)
-    gens: list[perm.Perm] = []
-    for p in elements:
-        if p in seen:
-            continue
-        gens.append(p)
-        old = len(reached)
-        for i in range(old):
-            q = compose(reached[i], p)
-            if q not in seen:
-                seen.add(q)
-                reached.append(q)
-        i = old
-        while i < len(reached):
-            x = reached[i]
-            for g in gens:
-                q = compose(x, g)
-                if q not in seen:
-                    seen.add(q)
-                    reached.append(q)
-            i += 1
-    return gens
+    """Small generating set: scan elements in order, keep what grows the
+    closure of the kept ones (perm.greedy_span from the identity)."""
+    kept, _ = perm.greedy_span(elements, elements, perm.compose,
+                               [perm.identity(len(elements[0]))])
+    return [elements[c] for c in kept]
 
 
 def _generation_order(op: Table,
@@ -124,47 +89,20 @@ def _generation_order(op: Table,
     reached for k = 0, 1, ..., and the points k not in the subquandle
     generated by 0..k-1.
 
-    Scanning k in order, a k not reached yet is appended, then the closure
-    under * (and rho, when given): each new member is multiplied with every
-    member on both sides. For a finite set, closure under * alone makes it
-    closed under the dual operation too. So the points before k are
-    exactly the subquandle generated by 0..k-1 when k is not in it.
+    The subquandle generated by S (closed under *, the dual and rho, when
+    given) is the closure T of S under the translations s_b: a -> a*b for
+    b in S (and rho). Let B be the b in T with T closed under s_b; B holds
+    S. A finite set closed under s_b is closed under s_b^-1. For a, b in
+    B, s_{a*b} = s_b^-1 s_a s_b, and for a good involution
+    s_{rho(b)} = s_b^-1, so a*b and rho(b), both in T, lie in B. So B
+    holds S and is closed under the maps that generate T: B = T, and T is
+    closed under *, the dual and rho. This is perm.greedy_span over the
+    columns with rho as a generator from the start; the points before a
+    kept k are exactly the subquandle generated by 0..k-1.
     """
-    n = len(op)
-    seen = [False] * n
-    members: list[int] = []
-    bases: list[int] = []
-    for k in range(n):
-        if seen[k]:
-            continue
-        seen[k] = True
-        bases.append(k)
-        i = len(members)
-        members.append(k)
-        while i < len(members):
-            x = members[i]
-            new = [op[x][y] for y in members[:i + 1]]
-            new += [op[y][x] for y in members[:i]]
-            if rho is not None:
-                new.append(rho[x])
-            for y in new:
-                if not seen[y]:
-                    seen[y] = True
-                    members.append(y)
-            i += 1
-    return members, bases
-
-
-def _orbit(point: int, gens: list[perm.Perm]) -> set[int]:
-    orb = {point}
-    frontier = [point]
-    for a in frontier:
-        for g in gens:
-            b = g[a]
-            if b not in orb:
-                orb.add(b)
-                frontier.append(b)
-    return orb
+    bases, order = perm.greedy_span(range(len(op)), list(zip(*op)), perm.image,
+                                    gens=[rho] if rho is not None else [])
+    return order, bases
 
 
 def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
@@ -173,9 +111,7 @@ def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
     G_k fixes 0..k-1; see aut_group for why the result is exact."""
     n = len(op)
     order, bases = _generation_order(op, rho)
-    pos = [0] * n
-    for i, a in enumerate(order):
-        pos[a] = i
+    pos = {a: i for i, a in enumerate(order)}
     search = _MapSearch(op, op, rho, rho, order)
     ident = perm.identity(n)
     gens: list[perm.Perm] = []
@@ -191,7 +127,7 @@ def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
             hit = search.run(prefix + (v,))
             if hit:
                 gens.append(hit[0])
-                orbit = _orbit(k, gens)
+                orbit = set(perm.closure([k], gens, perm.image))
         size *= len(orbit)
     elements = tuple(sorted(mulclose(gens) | {ident}))
     if len(elements) != size:
@@ -209,9 +145,11 @@ def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
     Levels run k = n-1 down to 0, so the generators found so far fix
     0..k-1 and, by induction, generate G_{k+1}.
 
-    * Forced points: an automorphism fixing 0..k-1 fixes the subquandle
-      they generate (for a finite set, closure under * is enough). A k in
-      it has the trivial orbit {k}, and no search is made for it.
+    * Forced points: the subquandle generated by 0..k-1 is their closure
+      under their translations s_b (see _generation_order), and an
+      automorphism f fixing each b in 0..k-1 has f(a*b) = f(a)*b, so it
+      fixes every point of that closure. A k in it has the trivial orbit
+      {k}, and no search is made for it.
     * One search per coset: for every other k, each candidate image v (same
       translation cycle type) not yet in the orbit of k under the
       generators gets one find-first search for an automorphism with
@@ -284,21 +222,16 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
     orbit of a is the closure of {a} under the generators (a finite set
     closed under a permutation is closed under its inverse), which costs
     O(degree * generators) rather than a scan of every element."""
-    gens = [G.elements[g] for g in G.generators] or list(G.elements)
-    n = G.degree
-    orbit_index = [-1] * n
+    gens = [G.elements[g] for g in G.generators]
+    orbit_index = [-1] * G.degree
     orbs: list[tuple[int, ...]] = []
-    reps: list[int] = []
-    for a in range(n):
-        if orbit_index[a] >= 0:
-            continue
-        members = sorted(_orbit(a, gens))
-        idx = len(orbs)
-        for m in members:
-            orbit_index[m] = idx
-        orbs.append(tuple(members))
-        reps.append(members[0])
-    return OrbitDecomposition(orbits=tuple(orbs), representatives=tuple(reps),
+    for a in range(G.degree):
+        if orbit_index[a] < 0:
+            orbs.append(tuple(sorted(perm.closure([a], gens, perm.image))))
+            for m in orbs[-1]:
+                orbit_index[m] = len(orbs) - 1
+    return OrbitDecomposition(orbits=tuple(orbs),
+                              representatives=tuple(o[0] for o in orbs),
                               orbit_index=tuple(orbit_index))
 
 

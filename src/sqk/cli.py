@@ -81,9 +81,8 @@ def _symmetric(qf: fileio.QndFile, path: str) -> SymmetricQuandle:
 
 
 def _print_generators(G: PermGroup, out: list[str], heading: str) -> None:
-    gens = G.generators if G.generators else tuple(range(G.order))
-    out.append(f"{heading} ({len(gens)}):")
-    for g in gens:
+    out.append(f"{heading} ({len(G.generators)}):")
+    for g in G.generators:
         out.append("  " + perm_line(G.elements[g]))
 
 

@@ -21,6 +21,7 @@ quandle and good-involution axioms rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import perm
 from .autgroup import stabilizer_cosets
@@ -147,6 +148,7 @@ class LabeledQuandle:
     presentation: CosetPresentation
     labels: tuple[tuple[int, int], ...]   # element -> (orbit index, coset rep)
     cosets: tuple[CosetSpace, ...]        # one coset space per orbit
+    offsets: tuple[int, ...]              # element index of each orbit's first coset
     sq: SymmetricQuandle | None = None
 
     def label_name(self, k: int) -> str:
@@ -155,8 +157,14 @@ class LabeledQuandle:
 
     def index_of(self, i: int, x: int) -> int:
         """Element index of the coset H_i x (any member x)."""
-        rep = self.cosets[i].representatives[self.cosets[i].coset_index[x]]
-        return self.labels.index((i, rep))
+        return _element_index(self.cosets, self.offsets, i, x)
+
+
+def _element_index(spaces: tuple[CosetSpace, ...], offsets: tuple[int, ...],
+                   i: int, x: int) -> int:
+    """Element index of the coset H_i x: the cosets of orbit i come after
+    offsets[i] others, in the order of its coset space."""
+    return offsets[i] + spaces[i].coset_index[x]
 
 
 def _require(P: CosetPresentation, level: str) -> None:
@@ -191,14 +199,9 @@ def _assemble(P: CosetPresentation):
     listed = [stabilizer_cosets(H) for H in P.subgroups]
     spaces = tuple(ls[0] if ls else right_cosets(G, H)
                    for ls, H in zip(listed, P.subgroups))
-    labels: list[tuple[int, int]] = []
-    offset = []
-    for i, sp in enumerate(spaces):
-        offset.append(len(labels))
-        labels.extend((i, rep) for rep in sp.representatives)
-
-    def global_index(i: int, g: int) -> int:
-        return offset[i] + spaces[i].coset_index[g]
+    labels = [(i, rep) for i, sp in enumerate(spaces)
+              for rep in sp.representatives]
+    offsets = tuple(accumulate((sp.count for sp in spaces[:-1]), initial=0))
 
     for j, H in enumerate(P.subgroups):
         if not centralizes(G, P.z[j], H):
@@ -212,11 +215,11 @@ def _assemble(P: CosetPresentation):
         if ls:
             lab = [-1] * G.degree
             for c, p in enumerate(ls[1]):
-                lab[p] = offset[i] + c
+                lab[p] = offsets[i] + c
             orbits.append((ls[1], lab, True))
         else:
             orbits.append((sp.representatives,
-                           [offset[i] + c for c in sp.coset_index], False))
+                           [offsets[i] + c for c in sp.coset_index], False))
 
     def column(w: int) -> list[int]:
         col: list[int] = []
@@ -230,7 +233,7 @@ def _assemble(P: CosetPresentation):
     op = [list(row) for row in zip(*map(column, twist))]
     dual_direct = [list(row) for row in
                    zip(*(column(G.inv(w)) for w in twist))]
-    return spaces, tuple(labels), op, dual_direct, global_index
+    return spaces, tuple(labels), op, dual_direct, offsets
 
 
 def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
@@ -242,25 +245,26 @@ def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
     r_i h against r_i for every h in H_i is exactly C3."""
     _require(P, level)
     G = P.group
-    spaces, labels, op, dual_direct, global_index = _assemble(P)
+    spaces, labels, op, dual_direct, offsets = _assemble(P)
+
+    def rho_of(i: int, x: int) -> int:
+        return _element_index(spaces, offsets, P.kappa[i], G.mul(P.r[i], x))
 
     rho = None
     if level == "symmetric":
         for i, H in enumerate(P.subgroups):
-            home = global_index(P.kappa[i], P.r[i])
-            if any(global_index(P.kappa[i], G.mul(P.r[i], h)) != home
-                   for h in H.elements):
+            if len({rho_of(i, h) for h in H.elements}) > 1:
                 raise InternalVerificationFailed(
                     f"rho on orbit {i} depends on the coset representative "
                     f"(r_{i} H_{i} r_{i}^-1 escapes H_{P.kappa[i]})")
-        rho = [global_index(P.kappa[i], G.mul(P.r[i], x)) for (i, x) in labels]
+        rho = [rho_of(i, x) for (i, x) in labels]
 
     Q = quandle_from_table(op, allow_rack=(level == "rack"))
     if Q.dual != tuple(tuple(row) for row in dual_direct):
         raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
     sq = attach_involution(Q, rho) if rho is not None else None
     return LabeledQuandle(quandle=Q, presentation=P, labels=labels,
-                          cosets=spaces, sq=sq)
+                          cosets=spaces, offsets=offsets, sq=sq)
 
 
 def build_rack(P: CosetPresentation) -> LabeledQuandle:

@@ -226,17 +226,16 @@ def group_to_table(G: GroupLike) -> FiniteGroup:
     """Re-express any group-like object as an explicit multiplication table.
     Element indices are preserved; permutation elements become name tokens.
 
-    A permutation group's table is built from its generators (every element
-    when it has none), column by column along a breadth-first spanning tree
-    from the identity. With R_g[x] = x g, column y g holds
-    x (y g) = (x y) g = R_g[x y]: column y gathered through R_g. That costs
-    one product per element and generator, plus one gather per column. The
-    table is then validated by group_from_table like any other."""
+    A permutation group's table is built from its generators, column by
+    column along a breadth-first spanning tree from the identity. With
+    R_g[x] = x g, column y g holds x (y g) = (x y) g = R_g[x y]: column y
+    gathered through R_g. That costs one product per element and generator,
+    plus one gather per column. The table is then validated by
+    group_from_table like any other."""
     if isinstance(G, FiniteGroup):
         return G
     n = G.order
-    gens = G.generators or range(n)
-    right = [[G.mul(x, g) for x in range(n)] for g in gens]
+    right = [[G.mul(x, g) for x in range(n)] for g in G.generators]
     cols: list[tuple[int, ...] | None] = [None] * n
     cols[G.identity] = tuple(range(n))
     reached = [G.identity]

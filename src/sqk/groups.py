@@ -172,17 +172,7 @@ def subgroup_closure(G: GroupLike, gens: Iterable[int]) -> Subgroup:
     by right multiplication by gens. For x and y = g1...gk reached, so is
     x y, and a finite product-closed set containing e is a subgroup."""
     gens = [G.check_index(g) for g in gens]
-    elements = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    elements = perm.closure([G.identity], gens, G.mul)
     return Subgroup(parent=G, elements=tuple(sorted(elements)))
 
 

@@ -7,6 +7,7 @@ compose(p, q)[a] = q[p[a]].
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -35,47 +36,82 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+def image(a: int, p: Perm) -> int:
+    """The point action a.p = p[a], as an act for closure and greedy_span."""
+    return p[a]
+
+
+def _grow(reached: list, seen: set, i: int, gens, act) -> None:
+    """Append to reached everything act reaches from reached[i:] by gens."""
+    while i < len(reached):
+        x = reached[i]
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+        i += 1
+
+
+def closure(start: Iterable, gens: Sequence, act: Callable) -> list:
+    """The orbit algorithm (Holt, Eick and O'Brien 2005): start, then
+    everything reached by act(x, g) for g in gens, in the order reached.
+
+    The result is closed under every x -> act(x, g). When each of those is
+    a permutation of a finite set, it is closed under their inverses too.
+    """
+    reached = list(dict.fromkeys(start))
+    _grow(reached, set(reached), 0, gens, act)
+    return reached
+
+
+def greedy_span(candidates: Sequence, maps: Sequence, act: Callable,
+                reached: Iterable = (),
+                gens: Iterable = ()) -> tuple[list[int], list]:
+    """Greedy generators: scan candidates in order and keep each one not
+    reached yet.
+
+    The reached list starts as reached, which must be closed under gens.
+    Keeping candidates[c] appends it to the list and maps[c] to the
+    generators, and closes the list again, so the list is always the
+    closure of reached and the kept candidates under gens and the kept
+    maps. The points reached before are closed under the old generators,
+    so only the new map is applied to them; new points get every
+    generator. Returns the kept positions and the reached list, in the
+    order reached.
+    """
+    reached = list(reached)
+    seen = set(reached)
+    gens = list(gens)
+    kept: list[int] = []
+    for c, x in enumerate(candidates):
+        if x in seen:
+            continue
+        kept.append(c)
+        gens.append(maps[c])
+        old = len(reached)
+        seen.add(x)
+        reached.append(x)
+        for i in range(old):
+            y = act(reached[i], maps[c])
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+        _grow(reached, seen, old, gens, act)
+    return kept, reached
+
+
 def spanning_points(maps: list[Perm]) -> list[int]:
     """Greedy generating points for a family of permutations of 0..n-1.
 
-    maps[c] is the permutation attached to point c. Scanning c = 0, 1, ...
-    in order, c is kept when the points reached so far do not contain it;
-    the reached set is the closure of the kept points under their maps.
-    Returns the kept points S, whose closure under {maps[s] : s in S} is
-    every point. A finite set closed under a permutation is closed under
-    its inverse too, so that closure also contains every image under an
-    inverse map.
+    maps[c] is the permutation attached to point c. Scanning c = 0, 1, ...,
+    c is kept when the closure of the kept points under their maps does not
+    contain it (greedy_span under the point action). The kept points S
+    reach every point under {maps[s] : s in S}, and also under the inverse
+    maps, since a finite set closed under a permutation is closed under
+    its inverse.
     """
-    n = len(maps)
-    seen = [False] * n
-    reached: list[int] = []
-    kept: list[int] = []
-    for c in range(n):
-        if seen[c]:
-            continue
-        # the points reached so far are closed under the old maps, so only
-        # the new map is applied to them; new points get every map
-        old = len(reached)
-        new_map = maps[c]
-        kept.append(c)
-        seen[c] = True
-        reached.append(c)
-        for i in range(old):
-            y = new_map[reached[i]]
-            if not seen[y]:
-                seen[y] = True
-                reached.append(y)
-        gens = [maps[s] for s in kept]
-        i = old
-        while i < len(reached):
-            x = reached[i]
-            for m in gens:
-                y = m[x]
-                if not seen[y]:
-                    seen[y] = True
-                    reached.append(y)
-            i += 1
-    return kept
+    return greedy_span(range(len(maps)), maps, image)[0]
 
 
 def is_involution(p: Perm) -> bool:

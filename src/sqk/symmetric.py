@@ -16,6 +16,7 @@ from .errors import (
 from .quandle import Isomorphism, Quandle, Table, _search_maps, product_violation
 
 DEFAULT_MAX_N = 12
+RACK_HAS_NO_INVOLUTION = "good involutions require a quandle; this table is a rack"
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
     rho(a*b) = rho(a)*b, and dual compatibility a*rho(b) = dual(a,b).
     """
     if Q.rack_only:
-        raise SqkError("good involutions require a quandle; this table is a rack")
+        raise SqkError(RACK_HAS_NO_INVOLUTION)
     rho = tuple(rho)
     if len(rho) != Q.order:
         raise SqkError(f"rho has length {len(rho)}, expected {Q.order}")
@@ -102,8 +103,11 @@ def enumerate_good_involutions(Q: Quandle,
 
     Dual compatibility pins rho(b) to C_b = {c : s_c = s_b^-1}, so the
     search backtracks over involutions respecting C_b and only equivariance
-    is left to verify on completions.
+    is left to verify on completions. A rack has none, as attach_involution
+    rules.
     """
+    if Q.rack_only:
+        raise SqkError(RACK_HAS_NO_INVOLUTION)
     n = Q.order
     if n > max_n:
         raise SizeBoundExceeded(n, max_n)

@@ -90,3 +90,13 @@ def bf_subgroup(G, gens):
         if not new:
             return tuple(sorted(els))
         els |= new
+
+
+def bf_closure(start, gens, act):
+    """The set start, grown by every act(x, g) until nothing new appears."""
+    els = set(start)
+    while True:
+        new = {act(x, g) for x in els for g in gens} - els
+        if not new:
+            return els
+        els |= new

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import catalog_symmetric_quandles
-from helpers import bf_automorphisms, compose_then, relabel
+from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
+from helpers import bf_automorphisms, compose_then
 from sqk import (
     antipodal,
     attach_involution,
@@ -15,8 +15,8 @@ from sqk import (
     inner_group,
     is_homogeneous,
     orbits,
+    perm,
     quandle,
-    quandle_from_table,
     stabilizer,
     symmetric_aut_group,
     symmetric_group,
@@ -185,29 +185,6 @@ def test_is_homogeneous(anti4, conj_s3):
     assert not is_homogeneous(conj_s3)
 
 
-def _transposition_quandle(m):
-    """T_m: the transpositions of S_m under conjugation, with rho = id."""
-    ts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            t = list(range(m))
-            t[i], t[j] = j, i
-            ts.append(tuple(t))
-    table = [[ts.index(compose_then(compose_then(b, a), b)) for b in ts]
-             for a in ts]
-    return attach_involution(quandle_from_table(table), list(range(len(ts))))
-
-
-def _relabelled(S, seed):
-    """S transported along a uniformly random bijection."""
-    p = list(range(S.order))
-    random.Random(seed).shuffle(p)
-    rho = [0] * S.order
-    for a in range(S.order):
-        rho[p[a]] = p[S.rho[a]]
-    return attach_involution(quandle_from_table(relabel(S.quandle.op, p)), rho)
-
-
 def _reference_group(S, symmetric):
     """Every automorphism listed by backtracking (filtered by rho), with the
     greedy generators recomputing the closure from scratch for each one."""
@@ -229,8 +206,8 @@ def _differential_cases():
     for name, S in [("R_8", antipodal(8)), ("R_12", antipodal(12)),
                     ("Conj(S3)", conj_symmetric_quandle(symmetric_group(3))),
                     ("Conj(D4)", conj_symmetric_quandle(dihedral_group(4))),
-                    ("T_4", _transposition_quandle(4))]:
-        cases += [(f"{name} seed {seed}", _relabelled(S, seed))
+                    ("T_4", transposition_quandle(4))]:
+        cases += [(f"{name} seed {seed}", relabelled(S, seed))
                   for seed in range(3)]
     return cases
 
@@ -305,3 +282,59 @@ def test_chain_missing_a_generator_is_caught(monkeypatch):
     with pytest.raises(InternalVerificationFailed):
         aut_group(trivial_quandle(3))
     assert dropped == [(0, 2, 1)]
+
+
+def _subquandle(S, points, rho):
+    """Brute force: points, grown by every product, dual product and (when
+    given) rho image until nothing new appears."""
+    op, dual = S.quandle.op, S.quandle.dual
+    els = set(points)
+    while True:
+        new = {t[x][y] for t in (op, dual) for x in els for y in els}
+        if rho is not None:
+            new |= {rho[x] for x in els}
+        if new <= els:
+            return els
+        els |= new
+
+
+@pytest.mark.parametrize("S", [pytest.param(S, id=name)
+                               for name, S in _differential_cases()])
+def test_generation_order_prefixes_are_the_generated_subquandles(S):
+    cols = list(S.quandle.translations())
+    for rho in (None, S.rho):
+        order, bases = autgroup._generation_order(S.quandle.op, rho)
+        assert sorted(order) == list(range(S.order))
+        if rho is None:
+            assert bases == perm.spanning_points(cols)
+        for k in range(S.order):
+            generated = _subquandle(S, range(k), rho)
+            assert (k in bases) == (k not in generated), (rho, k)
+            if k in bases:
+                assert set(order[:order.index(k)]) == generated, (rho, k)
+
+
+def test_closure_products_reach_a_rebound_compose(monkeypatch):
+    # counting products by rebinding perm.compose must see the closures'
+    # products, so they look compose up when called
+    calls = [0]
+    real = perm.compose
+
+    def counting(p, q):
+        calls[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(perm, "compose", counting)
+    # S_3 from a 3-cycle and a transposition: one product per element and
+    # generator
+    assert len(mulclose([(1, 2, 0), (1, 0, 2)])) == 6
+    assert calls[0] == 12
+    calls[0] = 0
+    G = aut_group(dihedral_quandle(6))
+    assert calls[0] >= G.order == 12
+
+
+def test_perm_group_without_generators_is_generated_by_every_element():
+    els = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert PermGroup(3, els).generators == (0, 1, 2)
+    assert PermGroup(3, els, [els[1]]).generators == (1,)

@@ -77,6 +77,17 @@ def test_involutions_r4(tmp_path):
     assert "(0 2)(1 3)  [2 3 0 1]" in text
 
 
+def test_involutions_of_a_rack_exit_1(tmp_path):
+    p = tmp_path / "rack.qnd"
+    p.write_text("rack 2\n1 1\n0 0\n")
+    code, text = run(["involutions", str(p)])
+    assert code == 1
+    assert text == "error: good involutions require a quandle; " \
+        "this table is a rack\n"
+    p.write_text("rack 2\n1 1\n0 0\nrho: 1 0\n")
+    assert run(["aut", str(p), "--symmetric"]) == (code, text)
+
+
 def test_involutions_size_bound(tmp_path):
     p = _catalog_file(tmp_path, "r4.qnd", "dihedral-quandle", "4")
     code, text = run(["involutions", p, "--max-n", "2"])

@@ -1,6 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import bf_closure
 from sqk import perm
 
 
@@ -48,3 +49,68 @@ def test_cycle_string():
 def test_is_involution():
     assert perm.is_involution((1, 0, 2))
     assert not perm.is_involution((1, 2, 0))
+
+
+def point_families(max_n=7, max_maps=4):
+    """A degree n and up to max_maps permutations of 0..n-1."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.permutations(list(range(n))).map(tuple), max_size=max_maps))
+
+
+def _reached_in_order(out, start, gens, act):
+    # every element after the start is an image of an earlier one
+    assert len(set(out)) == len(out)
+    assert out[:len(start)] == start
+    for i in range(len(start), len(out)):
+        assert any(act(x, g) == out[i] for x in out[:i] for g in gens)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), max_size=4),
+    st.lists(st.permutations(list(range(n))).map(tuple), max_size=3))))
+def test_closure_of_points_is_the_brute_force_closure(case):
+    start, gens = case
+    out = perm.closure(start, gens, perm.image)
+    assert set(out) == bf_closure(start, gens, perm.image)
+    _reached_in_order(out, list(dict.fromkeys(start)), gens, perm.image)
+
+
+@given(point_families(max_n=4, max_maps=3))
+def test_closure_of_perms_is_the_generated_semigroup(gens):
+    out = perm.closure(gens, gens, perm.compose)
+    assert set(out) == bf_closure(gens, gens, perm.compose)
+    _reached_in_order(out, list(dict.fromkeys(gens)), gens, perm.compose)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(list(range(n))).map(tuple),
+             min_size=n, max_size=n),
+    st.lists(st.permutations(list(range(n))).map(tuple), max_size=1))))
+def test_greedy_span_keeps_exactly_the_points_not_reached(case):
+    maps, gens = case
+    n = len(maps)
+    kept, reached = perm.greedy_span(range(n), maps, perm.image, gens=gens)
+    assert len(set(reached)) == len(reached)
+    for c in range(n):
+        earlier = [k for k in kept if k < c]
+        before = bf_closure(earlier, gens + [maps[k] for k in earlier],
+                            perm.image)
+        # kept iff outside the closure of the earlier kept candidates
+        assert (c in kept) == (c not in before)
+    assert set(reached) == bf_closure(kept, gens + [maps[k] for k in kept],
+                                      perm.image) == set(range(n))
+    if not gens:
+        assert perm.spanning_points(maps) == kept
+
+
+@given(point_families(max_n=5, max_maps=3))
+def test_greedy_span_over_a_group_keeps_generators(gens):
+    n = len(gens[0]) if gens else 1
+    ident = perm.identity(n)
+    els = sorted(bf_closure([ident], gens, perm.compose))
+    kept, reached = perm.greedy_span(els, els, perm.compose, [ident])
+    for j, c in enumerate(kept):
+        earlier = [els[k] for k in kept[:j]]
+        assert els[c] not in bf_closure([ident], earlier, perm.compose)
+    assert set(reached) == bf_closure([ident], [els[c] for c in kept],
+                                      perm.compose) == set(els)

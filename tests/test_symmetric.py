@@ -157,3 +157,13 @@ def test_good_involutions_closed_under_aut_conjugation():
 def test_antipodal_6_passes_validation():
     S = antipodal(6)
     assert S.rho == (3, 4, 5, 0, 1, 2)
+
+
+def test_rack_has_no_good_involutions():
+    # the search alone would report both involutions of this rack
+    from sqk import quandle_from_table
+
+    R = quandle_from_table([[1, 1], [0, 0]], allow_rack=True)
+    assert not any(is_good_involution(R, rho) for rho in all_involutions(2))
+    with pytest.raises(SqkError, match="rack"):
+        enumerate_good_involutions(R)
