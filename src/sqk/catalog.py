@@ -23,19 +23,30 @@ from .groups import FiniteGroup, GroupLike, group_from_table, subgroup_closure
 from .quandle import Quandle, quandle_from_table
 from .symmetric import SymmetricQuandle, attach_involution
 
+# largest table order a constructor builds; a table has order^2 cells
+MAX_ORDER = 1024
+
+
+def _check_order(n: int, order: int, what: str = "order") -> None:
+    """Reject a parameter n < 1, or a table order above MAX_ORDER, before
+    any table is allocated."""
+    if n < 1:
+        raise ParameterOutOfRange(f"{what} must be positive, got {n}")
+    if order > MAX_ORDER:
+        raise ParameterOutOfRange(
+            f"table order {order} exceeds the catalog bound {MAX_ORDER}")
+
 
 def dihedral_quandle(n: int) -> Quandle:
     """Z_n with a*b = 2b - a. A kei for every n."""
-    if n < 1:
-        raise ParameterOutOfRange(f"order must be positive, got {n}")
+    _check_order(n, n)
     table = [[(2 * b - a) % n for b in range(n)] for a in range(n)]
     return quandle_from_table(table)
 
 
 def trivial_quandle(n: int) -> Quandle:
     """a*b = a for all a, b."""
-    if n < 1:
-        raise ParameterOutOfRange(f"order must be positive, got {n}")
+    _check_order(n, n)
     return quandle_from_table([[a] * n for a in range(n)])
 
 
@@ -44,8 +55,7 @@ def antipodal(n: int) -> SymmetricQuandle:
 
     The involution is validated, not assumed.
     """
-    if n < 1:
-        raise ParameterOutOfRange(f"order must be positive, got {n}")
+    _check_order(n, n)
     if n % 2:
         raise OddOrder(n)
     Q = dihedral_quandle(n)
@@ -66,8 +76,7 @@ def conj_symmetric_quandle(G: GroupLike) -> SymmetricQuandle:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ParameterOutOfRange(f"order must be positive, got {n}")
+    _check_order(n, n)
     table = [[(x + y) % n for y in range(n)] for x in range(n)]
     names = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
     return group_from_table(table, names)
@@ -75,8 +84,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Order 2n, elements r^m s^t with index m + n*t."""
-    if n < 1:
-        raise ParameterOutOfRange(f"rotation order must be positive, got {n}")
+    _check_order(n, 2 * n, "rotation order")
 
     def mul(x, y):
         m, t = x % n, x // n

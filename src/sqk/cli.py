@@ -37,6 +37,7 @@ from .quandle import (
     quandle_from_table,
 )
 from .symmetric import (
+    DEFAULT_MAX_N,
     SymmetricQuandle,
     attach_involution,
     enumerate_good_involutions,
@@ -304,13 +305,13 @@ def _build_parser() -> _Parser:
 
     p = add("involutions", cmd_involutions, help="enumerate all good involutions")
     p.add_argument("file")
-    p.add_argument("--max-n", type=_size_bound, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=DEFAULT_MAX_N)
 
     p = add("aut", cmd_aut, help="automorphism group of a quandle")
     p.add_argument("file")
     p.add_argument("--symmetric", action="store_true",
                    help="automorphisms commuting with rho (requires rho)")
-    p.add_argument("--max-n", type=_size_bound, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=DEFAULT_MAX_N)
 
     p = add("inn", cmd_inn, help="inner automorphism group (requires rho)")
     p.add_argument("file")
@@ -318,14 +319,14 @@ def _build_parser() -> _Parser:
     p = add("orbits", cmd_orbits, help="orbit decomposition under inn or aut")
     p.add_argument("file")
     p.add_argument("--group", choices=("inn", "aut"), default="inn")
-    p.add_argument("--max-n", type=_size_bound, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=DEFAULT_MAX_N)
 
     p = add("decompose", cmd_decompose,
             help="coset presentation over inn or aut, with verified psi")
     p.add_argument("file")
     p.add_argument("--group", choices=("inn", "aut"), default="inn")
     p.add_argument("--emit-prs", metavar="PATH")
-    p.add_argument("--max-n", type=_size_bound, default=12)
+    p.add_argument("--max-n", type=_size_bound, default=DEFAULT_MAX_N)
 
     p = add("build", cmd_build, help="build the quandle of a .prs file")
     p.add_argument("file")

@@ -7,15 +7,15 @@ union of the right coset spaces H_i\\G with
     H_i x * H_j y  =  H_i (x y^-1 z_j y)
     rho(H_i x)     =  H_kappa(i) (r_i x)
 
-Six side conditions make this well defined and a good involution; they are
-validated explicitly. Assembly then re-checks the consequences it relies on
-as proof obligations, once per orbit rather than per cell or per coset:
+Six side conditions make this well defined and a good involution. They are
+decided in one place, validate_presentation, once per build, before any
+table is assembled. Its verdict covers every choice of representatives:
 the twisting element y^-1 z_j y is the same for every member of H_j y
-(this is C1), and rho(H_i x) is the same for every member of H_i x (this
-is C3). Each verdict is the same at every coset of the orbit, so one coset
-is checked. Independence from the choice of x in the product holds in any
-group by associativity. The finished tables are re-validated against the
-quandle and good-involution axioms rather than trusted.
+exactly when C1 holds, and rho(H_i x) is the same for every member of
+H_i x exactly when C3 holds. Independence from the choice of x in the
+product holds in any group by associativity. The finished tables are
+re-validated against the quandle and good-involution axioms rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -142,13 +142,15 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
 
 @dataclass(frozen=True)
 class LabeledQuandle:
-    """A built rack, quandle or symmetric quandle with its coset labels; sq
-    is set only at the symmetric level, where quandle is sq.quandle."""
+    """A built rack, quandle or symmetric quandle with its coset labels and
+    the passing report of the conditions it was built under; sq is set only
+    at the symmetric level, where quandle is sq.quandle."""
     quandle: Quandle
     presentation: CosetPresentation
     labels: tuple[tuple[int, int], ...]   # element -> (orbit index, coset rep)
     cosets: tuple[CosetSpace, ...]        # one coset space per orbit
     offsets: tuple[int, ...]              # element index of each orbit's first coset
+    report: Report
     sq: SymmetricQuandle | None = None
 
     def label_name(self, k: int) -> str:
@@ -167,11 +169,13 @@ def _element_index(spaces: tuple[CosetSpace, ...], offsets: tuple[int, ...],
     return offsets[i] + spaces[i].coset_index[x]
 
 
-def _require(P: CosetPresentation, level: str) -> None:
+def _require(P: CosetPresentation, level: str) -> Report:
+    """The passing report of P at level; a failing one is raised."""
     report = validate_presentation(P, level)
     if not report.ok:
         bad = report.failures[0]
         raise PresentationInvalid(bad.name, bad.detail, report)
+    return report
 
 
 def _assemble(P: CosetPresentation):
@@ -179,13 +183,10 @@ def _assemble(P: CosetPresentation):
     from the z_j^-1 formula.
 
     H_i x * H_j y = H_i (x w) with the twisting element w = y^-1 z_j y.
-    That this does not depend on the representatives is a proof
-    obligation, checked once per orbit. For y1 = h y with h in H_j,
-    y1^-1 z_j y1 = w iff h commutes with z_j, so the check at any one
-    coset of H_j has the verdict of the check at all of them: z_j must
-    commute with H_j, which is C1. For x1 = h x with h in H_i,
-    H_i (x1 w) = H_i (x w) holds in any group by associativity, so that
-    side needs no check.
+    The caller has decided C1, which makes this independent of the
+    representatives: for y1 = h y with h in H_j, y1^-1 z_j y1 = w iff h
+    commutes with z_j. For x1 = h x with h in H_i, H_i (x1 w) = H_i (x w)
+    holds in any group by associativity.
 
     Each orbit gives the point of each coset and the element index at each
     point. When H_i is verified to be the stabilizer of a point q_i of a
@@ -202,12 +203,6 @@ def _assemble(P: CosetPresentation):
     labels = [(i, rep) for i, sp in enumerate(spaces)
               for rep in sp.representatives]
     offsets = tuple(accumulate((sp.count for sp in spaces[:-1]), initial=0))
-
-    for j, H in enumerate(P.subgroups):
-        if not centralizes(G, P.z[j], H):
-            raise InternalVerificationFailed(
-                f"the columns of orbit {j} depend on the coset representative "
-                f"(z_{j} does not commute with H_{j})")
 
     # (points, element index at each point, moved by permutation?)
     orbits = []
@@ -238,33 +233,25 @@ def _assemble(P: CosetPresentation):
 
 def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
     """The object of P at the given level, once its conditions pass. At the
-    symmetric level rho(H_i x) = H_kappa(i) (r_i x) is checked independent
-    of the representative, once per orbit, then re-validated as a good
-    involution. For x1 = h x with h in H_i, r_i x1 and r_i x lie in one
-    coset of H_kappa(i) iff r_i h r_i^-1 does, whatever x is; so checking
-    r_i h against r_i for every h in H_i is exactly C3."""
-    _require(P, level)
+    symmetric level rho(H_i x) = H_kappa(i) (r_i x) is read at each coset
+    representative, then re-validated as a good involution. It does not
+    depend on the representative because C3 passed: for x1 = h x with h in
+    H_i, r_i x1 and r_i x lie in one coset of H_kappa(i) iff r_i h r_i^-1
+    does, whatever x is."""
+    report = _require(P, level)
     G = P.group
     spaces, labels, op, dual_direct, offsets = _assemble(P)
-
-    def rho_of(i: int, x: int) -> int:
-        return _element_index(spaces, offsets, P.kappa[i], G.mul(P.r[i], x))
-
     rho = None
     if level == "symmetric":
-        for i, H in enumerate(P.subgroups):
-            if len({rho_of(i, h) for h in H.elements}) > 1:
-                raise InternalVerificationFailed(
-                    f"rho on orbit {i} depends on the coset representative "
-                    f"(r_{i} H_{i} r_{i}^-1 escapes H_{P.kappa[i]})")
-        rho = [rho_of(i, x) for (i, x) in labels]
+        rho = [_element_index(spaces, offsets, P.kappa[i], G.mul(P.r[i], x))
+               for (i, x) in labels]
 
     Q = quandle_from_table(op, allow_rack=(level == "rack"))
     if Q.dual != tuple(tuple(row) for row in dual_direct):
         raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
     sq = attach_involution(Q, rho) if rho is not None else None
     return LabeledQuandle(quandle=Q, presentation=P, labels=labels,
-                          cosets=spaces, offsets=offsets, sq=sq)
+                          cosets=spaces, offsets=offsets, report=report, sq=sq)
 
 
 def build_rack(P: CosetPresentation) -> LabeledQuandle:

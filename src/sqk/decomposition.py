@@ -14,7 +14,7 @@ assembly lists and fills the cosets by that point action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .autgroup import (
@@ -85,49 +85,45 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
 
     P = CosetPresentation(group=G, subgroups=subgroups, z=tuple(z), r=tuple(r),
                           kappa=kappa)
+    # the builder decided the six conditions; its report is reused
     built = build_symmetric_quandle(P)
     psi_map = tuple(G.elements[x][q[i]] for (i, x) in built.labels)
-    psi = Isomorphism(source=built.sq, target=S, map=psi_map)
-    result = DecompositionResult(presentation=P, built=built, psi=psi,
-                                 group_choice=group_choice,
-                                 verification=Report(()), orbits=dec)
-    report = verify_decomposition(S, result)
-    result = replace(result, verification=report)
+    report = Report(built.report.checks + _psi_checks(built, S, psi_map))
     if not report.ok:
         raise InternalVerificationFailed(
             "; ".join(c.line() for c in report.failures))
-    return result
+    psi = Isomorphism(source=built.sq, target=S, map=psi_map)
+    return DecompositionResult(presentation=P, built=built, psi=psi,
+                               group_choice=group_choice,
+                               verification=report, orbits=dec)
 
 
-def _psi_checks(source: SymmetricQuandle, target: SymmetricQuandle,
-                f: Sequence[int]) -> list[Check]:
-    """That f: source -> target is a bijection and then that it is a quandle
-    homomorphism intertwining the involutions."""
-    n = target.order
+def _psi_checks(built: LabeledQuandle, target: SymmetricQuandle,
+                f: Sequence[int]) -> tuple[Check, ...]:
+    """That f: built.sq -> target is a bijection and then that it is a
+    quandle homomorphism intertwining the involutions, with one coset per
+    element of target."""
+    source, n = built.sq, target.order
     if not (len(f) == source.order == n and sorted(f) == list(range(n))):
-        return [Check("psi bijective", False, "not a bijection onto the input")]
+        return (Check("psi bijective", False, "not a bijection onto the input"),)
     hom = product_violation(source.quandle.op, target.quandle.op, f)
     eq = next((a for a in range(n) if f[source.rho[a]] != target.rho[f[a]]), None)
-    return [Check("psi bijective", True),
+    total = sum(sp.count for sp in built.cosets)
+    return (Check("psi bijective", True),
             Check("psi homomorphism", hom is None,
                   "" if hom is None else f"fails at {hom}"),
             Check("psi intertwines rho", eq is None,
-                  "" if eq is None else f"fails at {eq}")]
+                  "" if eq is None else f"fails at {eq}"),
+            Check("coset count", total == n,
+                  "" if total == n else f"{total} cosets for {n} elements"))
 
 
 def verify_decomposition(S: SymmetricQuandle, D: DecompositionResult) -> Report:
-    """Re-check everything: the six presentation conditions, and that psi is
-    a bijective quandle homomorphism intertwining the involutions."""
-    checks = list(validate_presentation(D.presentation, "symmetric").checks)
-    psi = _psi_checks(D.built.sq, S, D.psi.map)
-    checks += psi
-    if not psi[0].passed:
-        return Report(tuple(checks))
-    n = S.order
-    total = sum(sp.count for sp in D.built.cosets)
-    checks.append(Check("coset count", total == n,
-                        "" if total == n else f"{total} cosets for {n} elements"))
-    return Report(tuple(checks))
+    """Re-check everything: the six presentation conditions, validated
+    afresh since D may come from anywhere, and that psi is a bijective
+    quandle homomorphism intertwining the involutions."""
+    conditions = validate_presentation(D.presentation, "symmetric")
+    return Report(conditions.checks + _psi_checks(D.built, S, D.psi.map))
 
 
 def conj_presentation(G: FiniteGroup) -> CosetPresentation:
@@ -170,7 +166,7 @@ def conj_presentation(G: FiniteGroup) -> CosetPresentation:
     # the built object must agree with Conj(G) under psi(H_i x) = x^-1 g_i x
     built = build_symmetric_quandle(P)
     psi = tuple(G.conj(z[i], x) for (i, x) in built.labels)
-    failures = [c for c in _psi_checks(built.sq, conj_symmetric_quandle(G), psi)
+    failures = [c for c in _psi_checks(built, conj_symmetric_quandle(G), psi)
                 if not c.passed]
     if failures:
         raise InternalVerificationFailed(

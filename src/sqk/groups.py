@@ -34,9 +34,6 @@ class GroupLike:
     def inv(self, x: int) -> int:
         raise NotImplementedError
 
-    def name_of(self, x: int) -> str:
-        return str(x)
-
     def conj(self, x: int, y: int) -> int:
         """y^-1 x y."""
         return self.mul(self.mul(self.inv(y), x), y)

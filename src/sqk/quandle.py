@@ -149,21 +149,28 @@ def is_kei(Q: Quandle) -> bool:
     return Q.dual == Q.op
 
 
+def first_mismatch(lhs_rows: list[tuple[int, ...]],
+                   rhs_rows: list[tuple[int, ...]]) -> tuple[int, int] | None:
+    """First (a,b) with lhs_rows[a][b] != rhs_rows[a][b], or None.
+
+    The tables are compared whole, as lists of tuples; only when that
+    comparison fails are they scanned for the first row that differs, and
+    that row cell by cell.
+    """
+    if lhs_rows == rhs_rows:
+        return None
+    a = next(a for a, (lhs, rhs) in enumerate(zip(lhs_rows, rhs_rows)) if lhs != rhs)
+    return a, next(b for b, (x, y) in enumerate(zip(lhs_rows[a], rhs_rows[a]))
+                   if x != y)
+
+
 def product_violation(op1: Sequence[Sequence[int]], op2: Sequence[Sequence[int]],
                       f: Sequence[int]) -> tuple[int, int] | None:
-    """First (a,b) with f(a*b) != f(a)*f(b), or None.
-
-    Row a holds for every b iff compose(op1[a], f) == compose(f, op2[f[a]]);
-    a row is scanned cell by cell only when that comparison fails.
-    """
+    """First (a,b) with f(a*b) != f(a)*f(b), or None: row a of f(a*b) is
+    compose(op1[a], f), and row a of f(a)*f(b) is compose(f, op2[f[a]])."""
     compose = perm.compose
-    for a, row in enumerate(op1):
-        row2 = op2[f[a]]
-        if compose(row, f) != compose(f, row2):
-            for b, ab in enumerate(row):
-                if f[ab] != row2[f[b]]:
-                    return (a, b)
-    return None
+    return first_mismatch([compose(row, f) for row in op1],
+                          [compose(f, op2[fa]) for fa in f])
 
 
 def is_homomorphism_map(Q1: Quandle, Q2: Quandle, f: Sequence[int]) -> bool:

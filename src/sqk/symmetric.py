@@ -13,7 +13,14 @@ from .errors import (
     SizeBoundExceeded,
     SqkError,
 )
-from .quandle import Isomorphism, Quandle, Table, _search_maps, product_violation
+from .quandle import (
+    Isomorphism,
+    Quandle,
+    Table,
+    _search_maps,
+    first_mismatch,
+    product_violation,
+)
 
 DEFAULT_MAX_N = 12
 RACK_HAS_NO_INVOLUTION = "good involutions require a quandle; this table is a rack"
@@ -37,33 +44,17 @@ def involution_violation(rho: Sequence[int]) -> int | None:
 
 
 def equivariance_violation(op: Table, rho: Sequence[int]) -> tuple[int, int] | None:
-    """First (a,b) with rho(a*b) != rho(a)*b, or None.
-
-    Row a holds iff compose(op[a], rho) equals row rho(a); a row is scanned
-    cell by cell only when that comparison fails.
-    """
-    for a, row in enumerate(op):
-        target = op[rho[a]]
-        if perm.compose(row, rho) != tuple(target):
-            for b, ab in enumerate(row):
-                if rho[ab] != target[b]:
-                    return (a, b)
-    return None
+    """First (a,b) with rho(a*b) != rho(a)*b, or None: row a of rho(a*b)
+    is compose(op[a], rho), and row a of rho(a)*b is row rho(a)."""
+    return first_mismatch([perm.compose(row, rho) for row in op],
+                          [tuple(op[r]) for r in rho])
 
 
 def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int] | None:
-    """First (a,b) with a*rho(b) != the dual product, or None.
-
-    Row a holds iff compose(rho, op[a]) equals the dual row; a row is
-    scanned cell by cell only when that comparison fails.
-    """
-    for a, row in enumerate(op):
-        target = dual[a]
-        if perm.compose(rho, row) != tuple(target):
-            for b, rb in enumerate(rho):
-                if row[rb] != target[b]:
-                    return (a, b)
-    return None
+    """First (a,b) with a*rho(b) != the dual product, or None: row a of
+    a*rho(b) is compose(rho, op[a])."""
+    return first_mismatch([perm.compose(rho, row) for row in op],
+                          list(map(tuple, dual)))
 
 
 def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:

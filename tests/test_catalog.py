@@ -13,7 +13,7 @@ from sqk import (
     symmetric_group,
     trivial_quandle,
 )
-from sqk.catalog import build_entry
+from sqk.catalog import MAX_ORDER, build_entry
 from sqk.errors import OddOrder, ParameterOutOfRange
 
 
@@ -105,6 +105,20 @@ def test_parameter_errors():
         cyclic_group(0)
     with pytest.raises(ParameterOutOfRange):
         dihedral_quandle(0)
+
+
+def test_table_order_bound():
+    # refused before any table is allocated, so a huge order fails at once
+    assert MAX_ORDER == 1024
+    for make, n, order in [(dihedral_group, 513, 1026),
+                           (dihedral_quandle, 1025, 1025),
+                           (trivial_quandle, 1025, 1025),
+                           (antipodal, 1026, 1026),
+                           (cyclic_group, 1025, 1025),
+                           (cyclic_group, 100000, 100000)]:
+        with pytest.raises(ParameterOutOfRange,
+                           match=f"table order {order} exceeds the catalog bound"):
+            make(n)
 
 
 def test_build_entry_dispatch():

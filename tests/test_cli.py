@@ -1,5 +1,10 @@
+import shlex
+from pathlib import Path
+
 from sqk import cosets
 from sqk.cli import run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _catalog_file(tmp_path, name, *spec):
@@ -191,6 +196,13 @@ def test_catalog_unknown():
     assert code == 2
 
 
+def test_catalog_order_bound_is_a_usage_error():
+    code, text = run(["catalog", "dihedral-group", "513"])
+    assert code == 2
+    assert text == ("usage error: table order 1026 exceeds the catalog "
+                    "bound 1024\n")
+
+
 def test_usage_error():
     code, text = run(["frobnicate"])
     assert code == 2
@@ -283,3 +295,36 @@ def test_build_validates_the_presentation_once(tmp_path, monkeypatch):
         got, text = run(["build", path, "--level", level])
         assert (got, calls[0]) == (code, 1), text
         assert text.splitlines()[-1] == last
+
+
+def _cli_tour():
+    """The command lines of the README's CLI tour block, comments dropped."""
+    block = README.read_text(encoding="utf-8").split("## CLI tour", 1)[1]
+    block = block.split("```", 2)[1]
+    return [shlex.split(line, comments=True)
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_tour(tmp_path, monkeypatch):
+    # every line of the tour runs as written, and the worked example's
+    # claims hold: iso finds [0 2 1 3], and (R_4, antipodal) decomposes
+    # into two orbits over a group of order 4 (inn), one of order 8 (aut),
+    # with |H| = 2 each time
+    monkeypatch.chdir(tmp_path)
+    tour = _cli_tour()
+    assert len(tour) == 10
+    out = {}
+    for argv in tour:
+        assert argv[0] == "sqk"
+        code, text = run(argv[1:])
+        assert code == 0, (argv, text)
+        out[argv[1]] = text
+    assert "isomorphism: [0 2 1 3]\n" in out["iso"]
+    assert "group order: 4\n" in out["decompose"]
+    assert "orbits (2):\n" in out["decompose"]
+    assert out["decompose"].count("|H|=2\n") == 2
+    code, text = run(["decompose", "r4.qnd", "--group", "aut"])
+    assert code == 0
+    assert "group order: 8\n" in text
+    assert "orbits (1):\n" in text
+    assert text.count("|H|=2\n") == 1

@@ -211,6 +211,14 @@ DECOMPOSE_CASES = [pytest.param(S, choice, max_n, id=name)
                    for name, S, choice, max_n in _decompose_cases()]
 
 
+@pytest.mark.parametrize("S,choice,max_n", DECOMPOSE_CASES)
+def test_decompose_reports_what_verify_decomposition_finds(S, choice, max_n):
+    # decompose reuses the builder's report of the six conditions;
+    # verify_decomposition validates the presentation afresh
+    d = decompose(S, choice, max_n)
+    assert d.verification.lines() == verify_decomposition(S, d).lines()
+
+
 def _product_path(P):
     """Coset spaces, labels, op, dual and rho of P by right_cosets and one
     group product per cell, as the paper's formulas read."""

@@ -15,6 +15,7 @@ from sqk import (
     antipodal,
     attach_involution,
     autgroup,
+    build_quandle,
     build_rack,
     build_symmetric_quandle,
     conj_symmetric_quandle,
@@ -26,9 +27,9 @@ from sqk import (
     validate_presentation,
     verify_decomposition,
 )
-from sqk import cosets, perm
+from sqk import cosets, decomposition, fileio, perm
 from sqk.autgroup import mulclose
-from sqk.errors import InternalVerificationFailed, SqkError
+from sqk.errors import InternalVerificationFailed, PresentationInvalid, SqkError
 from sqk.perm import identity
 from sqk.quandle import Isomorphism
 
@@ -46,27 +47,28 @@ def commutes_with_subgroup(G, z, H):
 
 @pytest.mark.parametrize("name,P", presentations())
 def test_assemble_rejects_every_c1_failure(name, P):
-    # _assemble is called directly, past the C1 gate in _require; it must
-    # raise exactly for the z that do not commute with their subgroup
+    # C1 is decided once, by the validator inside every builder; a rack is
+    # built exactly for the z that commute with their subgroup
     G = P.group
     failures = 0
     for j in range(P.orbit_count):
         for z in range(G.order):
             bad = dataclasses.replace(P, z=P.z[:j] + (z,) + P.z[j + 1:])
             if commutes_with_subgroup(G, z, P.subgroups[j]):
-                cosets._assemble(bad)
+                build_rack(bad)
                 continue
             failures += 1
             assert not validate_presentation(bad, "rack")["C1"].passed
-            with pytest.raises(InternalVerificationFailed):
-                cosets._assemble(bad)
+            for build in (build_rack, build_quandle, build_symmetric_quandle):
+                with pytest.raises(PresentationInvalid) as exc:
+                    build(bad)
+                assert exc.value.condition == "C1"
     assert failures > 0
 
 
-def test_build_rejects_every_c3_failure(monkeypatch):
-    # past the C3 gate in _require, the rho obligation must raise exactly
-    # for the r that conjugate H_j out of H_kappa(j)
-    monkeypatch.setattr(cosets, "_require", lambda P, level: None)
+def test_build_rejects_every_c3_failure():
+    # C3 is decided once, by the validator inside the builder; it fails
+    # exactly for the r that conjugate H_j out of H_kappa(j)
     failures = 0
     for _, P in presentations():
         G = P.group
@@ -78,14 +80,13 @@ def test_build_rejects_every_c3_failure(monkeypatch):
                        for h in P.subgroups[j].elements):
                     try:
                         build_symmetric_quandle(bad)
-                    except InternalVerificationFailed as exc:
-                        assert "rho" not in str(exc)
-                    except SqkError:
-                        pass
+                    except PresentationInvalid as exc:
+                        assert exc.condition != "C3"
                     continue
                 failures += 1
-                with pytest.raises(InternalVerificationFailed, match="rho"):
+                with pytest.raises(PresentationInvalid) as exc:
                     build_symmetric_quandle(bad)
+                assert exc.value.condition == "C3"
     assert failures > 0
 
 
@@ -269,6 +270,35 @@ def test_decompose_makes_inverses_on_demand(monkeypatch):
     G = d.presentation.group
     assert all(perm.compose(G.elements[x], G.elements[G.inv(x)]) ==
                identity(G.degree) for x in range(G.order))
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count calls of the function name, replaced in each of modules."""
+    calls = [0]
+    real = getattr(modules[0], name)
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_each_condition_is_decided_once(monkeypatch):
+    # decompose of Conj(S_4) validated its presentation twice and made 15
+    # centralizes calls; a build of the emitted presentation made 10
+    validations = _count_calls(monkeypatch, "validate_presentation",
+                               cosets, decomposition)
+    centralizing = _count_calls(monkeypatch, "centralizes", cosets)
+    d = decompose(conj_symmetric_quandle(symmetric_group(4)), "inn")
+    assert d.presentation.orbit_count == 5
+    assert (validations[0], centralizing[0]) == (1, 5)
+    P = fileio.parse_prs(fileio.format_prs(d.presentation))
+    validations[0] = centralizing[0] = 0
+    assert build_symmetric_quandle(P).report.ok
+    assert (validations[0], centralizing[0]) == (1, 5)
 
 
 def test_inner_group_checks_only_spanning_translations(monkeypatch):
