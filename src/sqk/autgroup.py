@@ -1,15 +1,20 @@
-"""Automorphism groups of (symmetric) quandles as explicit permutation groups,
+"""Automorphism groups of (symmetric) quandles as permutation groups,
 orbits, stabilizers, transporters.
 
-Groups are stored by exhaustive element lists sorted lexicographically; the
-product convention is "apply left, then right", so the action on points is a
-right action a.f = f(a).
+A group is stored by a base and strong generating set on the base
+0..degree-1 (Sims 1970), built by a deterministic Schreier-Sims. The chain
+gives the order, membership by sifting and the orbits without listing any
+element; the elements are listed, in lexicographic order, only where every
+one is used (stabilizers, transporters, coset assembly, written tables).
+The product convention is "apply left, then right", so the action on
+points is a right action a.f = f(a).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from . import perm
 from .errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
@@ -25,31 +30,277 @@ def mulclose(perms: Iterable[perm.Perm]) -> set[perm.Perm]:
     return set(perm.closure(gens, gens, perm.compose))
 
 
-class PermGroup(GroupLike):
-    """A group of permutations of 0..degree-1, stored exhaustively.
+class _Level:
+    """One nontrivial level of a stabilizer chain: the orbit of base under
+    gens, with a transversal element u_v (u_v[base] = v) and its inverse
+    for each orbit point v. tree holds the pairs (v, i) with u_{v.gens[i]}
+    = u_v gens[i], whose Schreier generators are the identity; done[i]
+    counts the orbit points whose Schreier generators with gens[i] have
+    been sifted."""
 
-    The generators, when given, generate the group (every constructor in
-    this module makes sure of it); with none given, every element is a
-    generator. orbits and the printers read them."""
+    __slots__ = ("base", "gens", "invs", "orbit", "trans", "tinv", "tree",
+                 "done")
 
-    def __init__(self, degree: int, elements: Iterable[perm.Perm],
-                 generator_perms: Iterable[perm.Perm] = ()):
-        self.degree = degree
-        els = sorted(set(tuple(p) for p in elements))
-        if not els:
-            els = [perm.identity(degree)]
-        self.elements: tuple[perm.Perm, ...] = tuple(els)
-        self._index = {p: i for i, p in enumerate(self.elements)}
-        ident = perm.identity(degree)
-        if ident not in self._index:
-            raise InternalVerificationFailed("identity permutation missing")
-        self.identity = self._index[ident]
-        self.generators = (tuple(self._index[tuple(p)] for p in generator_perms)
-                           or tuple(range(len(els))))
+    def __init__(self, base: int, ident: perm.Perm):
+        self.base = base
+        self.gens: list[perm.Perm] = []
+        self.invs: list[perm.Perm] = []
+        self.orbit = [base]
+        self.trans = {base: ident}
+        self.tinv = {base: ident}
+        self.tree: set[tuple[int, int]] = set()
+        self.done: list[int] = []
+
+    def add_gen(self, s: perm.Perm, s_inv: perm.Perm) -> None:
+        """Append s and grow the orbit by the orbit algorithm, with
+        u_{v.s} = u_v s and its inverse s^-1 u_v^-1, so no element is
+        inverted. Old points need only s; new points need every generator."""
+        compose = perm.compose
+        self.gens.append(s)
+        self.invs.append(s_inv)
+        self.done.append(0)
+        orbit, trans, tinv = self.orbit, self.trans, self.tinv
+        last = len(self.gens) - 1
+        i, old = 0, len(orbit)
+        while i < len(orbit):
+            v = orbit[i]
+            for gi in (range(last + 1) if i >= old else (last,)):
+                g = self.gens[gi]
+                w = g[v]
+                if w not in trans:
+                    orbit.append(w)
+                    trans[w] = compose(trans[v], g)
+                    tinv[w] = compose(self.invs[gi], tinv[v])
+                    self.tree.add((v, gi))
+            i += 1
+
+
+class _Chain:
+    """A base and strong generating set on the base 0..degree-1, by the
+    incremental Schreier-Sims algorithm (Holt, Eick and O'Brien 2005,
+    SCHREIERSIMS), deterministic in the order generators are given.
+
+    Only the nontrivial levels are stored, ascending by base point. A
+    strong generator s is in the levels with base point from lo, the level
+    it was made for, up to its first moved point; for the generators given
+    lo is 0. Level k is complete when each Schreier generator
+    u_v s u_{v.s}^-1 sifts through the levels below it; then the group of
+    the levels below is the stabilizer of k in the group of level k
+    (Schreier's lemma), and the order is the product of the orbit lengths.
+    perm.compose is looked up per call, so a rebinding of it counts every
+    product.
+    """
+
+    def __init__(self, degree: int, gens: Iterable[perm.Perm] = ()):
+        self.identity = perm.identity(degree)
+        self.levels: list[_Level] = []
+        self.gens: list[perm.Perm] = []       # the given ones that were kept
+        self._strong: list[tuple[perm.Perm, perm.Perm, int, int]] = []
+        for g in gens:
+            self.extend(g)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        size = 1
+        for L in self.levels:
+            size *= len(L.orbit)
+        return size
+
+    def sift(self, g: perm.Perm, start: int = 0) -> perm.Perm:
+        """g divided by transversal elements, level by level from level
+        start, until a base image leaves an orbit; the identity iff g lies
+        in the group of the levels from start on."""
+        compose = perm.compose
+        for L in self.levels[start:]:
+            v = g[L.base]
+            if v != L.base:
+                t = L.tinv.get(v)
+                if t is None:
+                    return g
+                g = compose(g, t)
+        return g
+
+    def __contains__(self, g: perm.Perm) -> bool:
+        return self.sift(g) == self.identity
+
+    def extend(self, g: perm.Perm) -> None:
+        """Add g to the generators unless it is already a member."""
+        g = tuple(g)
+        r = self.sift(g)
+        if r == self.identity:
+            return
+        self.gens.append(g)
+        self._complete(self._add(r, 0))
+
+    def _add(self, r: perm.Perm, lo: int) -> int:
+        """Make r a strong generator of the levels with base point lo to its
+        first moved point j, creating level j with the strong generators
+        that reach it; returns the index of level j."""
+        j = next(a for a, v in enumerate(r) if a != v)
+        if j < lo:
+            raise InternalVerificationFailed(
+                f"Schreier generator moves the base point {j} it must fix")
+        levels = self.levels
+        at = sum(L.base < j for L in levels)
+        old = at < len(levels) and levels[at].base == j
+        if old and r[j] in levels[at].trans:
+            raise InternalVerificationFailed(
+                f"sifting stopped inside the orbit of base point {j}")
+        r_inv = perm.inverse(r)
+        self._strong.append((r, r_inv, lo, j))
+        if not old:
+            new = _Level(j, self.identity)
+            for s, s_inv, s_lo, s_hi in self._strong:
+                if s_lo <= j <= s_hi:
+                    new.add_gen(s, s_inv)
+            levels.insert(at, new)
+        for L in levels[:at + old]:
+            if L.base >= lo:
+                L.add_gen(r, r_inv)
+        return at
+
+    def _complete(self, i: int) -> None:
+        """Sift every new Schreier generator of levels i, i-1, ..., 0; a
+        residue becomes a strong generator of the levels below, which are
+        then completed first."""
+        compose, ident = perm.compose, self.identity
+        while i >= 0:
+            L = self.levels[i]
+            residue = None
+            for gi, s in enumerate(L.gens):
+                while residue is None and L.done[gi] < len(L.orbit):
+                    v = L.orbit[L.done[gi]]
+                    L.done[gi] += 1
+                    if (v, gi) not in L.tree:
+                        h = compose(compose(L.trans[v], s), L.tinv[s[v]])
+                        r = self.sift(h, i + 1)
+                        if r != ident:
+                            residue = r
+            if residue is None:
+                i -= 1
+            else:
+                i = self._add(residue, L.base + 1)
+
+    def walk(self) -> Iterator[perm.Perm]:
+        """Every element in lexicographic order, one subtree of the first
+        level at a time. An element is u_{d-1} ... u_1 u_0 (u_0 applied
+        last), one transversal element per level; below the product P of
+        the levels above, level j contributes base image P[w] for w in its
+        orbit, and every element of the subtree agrees with P on the points
+        before the base. So children taken by ascending P[w] give the
+        sorted list."""
+        compose, levels = perm.compose, self.levels
+        last = len(levels) - 1
+
+        def below(j: int, P: perm.Perm, out: list[perm.Perm]) -> None:
+            if j > last:
+                out.append(P)
+                return
+            L = levels[j]
+            kids = sorted(L.orbit, key=P.__getitem__)
+            if j == last:
+                out += [compose(L.trans[w], P) for w in kids]
+            else:
+                for w in kids:
+                    below(j + 1, compose(L.trans[w], P), out)
+
+        if not levels:
+            yield self.identity
+            return
+        for w in sorted(levels[0].orbit):
+            out: list[perm.Perm] = []
+            below(1, levels[0].trans[w], out)
+            yield from out
+
+    def greedy_generators(self) -> list[perm.Perm]:
+        """The greedy generators over the lexicographic order: the least
+        element outside K, the group of those kept so far, is kept next,
+        until K is everything.
+
+        The walk is the one of walk. At depth j the subtree below P is the
+        coset G_j P, where G_j is the group of levels j and below. When
+        K's orbit at every such level is as long as G's, G_j <= K, so the
+        coset lies in K when P sifts into K and is disjoint from it
+        otherwise; in that case its least element, reached by taking the
+        least child at each level, is the next one kept, and the coset is
+        then in K. Leaves are cosets of the trivial group."""
+        compose, levels = perm.compose, self.levels
+        depth, size = len(levels), self.order
+        K = _Chain(len(self.identity))
+        kept: list[perm.Perm] = []
+        full = [False] * depth + [True]
+
+        def visit(j: int, P: perm.Perm) -> None:
+            if full[j]:
+                if P in K:
+                    return
+                for L in levels[j:]:
+                    w = min(L.orbit, key=P.__getitem__)
+                    P = compose(L.trans[w], P)
+                kept.append(P)
+                K.extend(P)
+                lengths = {L.base: len(L.orbit) for L in K.levels}
+                for i in reversed(range(depth)):
+                    L = levels[i]
+                    full[i] = full[i + 1] and lengths.get(L.base) == len(L.orbit)
+                return
+            L = levels[j]
+            for w in sorted(L.orbit, key=P.__getitem__):
+                visit(j + 1, compose(L.trans[w], P))
+                if K.order == size:
+                    return
+
+        visit(0, self.identity)
+        return kept
+
+
+class PermGroup(GroupLike):
+    """A group of permutations of 0..degree-1, stored by its stabilizer
+    chain; order and membership come from the chain.
+
+    Built either from a list of elements, which must form a group, or from
+    a chain. The printed generators, generator_perms, generate the group
+    (every constructor in this module makes sure of it); with none given,
+    every element is one. The elements, in lexicographic order (the
+    identity first), and their indices are listed on first use, by the
+    chain's walk (iter_elements)."""
+
+    def __init__(self, degree: int, elements: Iterable[perm.Perm] = (),
+                 generator_perms: Iterable[perm.Perm] = (),
+                 chain: _Chain | None = None):
+        self.degree = degree
+        if chain is None:
+            els = sorted(set(map(tuple, elements))) or [perm.identity(degree)]
+            chain = _Chain(degree, els)
+            if chain.order != len(els):
+                raise InternalVerificationFailed(
+                    f"{len(els)} permutations generate a group of order "
+                    f"{chain.order}")
+            self.elements = tuple(els)
+        self.chain = chain
+        self.identity = 0
+        self.generator_perms = (tuple(map(tuple, generator_perms))
+                                or tuple(self.elements))
+
+    @property
+    def order(self) -> int:
+        return self.chain.order
+
+    def iter_elements(self) -> Iterator[perm.Perm]:
+        return self.chain.walk()
+
+    @cached_property
+    def elements(self) -> tuple[perm.Perm, ...]:
+        return tuple(self.iter_elements())
+
+    @cached_property
+    def _index(self) -> dict[perm.Perm, int]:
+        return {p: i for i, p in enumerate(self.elements)}
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The indices of generator_perms."""
+        return tuple(self.index_of(p) for p in self.generator_perms)
 
     def mul(self, x: int, y: int) -> int:
         return self._index[perm.compose(self.elements[x], self.elements[y])]
@@ -73,14 +324,6 @@ class OrbitDecomposition:
     @property
     def count(self) -> int:
         return len(self.orbits)
-
-
-def _greedy_generators(elements: tuple[perm.Perm, ...]) -> list[perm.Perm]:
-    """Small generating set: scan elements in order, keep what grows the
-    closure of the kept ones (perm.greedy_span from the identity)."""
-    kept, _ = perm.greedy_span(elements, elements, perm.compose,
-                               [perm.identity(len(elements[0]))])
-    return [elements[c] for c in kept]
 
 
 def _generation_order(op: Table,
@@ -113,7 +356,6 @@ def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
     order, bases = _generation_order(op, rho)
     pos = {a: i for i, a in enumerate(order)}
     search = _MapSearch(op, op, rho, rho, order)
-    ident = perm.identity(n)
     gens: list[perm.Perm] = []
     size = 1
     for k in reversed(bases):
@@ -129,12 +371,12 @@ def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
                 gens.append(hit[0])
                 orbit = set(perm.closure([k], gens, perm.image))
         size *= len(orbit)
-    elements = tuple(sorted(mulclose(gens) | {ident}))
-    if len(elements) != size:
+    chain = _Chain(n, gens)
+    if chain.order != size:
         raise InternalVerificationFailed(
-            f"automorphism closure has {len(elements)} elements, the "
-            f"stabilizer chain {size}")
-    return PermGroup(n, elements, _greedy_generators(elements))
+            f"the automorphisms found generate a group of order "
+            f"{chain.order}, the stabilizer chain {size}")
+    return PermGroup(n, generator_perms=chain.greedy_generators(), chain=chain)
 
 
 def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
@@ -158,13 +400,17 @@ def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
       is an exhaustive proof that v is not in the orbit of k under G_k.
     * So each orbit is exact, and the generators found generate G_k, since
       |G_k| is the orbit length times |G_{k+1}| (Schreier-Sims). Each
-      generator passed the full check, so their closure, listed by
-      mulclose, is G and holds only automorphisms.
-    * Cross-check: the closure must have as many elements as the product
-      of the orbit lengths, or InternalVerificationFailed is raised.
+      generator passed the full check, so the group they generate is G and
+      holds only automorphisms.
+    * Cross-check: Schreier-Sims on the generators found (_Chain) must give
+      a group whose order is the product of the orbit lengths, or
+      InternalVerificationFailed is raised. A missed orbit point or a lost
+      generator changes one side and not the other.
 
-    The elements are sorted and the generators are the greedy ones over
-    that list, so the result does not depend on the generators found.
+    The result is kept as that chain; no element is listed. The printed
+    generators are the greedy ones over the lexicographic order, walked on
+    the chain (_Chain.greedy_generators), so they do not depend on the
+    generators found.
     """
     if Q.order > max_n:
         raise SizeBoundExceeded(Q.order, max_n)
@@ -188,17 +434,19 @@ def symmetric_aut_group(S: SymmetricQuandle,
 
 
 def inner_group(S: SymmetricQuandle) -> PermGroup:
-    """The group generated by the translations s_b: a -> a*b.
+    """The group generated by the translations s_b: a -> a*b, kept as a
+    stabilizer chain.
 
     Only the translations at perm.spanning_points of the columns are
-    checked to be symmetric quandle automorphisms, and only they are
-    closed. They generate every translation: once s_b is a verified
-    automorphism, s_{a*b} = s_b^-1 s_a s_b (so s_a in the group gives
-    s_{a*b} in it), and every point is reached from the spanning points by
-    their translations. A composite of symmetric automorphisms is one, so
-    every element of the closure is. The printed generators are still
-    every distinct translation, in column order; each is looked up in the
-    closure as a cross-check, and a miss raises InternalVerificationFailed.
+    checked to be symmetric quandle automorphisms, and the chain is built
+    from them alone. They generate every translation: once s_b is a
+    verified automorphism, s_{a*b} = s_b^-1 s_a s_b (so s_a in the group
+    gives s_{a*b} in it), and every point is reached from the spanning
+    points by their translations. A composite of symmetric automorphisms is
+    one, so every element of the group is. The printed generators are
+    still every distinct translation, in column order; each is sifted
+    through the chain as a cross-check, and a miss raises
+    InternalVerificationFailed.
     """
     cols = S.quandle.translations()
     span = [cols[c] for c in perm.spanning_points(list(cols))]
@@ -207,22 +455,23 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
             raise InternalVerificationFailed(
                 f"translation {perm.cycle_string(t)} is not a symmetric "
                 "automorphism")
-    elements = mulclose(span) | {perm.identity(S.order)}
+    chain = _Chain(S.order, span)
     gens = list(dict.fromkeys(cols))
     for t in gens:
-        if t not in elements:
+        if t not in chain:
             raise InternalVerificationFailed(
                 f"translation {perm.cycle_string(t)} is missing from the "
-                "closure of the spanning translations")
-    return PermGroup(S.order, elements, gens)
+                "group of the spanning translations")
+    return PermGroup(S.order, generator_perms=gens, chain=chain)
 
 
 def orbits(G: PermGroup) -> OrbitDecomposition:
-    """Orbits on 0..degree-1 by the orbit algorithm on G's generators: the
-    orbit of a is the closure of {a} under the generators (a finite set
-    closed under a permutation is closed under its inverse), which costs
-    O(degree * generators) rather than a scan of every element."""
-    gens = [G.elements[g] for g in G.generators]
+    """Orbits on 0..degree-1 by the orbit algorithm on the generators G's
+    chain was built from: the orbit of a is the closure of {a} under them
+    (a finite set closed under a permutation is closed under its inverse),
+    which costs O(degree * generators) rather than a scan of every
+    element."""
+    gens = G.chain.gens
     orbit_index = [-1] * G.degree
     orbs: list[tuple[int, ...]] = []
     for a in range(G.degree):

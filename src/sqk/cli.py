@@ -82,9 +82,9 @@ def _symmetric(qf: fileio.QndFile, path: str) -> SymmetricQuandle:
 
 
 def _print_generators(G: PermGroup, out: list[str], heading: str) -> None:
-    out.append(f"{heading} ({len(G.generators)}):")
-    for g in G.generators:
-        out.append("  " + perm_line(G.elements[g]))
+    out.append(f"{heading} ({len(G.generator_perms)}):")
+    for g in G.generator_perms:
+        out.append("  " + perm_line(g))
 
 
 def _print_orbits(G: PermGroup, out: list[str]) -> None:

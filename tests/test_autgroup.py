@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
-from helpers import bf_automorphisms, compose_then
+from helpers import bf_automorphisms, bf_closure, compose_then
 from sqk import (
     antipodal,
     attach_involution,
@@ -24,6 +24,7 @@ from sqk import (
     trivial_quandle,
 )
 from sqk.autgroup import PermGroup, mulclose
+from sqk.cli import run
 from sqk.errors import InternalVerificationFailed, SizeBoundExceeded
 from sqk.perm import identity, inverse
 from sqk.quandle import _MapSearch, all_automorphism_maps
@@ -254,17 +255,53 @@ def test_aut_group_complete_map_checks_are_few(monkeypatch):
     assert 1 <= len(calls) <= 9
 
 
-def test_closure_missing_an_element_is_caught(monkeypatch):
-    closure = autgroup.mulclose
+def _drop_first_new_generator(monkeypatch):
+    """Make _Chain.extend ignore the first generator that would grow its
+    group; returns the list that records it."""
+    extend = autgroup._Chain.extend
+    dropped = []
 
-    def lossy(perms):
-        els = closure(perms)
-        els.discard(max(els))
-        return els
+    def lossy(self, g):
+        if not dropped and g not in self:
+            dropped.append(g)
+            return
+        extend(self, g)
 
-    monkeypatch.setattr(autgroup, "mulclose", lossy)
+    monkeypatch.setattr(autgroup._Chain, "extend", lossy)
+    return dropped
+
+
+def test_chain_dropping_a_strong_generator_is_caught(monkeypatch):
+    dropped = _drop_first_new_generator(monkeypatch)
+    with pytest.raises(InternalVerificationFailed, match="order"):
+        aut_group(dihedral_quandle(6))
+    assert dropped
+
+
+def test_chain_with_a_corrupt_transversal_entry_is_caught(monkeypatch):
+    add_gen = autgroup._Level.add_gen
+    corrupted = []
+
+    def lossy(self, s, s_inv):
+        add_gen(self, s, s_inv)
+        if not corrupted and len(self.orbit) > 2:
+            w = self.orbit[-1]
+            self.trans[w] = self.trans[self.base]
+            corrupted.append(w)
+
+    monkeypatch.setattr(autgroup._Level, "add_gen", lossy)
     with pytest.raises(InternalVerificationFailed):
         aut_group(dihedral_quandle(6))
+    assert corrupted
+
+
+def test_translation_that_does_not_sift_is_caught(monkeypatch):
+    # R_8 has two spanning translations; the chain of one of them misses
+    # the other
+    dropped = _drop_first_new_generator(monkeypatch)
+    with pytest.raises(InternalVerificationFailed, match="missing"):
+        inner_group(antipodal(8))
+    assert dropped
 
 
 def test_chain_missing_a_generator_is_caught(monkeypatch):
@@ -329,12 +366,109 @@ def test_closure_products_reach_a_rebound_compose(monkeypatch):
     # generator
     assert len(mulclose([(1, 2, 0), (1, 0, 2)])) == 6
     assert calls[0] == 12
+    # the chain's sifting and its lexicographic walk: the listing makes one
+    # product per element at least
     calls[0] = 0
     G = aut_group(dihedral_quandle(6))
-    assert calls[0] >= G.order == 12
+    assert G.order == 12 and calls[0] > 0
+    calls[0] = 0
+    assert len(G.elements) == 12
+    assert calls[0] >= G.order
 
 
 def test_perm_group_without_generators_is_generated_by_every_element():
     els = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     assert PermGroup(3, els).generators == (0, 1, 2)
     assert PermGroup(3, els, [els[1]]).generators == (1,)
+
+
+# The stabilizer chain against brute force: the group generated by the same
+# permutations, listed by bf_closure and scanned in sorted order.
+
+def _bf_greedy(els):
+    """Scan the sorted elements and keep each one outside the closure of
+    those kept; els[0] is the identity."""
+    kept, reached = [], {els[0]}
+    for x in els:
+        if x not in reached:
+            kept.append(x)
+            reached = bf_closure(reached, kept, compose_then)
+    return kept
+
+
+def _chain_cases():
+    cases = _differential_cases()
+    cases += [("T_5 seed 1", relabelled(transposition_quandle(5), 1)),
+              ("Conj(D12) seed 1",
+               relabelled(conj_symmetric_quandle(dihedral_group(12)), 1))]
+    return cases
+
+
+@pytest.mark.parametrize("S", [pytest.param(S, id=name)
+                               for name, S in _chain_cases()])
+def test_chain_matches_brute_force(S):
+    n = S.order
+    translations = list(dict.fromkeys(S.quandle.translations()))
+    for kind, G, gens in (
+            ("aut", aut_group(S.quandle, n), None),
+            ("symmetric aut", symmetric_aut_group(S, n), None),
+            ("inn", inner_group(S), translations)):
+        ref = sorted(bf_closure([identity(n)], gens or G.generator_perms,
+                                compose_then))
+        assert G.order == len(ref), kind
+        assert G.elements == tuple(ref), kind
+        assert all(p in G.chain for p in ref), kind
+        members = set(ref)
+        for a in range(n):
+            for b in range(a + 1, n):
+                t = list(range(n))
+                t[a], t[b] = b, a
+                assert (tuple(t) in G.chain) == (tuple(t) in members), (kind, a, b)
+        greedy = _bf_greedy(ref)
+        assert G.chain.greedy_generators() == greedy, kind
+        if gens is None:
+            assert list(G.generator_perms) == (greedy or [identity(n)]), kind
+        scan = sorted({tuple(sorted({p[a] for p in ref})) for a in range(n)})
+        assert list(orbits(G).orbits) == scan, kind
+        first = {}
+        for i, p in enumerate(ref):
+            for a in range(n):
+                first.setdefault((a, p[a]), i)
+        for q in range(n):
+            assert stabilizer(G, q).elements == \
+                tuple(i for i, p in enumerate(ref) if p[q] == q), (kind, q)
+            for v in range(n):
+                assert transporter(G, q, v) == first.get((q, v)), (kind, q, v)
+
+
+def test_aut_group_product_budget(monkeypatch):
+    # closing Aut(Conj(D_12)) by mulclose, then closing it again for the
+    # greedy generators, made 11,088 perm.compose calls
+    calls = [0]
+    real = perm.compose
+
+    def counting(p, q):
+        calls[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(perm, "compose", counting)
+    G = aut_group(conj_symmetric_quandle(dihedral_group(12)).quandle, 24)
+    assert G.order == 768
+    assert calls[0] <= 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ["aut", "--max-n", "24"], ["aut", "--symmetric", "--max-n", "24"],
+    ["inn"], ["orbits", "--group", "aut", "--max-n", "24"]])
+def test_report_verbs_never_list_the_group(argv, tmp_path, monkeypatch):
+    path = str(tmp_path / "conj_d12.qnd")
+    assert run(["catalog", "conj", "dihedral-group", "12", "-o", path])[0] == 0
+
+    def refuse(self):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(PermGroup, "iter_elements", refuse)
+    code, text = run([argv[0], path, *argv[1:]])
+    assert code == 0, text
+    assert "orbits (" in text
+    assert not is_homogeneous(conj_symmetric_quandle(dihedral_group(12)), 24)
