@@ -6,6 +6,7 @@ compose(p, q)[a] = q[p[a]].
 
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -140,20 +141,45 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(len(c) for c in cycles(p)))
 
 
+@cache
+def _names(n: int) -> tuple[str, ...]:
+    """The decimal names of 0..n-1, kept for each degree printed."""
+    return tuple(map(str, range(n)))
+
+
+def _cycle_parts(p: Perm, sep: str) -> list[str]:
+    """Each nontrivial cycle in parentheses, by least element; fixed
+    points are skipped, not built as 1-cycles."""
+    names = _names(len(p))
+    seen = bytearray(len(p))
+    parts = []
+    for a, b in enumerate(p):
+        if b == a or seen[a]:
+            continue
+        cyc = [names[a]]
+        while b != a:
+            seen[b] = 1
+            cyc.append(names[b])
+            b = p[b]
+        parts.append("(" + sep.join(cyc) + ")")
+    return parts
+
+
 def cycle_string(p: Perm) -> str:
     """Nontrivial cycles only; the identity prints as "()"."""
-    parts = ["(" + " ".join(map(str, c)) + ")" for c in cycles(p) if len(c) > 1]
-    return "".join(parts) if parts else "()"
+    return "".join(_cycle_parts(p, " ")) or "()"
 
 
 def cycle_token(p: Perm) -> str:
     """Whitespace-free variant of cycle_string, usable as a display name."""
-    parts = ["(" + ",".join(map(str, c)) + ")" for c in cycles(p) if len(c) > 1]
-    return "".join(parts) if parts else "id"
+    return "".join(_cycle_parts(p, ",")) or "id"
 
 
 def array_string(p: Perm) -> str:
-    return "[" + " ".join(map(str, p)) + "]"
+    """The images in order, their names gathered in C as compose does."""
+    names = _names(len(p))
+    items = itemgetter(*p)(names) if len(p) > 1 else [names[a] for a in p]
+    return "[" + " ".join(items) + "]"
 
 
 def perm_line(p: Perm) -> str:

@@ -8,7 +8,7 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import perm
 from .errors import (
@@ -258,24 +258,6 @@ class _MapSearch:
                 return False
             return rho1 is None or perm.compose(rho1, f) == perm.compose(f, rho2)
 
-        def extend(i: int) -> bool:
-            if i == n:
-                if full_check():
-                    results.append(tuple(f))
-                    return not find_all
-                return False
-            a = order[i]
-            for v in candidates[a]:
-                if used[v]:
-                    continue
-                f[a] = v
-                used[v] = True
-                if consistent(i) and extend(i + 1):
-                    return True
-                used[v] = False
-                f[a] = -1
-            return False
-
         for i, v in enumerate(prefix):
             a = order[i]
             if used[v] or self.key2[v] != self.key1[a]:
@@ -284,7 +266,41 @@ class _MapSearch:
             used[v] = True
             if not consistent(i):
                 return []
-        extend(len(prefix))
+        # a depth-first walk with an explicit stack: one iterator over the
+        # candidates not yet tried per assigned position past the prefix
+        start = len(prefix)
+        stack: list[Iterator[int]] = []
+        i = start
+        while True:
+            if i == n:
+                if full_check():
+                    results.append(tuple(f))
+                    if not find_all:
+                        break
+            else:
+                stack.append(iter(candidates[order[i]]))
+            while stack:
+                i = start + len(stack) - 1
+                a = order[i]
+                if f[a] >= 0:
+                    used[f[a]] = False
+                    f[a] = -1
+                for v in stack[-1]:
+                    if used[v]:
+                        continue
+                    f[a] = v
+                    used[v] = True
+                    if consistent(i):
+                        break
+                    used[v] = False
+                    f[a] = -1
+                else:
+                    stack.pop()
+                    continue
+                i += 1
+                break
+            else:
+                break
         return results
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import perm
 from .errors import (
@@ -45,9 +45,35 @@ def involution_violation(rho: Sequence[int]) -> int | None:
 
 def equivariance_violation(op: Table, rho: Sequence[int]) -> tuple[int, int] | None:
     """First (a,b) with rho(a*b) != rho(a)*b, or None: row a of rho(a*b)
-    is compose(op[a], rho), and row a of rho(a)*b is row rho(a)."""
+    is compose(op[a], rho), and row a of rho(a)*b is row rho(a).
+
+    Every row is compared, so any table will do. On a validated quandle,
+    attach_involution proves equivariance on the spanning translations
+    first and calls this only to name the witness.
+    """
     return first_mismatch([perm.compose(row, rho) for row in op],
                           [tuple(op[r]) for r in rho])
+
+
+def _spanning_translations(Q: Quandle) -> list[perm.Perm]:
+    """The distinct non-identity translations s_b at perm.spanning_points.
+
+    rho(a*b) = rho(a)*b for every a exactly when rho commutes with s_b.
+    On a rack the b with that property are closed under *, because
+    s_{c*d} = s_d^-1 s_c s_d, and the closure of the spanning points
+    under their own translations is every point. So a permutation
+    commuting with these translations is equivariant. The list is empty
+    for a trivial quandle.
+    """
+    cols = Q.translations()
+    ident = perm.identity(Q.order)
+    return list(dict.fromkeys(cols[b] for b in perm.spanning_points(cols)
+                              if cols[b] != ident))
+
+
+def _commutes(rho: perm.Perm, maps: Sequence[perm.Perm]) -> bool:
+    compose = perm.compose
+    return all(compose(s, rho) == compose(rho, s) for s in maps)
 
 
 def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int] | None:
@@ -62,6 +88,8 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
 
     The three conditions are checked in order: involutivity, equivariance
     rho(a*b) = rho(a)*b, and dual compatibility a*rho(b) = dual(a,b).
+    Equivariance is proved on the spanning translations; when the proof
+    fails, the full scan names the same first (a, b) as it would alone.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -71,9 +99,8 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
     a = involution_violation(rho)
     if a is not None:
         raise NotInvolution(a)
-    ab = equivariance_violation(Q.op, rho)
-    if ab is not None:
-        raise NotEquivariant(*ab)
+    if not _commutes(rho, _spanning_translations(Q)):
+        raise NotEquivariant(*equivariance_violation(Q.op, rho))
     ab = dual_violation(Q.op, Q.dual, rho)
     if ab is not None:
         raise NotDualCompatible(*ab)
@@ -93,9 +120,11 @@ def enumerate_good_involutions(Q: Quandle,
     """All good involutions of Q, in lexicographic order of the array.
 
     Dual compatibility pins rho(b) to C_b = {c : s_c = s_b^-1}, so the
-    search backtracks over involutions respecting C_b and only equivariance
-    is left to verify on completions. A rack has none, as attach_involution
-    rules.
+    search backtracks over involutions respecting C_b, assigning
+    b = 0, 1, ... in turn with an explicit stack. Each completion is kept
+    when it commutes with the spanning translations, which proves
+    equivariance (see _spanning_translations). A rack has none, as
+    attach_involution rules.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -105,31 +134,38 @@ def enumerate_good_involutions(Q: Quandle,
     cols = Q.translations()
     inv_cols = [perm.inverse(c) for c in cols]
     cand = [[c for c in range(n) if cols[c] == inv_cols[b]] for b in range(n)]
+    gens = _spanning_translations(Q)
 
     rho = [-1] * n
     found: list[perm.Perm] = []
-
-    def extend(b: int):
+    # one entry per open choice: b and the candidates for rho(b) not yet tried
+    stack: list[tuple[int, Iterator[int]]] = []
+    b = 0
+    while True:
+        while b < n and rho[b] >= 0:
+            b += 1
         if b == n:
-            if equivariance_violation(Q.op, rho) is None:
-                found.append(tuple(rho))
-            return
-        if rho[b] >= 0:
-            extend(b + 1)
-            return
-        for c in cand[b]:
-            if c < b or rho[c] >= 0:
+            r = tuple(rho)
+            if _commutes(r, gens):
+                found.append(r)
+        else:
+            stack.append((b, iter(cand[b])))
+        while stack:
+            b, options = stack[-1]
+            c = rho[b]
+            if c >= 0:
+                rho[b] = rho[c] = -1
+            for c in options:
+                if c >= b and rho[c] < 0:
+                    rho[b] = c
+                    rho[c] = b
+                    break
+            else:
+                stack.pop()
                 continue
-            rho[b] = c
-            rho[c] = b
-            extend(b + 1)
-            rho[b] = -1
-            if c != b:
-                rho[c] = -1
-        return
-
-    extend(0)
-    return found
+            break
+        else:
+            return found
 
 
 def find_symmetric_isomorphism(S1: SymmetricQuandle,

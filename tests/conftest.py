@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -87,3 +89,19 @@ def relabelled(S, seed):
     for a in range(S.order):
         rho[p[a]] = p[S.rho[a]]
     return attach_involution(quandle_from_table(relabel(S.quandle.op, p)), rho)
+
+
+@contextmanager
+def shallow_stack(frames):
+    """Lower the recursion limit to the current stack depth plus frames,
+    so code that recurses once per element fails on a large input."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

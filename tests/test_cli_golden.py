@@ -192,3 +192,35 @@ def test_build_and_catalog_verbs_match_golden_digests(tmp_path):
     assert sorted(got) == sorted(TRANSCRIPTS)
     for name in TRANSCRIPTS:
         assert got[name] == TRANSCRIPTS[name], name
+
+
+# Verbs that print many permutations, recorded before the permutation
+# formatters took their names from a cached table: (exit code, sha256 of
+# stdout). The trivial quandle of order 8 has 764 good involutions, Conj(D_6)
+# (order 12) has 8, and the psi lines of R_24 name points with two digits.
+def _trivial8(path):
+    from sqk import fileio, trivial_quandle
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(fileio.format_qnd(trivial_quandle(8)))
+
+
+PRINTED = {
+    "involutions trivial 8": (None, ["involutions"],
+                              (0, "dab7c103eea22a107b90ee24b6d4085403567a386d9fbcc89ce57f8ea39630a2")),
+    "involutions conj dihedral-group 6": (["conj", "dihedral-group", "6"], ["involutions"],
+                                          (0, "851c9d99a6aeeade161c78825d87d46156d9027184836b8cf61d18b6065c9caf")),
+    "decompose inn antipodal 24": (["antipodal", "24"], ["decompose", "--group", "inn"],
+                                   (0, "6058814a49e897cb5a32003fdae00c7ea98bdc06f54835ccc226ea6819862fe0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_permutation_listings_match_golden_digests(tmp_path, name):
+    spec, (verb, *flags), expected = PRINTED[name]
+    path = str(tmp_path / "input.qnd")
+    if spec is None:
+        _trivial8(path)
+    else:
+        assert run(["catalog", *spec, "-o", path])[0] == 0
+    assert _digest(*run([verb, path, *flags]), tmp_path) == expected

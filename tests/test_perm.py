@@ -114,3 +114,51 @@ def test_greedy_span_over_a_group_keeps_generators(gens):
         assert els[c] not in bf_closure([ident], earlier, perm.compose)
     assert set(reached) == bf_closure([ident], [els[c] for c in kept],
                                       perm.compose) == set(els)
+
+
+# The printed forms, as first written: every cycle built and the 1-cycles
+# dropped, each point named by str(). The formatters must keep these bytes.
+def _old_cycle_string(p):
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in perm.cycles(p) if len(c) > 1]
+    return "".join(parts) if parts else "()"
+
+
+def _old_cycle_token(p):
+    parts = ["(" + ",".join(map(str, c)) + ")" for c in perm.cycles(p) if len(c) > 1]
+    return "".join(parts) if parts else "id"
+
+
+def _old_array_string(p):
+    return "[" + " ".join(map(str, p)) + "]"
+
+
+def _pinned_perms():
+    import random
+
+    rng = random.Random(0)
+    out = []
+    for n in (0, 1, 2, 10, 11):
+        out.append(perm.identity(n))
+        if n:
+            out.append(tuple(range(n - 1, -1, -1)))
+    for k in range(120):
+        n = rng.randrange(0, 40)
+        p = list(range(n))
+        if k % 10:
+            rng.shuffle(p)
+        out.append(tuple(p))
+    return out
+
+
+def test_printed_forms_keep_their_bytes():
+    perms_ = _pinned_perms()
+    assert {len(p) for p in perms_} >= {0, 1, 2, 10, 11}
+    for p in perms_:
+        assert perm.cycle_string(p) == _old_cycle_string(p), p
+        assert perm.cycle_token(p) == _old_cycle_token(p), p
+        assert perm.array_string(p) == _old_array_string(p), p
+        assert perm.perm_line(p) == \
+            f"{_old_cycle_string(p)}  {_old_array_string(p)}", p
+    assert perm.array_string(()) == "[]"
+    assert perm.cycle_string(()) == "()"
+    assert perm.cycle_token((0,)) == "id"

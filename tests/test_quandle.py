@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import R4_TABLE
+from conftest import R4_TABLE, shallow_stack
 from helpers import bf_dual, relabel
 from sqk import (
     build_symmetric_quandle,
@@ -148,3 +148,11 @@ def test_dihedral_quandles_validate(n):
     assert is_kei(Q)
     for b in range(n):
         assert sorted(Q.column(b)) == list(range(n))
+
+
+def test_deep_isomorphism_search_needs_no_recursion():
+    # the search assigns one element per level; R_101 has 101 of them
+    Q = dihedral_quandle(101)
+    with shallow_stack(50):
+        iso = find_quandle_isomorphism(Q, Q)
+    assert iso.map == tuple(range(101))

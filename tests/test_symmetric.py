@@ -1,18 +1,20 @@
 import pytest
 
-from conftest import catalog_symmetric_quandles
+from conftest import catalog_symmetric_quandles, shallow_stack
 from helpers import all_involutions, bf_good_involutions, compose_then
 from sqk import (
     antipodal,
     attach_involution,
     aut_group,
     conj_symmetric_quandle,
+    dihedral_group,
     dihedral_quandle,
     enumerate_good_involutions,
     find_symmetric_isomorphism,
     is_good_involution,
     paper_example_presentation,
     build_symmetric_quandle,
+    quaternion_group,
     symmetric_group,
     trivial_quandle,
 )
@@ -23,6 +25,7 @@ from sqk.errors import (
     SizeBoundExceeded,
     SqkError,
 )
+from sqk import symmetric
 from sqk.perm import inverse
 
 R4_GOOD = [(0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1)]
@@ -90,12 +93,76 @@ def test_enumerate_conj_s3(conj_s3):
     assert invs == bf_good_involutions(conj_s3.quandle.op)
 
 
-def test_enumerate_matches_brute_force_on_small_corpus():
+def _small_corpus():
     corpus = [dihedral_quandle(n) for n in range(1, 7)]
-    corpus += [trivial_quandle(n) for n in range(1, 5)]
-    corpus.append(conj_symmetric_quandle(symmetric_group(3)).quandle)
-    for Q in corpus:
+    corpus += [trivial_quandle(n) for n in range(1, 8)]
+    corpus += [conj_symmetric_quandle(G).quandle
+               for G in (symmetric_group(3), dihedral_group(4), quaternion_group())]
+    corpus.append(antipodal(8).quandle)
+    return corpus
+
+
+def test_enumerate_matches_brute_force_on_small_corpus():
+    for Q in _small_corpus():
         assert enumerate_good_involutions(Q) == bf_good_involutions(Q.op)
+
+
+def test_conj_d12_has_64_good_involutions():
+    Q = conj_symmetric_quandle(dihedral_group(12)).quandle
+    invs = enumerate_good_involutions(Q, max_n=24)
+    assert len(invs) == 64
+    for rho in invs:
+        assert attach_involution(Q, rho).rho == rho
+
+
+def _bf_equivariance_witness(op, rho):
+    n = len(op)
+    return next(((a, b) for a in range(n) for b in range(n)
+                 if rho[op[a][b]] != op[rho[a]][b]), None)
+
+
+def test_not_equivariant_names_the_first_pair_on_every_involution():
+    for Q in _small_corpus():
+        for rho in all_involutions(Q.order):
+            witness = _bf_equivariance_witness(Q.op, rho)
+            try:
+                attach_involution(Q, rho)
+            except NotEquivariant as exc:
+                assert exc.pair == witness
+                continue
+            except NotDualCompatible:
+                pass
+            assert witness is None, (Q.op, rho)
+
+
+@pytest.mark.parametrize("Q", [antipodal(8).quandle, dihedral_quandle(6)],
+                         ids=["antipodal(8)", "R_6"])
+def test_dropping_one_spanning_translation_accepts_a_bad_involution(monkeypatch, Q):
+    # the proof of equivariance needs every spanning translation: without
+    # any one of them a non-equivariant involution gets through
+    gens = symmetric._spanning_translations(Q)
+    good = enumerate_good_involutions(Q)
+    assert len(gens) >= 2
+    for k in range(len(gens)):
+        dropped = gens[:k] + gens[k + 1:]
+        with monkeypatch.context() as m:
+            m.setattr(symmetric, "_spanning_translations", lambda Q: dropped)
+            bad = [rho for rho in enumerate_good_involutions(Q) if rho not in good]
+            assert bad, k
+            for rho in bad:
+                assert attach_involution(Q, rho).rho == rho
+        for rho in bad:
+            with pytest.raises(NotEquivariant) as exc:
+                attach_involution(Q, rho)
+            assert exc.value.pair == _bf_equivariance_witness(Q.op, rho)
+
+
+def test_deep_involution_search_needs_no_recursion():
+    # the search assigns one element per level; R_101 has 101 of them
+    Q = dihedral_quandle(101)
+    with shallow_stack(50):
+        invs = enumerate_good_involutions(Q, max_n=101)
+    assert invs == [tuple(range(101))]
 
 
 def test_enumerate_size_bound():
