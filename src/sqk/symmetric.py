@@ -45,12 +45,7 @@ def involution_violation(rho: Sequence[int]) -> int | None:
 
 def equivariance_violation(op: Table, rho: Sequence[int]) -> tuple[int, int] | None:
     """First (a,b) with rho(a*b) != rho(a)*b, or None: row a of rho(a*b)
-    is compose(op[a], rho), and row a of rho(a)*b is row rho(a).
-
-    Every row is compared, so any table will do. On a validated quandle,
-    attach_involution proves equivariance on the spanning translations
-    first and calls this only to name the witness.
-    """
+    is compose(op[a], rho), and row a of rho(a)*b is row rho(a)."""
     return first_mismatch([perm.compose(row, rho) for row in op],
                           [tuple(op[r]) for r in rho])
 
@@ -88,8 +83,6 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
 
     The three conditions are checked in order: involutivity, equivariance
     rho(a*b) = rho(a)*b, and dual compatibility a*rho(b) = dual(a,b).
-    Equivariance is proved on the spanning translations; when the proof
-    fails, the full scan names the same first (a, b) as it would alone.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -99,8 +92,9 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
     a = involution_violation(rho)
     if a is not None:
         raise NotInvolution(a)
-    if not _commutes(rho, _spanning_translations(Q)):
-        raise NotEquivariant(*equivariance_violation(Q.op, rho))
+    ab = equivariance_violation(Q.op, rho)
+    if ab is not None:
+        raise NotEquivariant(*ab)
     ab = dual_violation(Q.op, Q.dual, rho)
     if ab is not None:
         raise NotDualCompatible(*ab)
