@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 
 from . import perm
 from .cosets import CosetPresentation, LabeledQuandle
@@ -40,6 +42,38 @@ def _ints(line: str, what: str) -> list[int]:
         raise FormatError(f"{what}: expected integers, got {line!r}")
 
 
+@cache
+def _index(n: int) -> dict[str, int]:
+    """Token -> point for the decimal names of 0..n-1 (perm._names
+    inverted), kept for each degree read."""
+    return {name: a for a, name in enumerate(perm._names(n))}
+
+
+def _named_row(line: str, n: int) -> tuple[int, ...] | None:
+    """The points of a table row whose tokens are exactly n decimal names
+    of points 0..n-1, gathered from the name table in C; else None.
+
+    None sends the caller to _sized_ints (and its range check), which
+    accepts every spelling int() accepts, such as +3, 007 or 1_0, and
+    names the bad token, count or entry. itemgetter returns a bare item
+    for one key, so n <= 1 always takes that path.
+    """
+    tokens = line.split()
+    if n > 1 and len(tokens) == n:
+        try:
+            return itemgetter(*tokens)(_index(n))
+        except KeyError:
+            pass
+    return None
+
+
+def _sized_ints(line: str, n: int, what: str) -> list[int]:
+    row = _ints(line, what)
+    if len(row) != n:
+        raise FormatError(f"{what} has {len(row)} entries, expected {n}")
+    return row
+
+
 def _read_header(line: str, keywords: tuple[str, ...]) -> tuple[str, int]:
     parts = line.split()
     if len(parts) != 2 or parts[0] not in keywords:
@@ -63,12 +97,8 @@ def _parse_group_block(lines: list[str], pos: int) -> tuple[FiniteGroup, int]:
     pos += 1
     if pos + n > len(lines):
         raise FormatError(f"group table needs {n} rows, file ends early")
-    table = []
-    for x in range(n):
-        row = _ints(lines[pos + x], f"group row {x}")
-        if len(row) != n:
-            raise FormatError(f"group row {x} has {len(row)} entries, expected {n}")
-        table.append(row)
+    table = [_named_row(line, n) or _sized_ints(line, n, f"group row {x}")
+             for x, line in enumerate(lines[pos:pos + n])]
     pos += n
     names = None
     if pos < len(lines) and lines[pos].startswith("names:"):
@@ -107,6 +137,14 @@ class QndFile:
 
 
 def parse_qnd(text: str) -> QndFile:
+    """Read a .qnd file; the table is checked for shape and range only.
+
+    A row of exactly n decimal names of 0..n-1 is gathered from a name
+    table (_named_row) and needs no range check; any other row is read
+    token by token with int(), and its count and range checked entry by
+    entry, so the first bad token, count or entry is named. The axioms
+    are left to quandle_from_table.
+    """
     lines = significant_lines(text)
     if not lines:
         raise FormatError("empty quandle file")
@@ -115,13 +153,13 @@ def parse_qnd(text: str) -> QndFile:
         raise FormatError(f"operation table needs {n} rows, file ends early")
     table = []
     for a in range(n):
-        row = _ints(lines[1 + a], f"table row {a}")
-        if len(row) != n:
-            raise FormatError(f"table row {a} has {len(row)} entries, expected {n}")
-        for v in row:
-            if not 0 <= v < n:
-                raise FormatError(f"table entry {v} in row {a} not in 0..{n - 1}")
-        table.append(tuple(row))
+        row = _named_row(lines[1 + a], n)
+        if row is None:
+            row = tuple(_sized_ints(lines[1 + a], n, f"table row {a}"))
+            for v in row:
+                if not 0 <= v < n:
+                    raise FormatError(f"table entry {v} in row {a} not in 0..{n - 1}")
+        table.append(row)
     pos = 1 + n
     rho = None
     if pos < len(lines) and lines[pos].startswith("rho:"):

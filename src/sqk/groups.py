@@ -93,8 +93,14 @@ def group_from_table(table: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None) -> FiniteGroup:
     """Validate a multiplication table and return the group it defines.
 
-    Checks, in order: Latin square (rows then columns), existence of a
-    two-sided identity, associativity. Inverses are then read off the table.
+    Checks, in order: the entries (perm.square_rows: each row whole),
+    Latin square (rows then columns), existence of a two-sided identity,
+    associativity. Inverses are then read off the table. Each check looks
+    at whole rows and columns: a row or column is a permutation iff its
+    set of entries is every element, and e is the identity iff row e and
+    column e both equal (0, ..., n-1). Rows, then columns, then e = 0,
+    1, ... are scanned in order, so the witness is the one a cell-by-cell
+    scan in that order names.
 
     Associativity is proved by Light's test on a generating set. The set A
     of a with (xa)z = x(az) for all x, z is closed under products: for a, b
@@ -111,42 +117,31 @@ def group_from_table(table: Sequence[Sequence[int]],
     n = len(table)
     if n == 0:
         raise FormatError("empty product table")
-    rows = []
-    for x, row in enumerate(table):
-        row = tuple(row)
-        if len(row) != n:
-            raise FormatError(f"row {x} has {len(row)} entries, expected {n}")
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise FormatError(f"entry {v!r} in row {x} not in 0..{n - 1}")
-        rows.append(row)
-    product = tuple(rows)
+    product = perm.square_rows(table)
     if names is not None:
         names = tuple(names)
         if len(names) != n:
             raise FormatError(f"{len(names)} names for {n} elements")
 
-    full = list(range(n))
-    for x in range(n):
-        if sorted(product[x]) != full:
+    points = set(range(n))
+    for x, row in enumerate(product):
+        if set(row) != points:
             raise NotLatinSquare("row", x)
-    for y in range(n):
-        if sorted(product[x][y] for x in range(n)) != full:
+    cols = list(zip(*product))
+    for y, col in enumerate(cols):
+        if set(col) != points:
             raise NotLatinSquare("column", y)
 
-    identity = None
-    for e in range(n):
-        if all(product[e][y] == y for y in range(n)) and \
-           all(product[x][e] == x for x in range(n)):
-            identity = e
-            break
+    full = perm.identity(n)
+    identity = next((e for e in range(n)
+                     if product[e] == full and cols[e] == full), None)
     if identity is None:
         raise NoIdentity()
 
-    compose = perm.compose
-    cols = list(zip(*product))
-    if not all(product[product[x][s]] == compose(product[s], product[x])
-               for s in perm.spanning_points(cols) for x in range(n)):
+    # for each s, row(xs) over every x against row(x) gathered through row(s)
+    if not all(list(perm.compose(cols[s], product)) ==
+               perm.compose_each(product[s], product)
+               for s in perm.spanning_points(cols)):
         for x in range(n):
             for y in range(n):
                 xy = product[x][y]

@@ -10,6 +10,8 @@ from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
+from .errors import FormatError
+
 Perm = tuple[int, ...]
 
 
@@ -28,6 +30,13 @@ def compose(p: Perm, q: Perm) -> Perm:
     if len(p) > 1:
         return itemgetter(*p)(q)
     return tuple(q[a] for a in p)
+
+
+def compose_each(p: Perm, qs: Iterable[Perm]) -> list[Perm]:
+    """[compose(p, q) for q in qs], with the gather for p built once."""
+    if len(p) > 1:
+        return list(map(itemgetter(*p), qs))
+    return [compose(p, q) for q in qs]
 
 
 def inverse(p: Perm) -> Perm:
@@ -113,6 +122,29 @@ def spanning_points(maps: list[Perm]) -> list[int]:
     its inverse.
     """
     return greedy_span(range(len(maps)), maps, image)[0]
+
+
+def square_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of a square table of points 0..n-1 (n = len(table)), as
+    tuples.
+
+    Each row is checked whole: its length, then that its entries are all
+    of type int (set(map(type, row)) == {int}) and that min and max lie in
+    0..n-1. A row failing that runs the per-entry loop, which names the
+    first bad entry and accepts what isinstance(v, int) accepts (bool).
+    """
+    n = len(table)
+    rows = []
+    for a, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != n:
+            raise FormatError(f"row {a} has {len(row)} entries, expected {n}")
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise FormatError(f"entry {v!r} in row {a} not in 0..{n - 1}")
+        rows.append(row)
+    return tuple(rows)
 
 
 def is_involution(p: Perm) -> bool:

@@ -2,7 +2,7 @@
 
 Rows index the left argument, columns the right: op[a][b] = a*b, so the
 translation s_b is column b. The dual table is derived by inverting each
-column.
+column; a kei (every s_b an involution) is its own dual.
 """
 
 from __future__ import annotations
@@ -43,13 +43,17 @@ class Isomorphism:
     map: perm.Perm
 
 
+def _first_non_bijection(cols: Sequence[Sequence[int]]) -> int | None:
+    """First column, given as a whole tuple, whose entries are not every
+    point 0..n-1, or None. For n entries in 0..n-1 that is exactly the
+    first column that is not a bijection."""
+    points = set(range(len(cols)))
+    return next((b for b, col in enumerate(cols) if set(col) != points), None)
+
+
 def q2_violation(table: Sequence[Sequence[int]]) -> int | None:
     """First column that is not a bijection, or None."""
-    n = len(table)
-    for b in range(n):
-        if sorted(table[a][b] for a in range(n)) != list(range(n)):
-            return b
-    return None
+    return _first_non_bijection(list(zip(*table)))
 
 
 def q3_violation(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -69,14 +73,19 @@ def q3_violation(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     proof fails, the triple loop runs to report the lexicographically first
     witness, so the answer is the one of a full scan.
     """
-    n = len(table)
     cols = list(zip(*table))
-    points = set(range(n))
-    if len(cols) == n and all(set(col) == points for col in cols):
+    bijective = len(cols) == len(table) and _first_non_bijection(cols) is None
+    return _q3_violation(table, cols, bijective)
+
+
+def _q3_violation(table: Sequence[Sequence[int]], cols: list[perm.Perm],
+                  bijective: bool) -> tuple[int, int, int] | None:
+    """q3_violation on the columns of table, with Q2 already decided."""
+    n = len(table)
+    if bijective:
         compose = perm.compose
-        prove = all(compose(cols[b], cols[c]) == compose(cols[c], cols[table[b][c]])
-                    for c in perm.spanning_points(cols) for b in range(n))
-        if prove:
+        if all(compose(cols[b], cols[c]) == compose(cols[c], cols[table[b][c]])
+               for c in perm.spanning_points(cols) for b in range(n)):
             return None
     for a in range(n):
         for b in range(n):
@@ -95,44 +104,45 @@ def q1_violation(table: Sequence[Sequence[int]]) -> int | None:
     return None
 
 
-def _dual_table(op: Table) -> Table:
-    n = len(op)
-    dual = [[0] * n for _ in range(n)]
-    for b in range(n):
-        col = [op[a][b] for a in range(n)]
-        for a in range(n):
-            dual[col[a]][b] = a
-    return tuple(tuple(row) for row in dual)
+def _dual_table(op: Table, cols: list[perm.Perm]) -> Table:
+    """The table of a/b = s_b^-1(a): column b inverted. When every column
+    is an involution (a kei), s_b^-1 = s_b and the dual is op itself."""
+    ident = perm.identity(len(op))
+    compose = perm.compose
+    if all(compose(col, col) == ident for col in cols):
+        return op
+    return tuple(zip(*map(perm.inverse, cols)))
 
 
 def quandle_from_table(table: Sequence[Sequence[int]],
                        allow_rack: bool = False) -> Quandle:
     """Validate an operation table and return the quandle (or rack) it defines.
 
-    Checks bijectivity of the translations, then self-distributivity, then
-    idempotence. Self-distributivity is proved on a generating set of the
-    table (see q3_violation), which covers every triple; a failure names
-    the same first triple as a full scan. A table failing only idempotence
-    is accepted with rack_only=True when allow_rack is set.
+    Checks the entries (perm.square_rows: each row whole, by its length,
+    the types of its entries and their min and max), then bijectivity of
+    the translations, then self-distributivity, then idempotence. The
+    columns are built once: column b is a bijection iff its set of entries
+    is every point. Self-distributivity is proved on a generating set of
+    the table from those columns (see q3_violation), which covers every
+    triple. The dual table inverts each column; when every s_b squares to
+    the identity (a kei), s_b^-1 = s_b, so the dual is op itself.
+
+    The whole-row and whole-column checks only decide. When one fails, a
+    per-entry, per-column or triple loop names the witness a cell-by-cell
+    scan would: the first bad entry, the first column that is not a
+    bijection, the lexicographically first failing triple. A table
+    failing only idempotence is accepted with rack_only=True when
+    allow_rack is set.
     """
     n = len(table)
     if n == 0:
         raise FormatError("empty operation table")
-    rows = []
-    for a, row in enumerate(table):
-        row = tuple(row)
-        if len(row) != n:
-            raise FormatError(f"row {a} has {len(row)} entries, expected {n}")
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise FormatError(f"entry {v!r} in row {a} not in 0..{n - 1}")
-        rows.append(row)
-    op = tuple(rows)
-
-    b = q2_violation(op)
+    op = perm.square_rows(table)
+    cols = list(zip(*op))
+    b = _first_non_bijection(cols)
     if b is not None:
         raise AxiomQ2Violated(b)
-    abc = q3_violation(op)
+    abc = _q3_violation(op, cols, True)
     if abc is not None:
         raise AxiomQ3Violated(*abc)
     a = q1_violation(op)
@@ -141,7 +151,7 @@ def quandle_from_table(table: Sequence[Sequence[int]],
         if not allow_rack:
             raise AxiomQ1Violated(a)
         rack_only = True
-    return Quandle(order=n, op=op, dual=_dual_table(op), rack_only=rack_only)
+    return Quandle(order=n, op=op, dual=_dual_table(op, cols), rack_only=rack_only)
 
 
 def is_kei(Q: Quandle) -> bool:
@@ -168,9 +178,8 @@ def product_violation(op1: Sequence[Sequence[int]], op2: Sequence[Sequence[int]]
                       f: Sequence[int]) -> tuple[int, int] | None:
     """First (a,b) with f(a*b) != f(a)*f(b), or None: row a of f(a*b) is
     compose(op1[a], f), and row a of f(a)*f(b) is compose(f, op2[f[a]])."""
-    compose = perm.compose
-    return first_mismatch([compose(row, f) for row in op1],
-                          [compose(f, op2[fa]) for fa in f])
+    return first_mismatch([perm.compose(row, f) for row in op1],
+                          perm.compose_each(f, map(op2.__getitem__, f)))
 
 
 def is_homomorphism_map(Q1: Quandle, Q2: Quandle, f: Sequence[int]) -> bool:
@@ -183,12 +192,16 @@ class _MapSearch:
     The set-up is done once and shared by every run: the keys of each
     element (the cycle type of its translation, which an isomorphism must
     match, and, when rho constraints are present, its rho fixed-point
-    status), the candidate images that share its key, and the checks of
-    each position. Elements are assigned images in the given order
-    (default 0, 1, ...); each product a*b = c, and each pair (a, rho1(a)),
-    is checked at the position where the last of its elements is assigned.
-    candidates is None when the keys do not match up, so no bijection
-    exists.
+    status), the candidate images that share its key (one ascending list
+    per key), and the checks of each position. Elements are assigned
+    images in the given order (default 0, 1, ...); each product a*b = c,
+    and each pair (a, rho1(a)), is checked at the position where the last
+    of its elements is assigned. When that last element is c, with a and
+    b earlier, the check admits only f(c) = f(a)*f(b) (or rho2(f(a)));
+    derived[i] records the first such (a, b) (or (a, -1)) of position i,
+    and None when there is none. candidates is None when the keys do not
+    match up, so no bijection exists. The keys are computed once when op2
+    is op1 and rho2 is rho1, as for automorphisms.
     """
 
     def __init__(self, op1: Table, op2: Table,
@@ -202,25 +215,43 @@ class _MapSearch:
             return
         key1 = [(perm.cycle_type(col), rho1 is not None and rho1[b] == b)
                 for b, col in enumerate(zip(*op1))]
-        key2 = [(perm.cycle_type(col), rho2 is not None and rho2[b] == b)
-                for b, col in enumerate(zip(*op2))]
-        if sorted(key1) != sorted(key2):
-            return
+        if op2 is op1 and rho2 is rho1:
+            key2 = key1
+        else:
+            key2 = [(perm.cycle_type(col), rho2 is not None and rho2[b] == b)
+                    for b, col in enumerate(zip(*op2))]
+            if sorted(key1) != sorted(key2):
+                return
         self.key1, self.key2 = key1, key2
-        self.candidates = [[v for v in range(n) if key2[v] == key1[a]]
-                           for a in range(n)]
+        by_key: dict[tuple, list[int]] = {}
+        for v, key in enumerate(key2):
+            by_key.setdefault(key, []).append(v)
+        self.candidates = [by_key[key] for key in key1]
         self.order = tuple(range(n)) if order is None else tuple(order)
         pos = [0] * n
         for i, a in enumerate(self.order):
             pos[a] = i
-        self.products: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        products: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        derived: list[tuple[int, int] | None] = [None] * n
         for a, row in enumerate(op1):
+            pa = pos[a]
             for b, c in enumerate(row):
-                self.products[max(pos[a], pos[b], pos[c])].append((a, b, c))
-        self.rho_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+                i = max(pa, pos[b])
+                if pos[c] > i:
+                    i = pos[c]
+                    if derived[i] is None:
+                        derived[i] = (a, b)
+                products[i].append((a, b, c))
+        rho_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         if rho1 is not None:
             for a, c in enumerate(rho1):
-                self.rho_pairs[max(pos[a], pos[c])].append((a, c))
+                i = pos[a]
+                if pos[c] > i:
+                    i = pos[c]
+                    if derived[i] is None:
+                        derived[i] = (a, -1)
+                rho_pairs[i].append((a, c))
+        self.products, self.rho_pairs, self.derived = products, rho_pairs, derived
 
     def run(self, prefix: Sequence[int] = (),
             find_all: bool = False) -> list[perm.Perm]:
@@ -230,15 +261,19 @@ class _MapSearch:
         The remaining elements are assigned in order, candidates tried in
         ascending order, so results come out least first (lexicographically
         for the default order); without find_all the search stops at the
-        first. Every product is checked once all three of its elements are
-        assigned; complete maps are re-checked in full before being
-        accepted.
+        first. A derived position tries only the image its recorded
+        product (or rho pair) dictates, if that image has the element's key:
+        every other candidate fails the same check, so the maps found and
+        their order do not change. Every product is checked once all three
+        of its elements are assigned; complete maps are re-checked in full
+        before being accepted.
         """
         if self.candidates is None:
             return []
         op1, op2, rho1, rho2 = self.op1, self.op2, self.rho1, self.rho2
         candidates, order = self.candidates, self.order
-        products, rho_pairs = self.products, self.rho_pairs
+        products, rho_pairs, derived = self.products, self.rho_pairs, self.derived
+        key1, key2 = self.key1, self.key2
         n = len(op1)
         f = [-1] * n
         used = [False] * n
@@ -260,7 +295,7 @@ class _MapSearch:
 
         for i, v in enumerate(prefix):
             a = order[i]
-            if used[v] or self.key2[v] != self.key1[a]:
+            if used[v] or key2[v] != key1[a]:
                 return []
             f[a] = v
             used[v] = True
@@ -277,8 +312,12 @@ class _MapSearch:
                     results.append(tuple(f))
                     if not find_all:
                         break
-            else:
+            elif derived[i] is None:
                 stack.append(iter(candidates[order[i]]))
+            else:
+                a, b = derived[i]
+                v = op2[f[a]][f[b]] if b >= 0 else rho2[f[a]]
+                stack.append(iter((v,) if key2[v] == key1[order[i]] else ()))
             while stack:
                 i = start + len(stack) - 1
                 a = order[i]

@@ -74,8 +74,7 @@ def _commutes(rho: perm.Perm, maps: Sequence[perm.Perm]) -> bool:
 def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int] | None:
     """First (a,b) with a*rho(b) != the dual product, or None: row a of
     a*rho(b) is compose(rho, op[a])."""
-    return first_mismatch([perm.compose(rho, row) for row in op],
-                          list(map(tuple, dual)))
+    return first_mismatch(perm.compose_each(rho, op), list(map(tuple, dual)))
 
 
 def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:

@@ -4,6 +4,16 @@ check each other."""
 
 from itertools import permutations, product
 
+from sqk.errors import (
+    AxiomQ1Violated,
+    AxiomQ2Violated,
+    AxiomQ3Violated,
+    FormatError,
+    NoIdentity,
+    NotAssociative,
+    NotLatinSquare,
+)
+
 
 def bf_dual(table, a, b):
     """The x with x*b = a, found by scanning column b."""
@@ -100,3 +110,115 @@ def bf_closure(start, gens, act):
         if not new:
             return els
         els |= new
+
+
+# Per-cell reference loops for table parsing and validation. Each one reads
+# and checks cell by cell, in the order the library promises, and raises the
+# library's exception with the same first witness, so a whole-row or
+# whole-column check can be held to it.
+
+def _ref_entries(table):
+    n = len(table)
+    rows = []
+    for a, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != n:
+            raise FormatError(f"row {a} has {len(row)} entries, expected {n}")
+        for v in row:
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise FormatError(f"entry {v!r} in row {a} not in 0..{n - 1}")
+        rows.append(row)
+    return tuple(rows)
+
+
+def ref_quandle_from_table(table, allow_rack=False):
+    """(op, dual, rack_only) by per-cell loops: the entries, each column
+    sorted (Q2), the triple scan (Q3), the diagonal (Q1), and the dual
+    filled cell by cell from each column."""
+    n = len(table)
+    if n == 0:
+        raise FormatError("empty operation table")
+    op = _ref_entries(table)
+    for b in range(n):
+        if sorted(op[a][b] for a in range(n)) != list(range(n)):
+            raise AxiomQ2Violated(b)
+    for a, b, c in product(range(n), repeat=3):
+        if op[op[a][b]][c] != op[op[a][c]][op[b][c]]:
+            raise AxiomQ3Violated(a, b, c)
+    rack_only = False
+    for a in range(n):
+        if op[a][a] != a:
+            if not allow_rack:
+                raise AxiomQ1Violated(a)
+            rack_only = True
+            break
+    dual = [[0] * n for _ in range(n)]
+    for b in range(n):
+        for a in range(n):
+            dual[op[a][b]][b] = a
+    return op, tuple(map(tuple, dual)), rack_only
+
+
+def ref_group_from_table(table):
+    """(product, identity, inverse) by per-cell loops: the entries, each row
+    then each column sorted (Latin square), the identity tested cell by
+    cell, the triple scan (associativity), and the inverses."""
+    n = len(table)
+    if n == 0:
+        raise FormatError("empty product table")
+    t = _ref_entries(table)
+    full = list(range(n))
+    for x in range(n):
+        if sorted(t[x]) != full:
+            raise NotLatinSquare("row", x)
+    for y in range(n):
+        if sorted(t[x][y] for x in range(n)) != full:
+            raise NotLatinSquare("column", y)
+    identity = None
+    for e in range(n):
+        if all(t[e][y] == y for y in range(n)) and \
+           all(t[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity()
+    for x, y, z in product(range(n), repeat=3):
+        if t[t[x][y]][z] != t[x][t[y][z]]:
+            raise NotAssociative(x, y, z)
+    inverse = tuple(t[x].index(identity) for x in range(n))
+    return t, identity, inverse
+
+
+def _ref_rows(text, keyword, in_range):
+    """The table rows of a .qnd or .grp text, row by row: one int() per
+    token, then the count and, with in_range, the range of every entry."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
+    n = int(lines[0].split()[1])
+    if len(lines) < 1 + n:
+        table = "operation" if keyword == "table" else keyword
+        raise FormatError(f"{table} table needs {n} rows, file ends early")
+    rows = []
+    for a, line in enumerate(lines[1:1 + n]):
+        what = f"{keyword} row {a}"
+        try:
+            row = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise FormatError(f"{what}: expected integers, got {line!r}")
+        if len(row) != n:
+            raise FormatError(f"{what} has {len(row)} entries, expected {n}")
+        for v in row if in_range else ():
+            if not 0 <= v < n:
+                raise FormatError(f"table entry {v} in row {a} not in 0..{n - 1}")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def ref_parse_qnd_table(text):
+    """The table of a .qnd text with no rho line."""
+    return _ref_rows(text, "table", True)
+
+
+def ref_parse_grp(text):
+    """A .grp text with no names line: its rows, then ref_group_from_table."""
+    return ref_group_from_table(_ref_rows(text, "group", False))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -253,6 +254,62 @@ def test_aut_group_complete_map_checks_are_few(monkeypatch):
     G = aut_group(conj_symmetric_quandle(dihedral_group(12)).quandle, 24)
     assert G.order == 768
     assert 1 <= len(calls) <= 9
+
+
+def test_aut_group_tries_only_derived_images():
+    # on the catalog labelling of Conj(D_12) most positions of the search
+    # order hold a product of earlier points, so only one image is tried
+    # there; trying every candidate of the same key made 11,014
+    # consistency checks
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "consistent" \
+                and frame.f_code.co_filename == quandle.__file__:
+            calls += 1
+
+    Q = conj_symmetric_quandle(dihedral_group(12)).quandle
+    sys.setprofile(count)
+    try:
+        G = aut_group(Q, 24)
+    finally:
+        sys.setprofile(None)
+    assert G.order == 768
+    assert 0 < calls <= 6000
+
+
+def _relabelled_pairs():
+    for name, S in [("R_8", antipodal(8)), ("R_12", antipodal(12)),
+                    ("Conj(S3)", conj_symmetric_quandle(symmetric_group(3))),
+                    ("Conj(D4)", conj_symmetric_quandle(dihedral_group(4))),
+                    ("T_4", transposition_quandle(4))]:
+        for seed in range(3):
+            yield pytest.param(S, relabelled(S, seed), id=f"{name} seed {seed}")
+    S = conj_symmetric_quandle(dihedral_group(12))
+    yield pytest.param(S, relabelled(S, 1), id="Conj(D12) seed 1")
+
+
+def _maps(op1, op2, rho1=None, rho2=None, order=None, derive=True):
+    search = _MapSearch(op1, op2, rho1, rho2, order)
+    if not derive:
+        search.derived = [None] * len(op1)
+    return search.run(find_all=True)
+
+
+@pytest.mark.parametrize("S,R", list(_relabelled_pairs()))
+def test_derived_images_find_the_same_maps(S, R):
+    """Trying only the derived image at a derived position finds the maps
+    that trying every candidate finds, in the same order: isomorphisms
+    S -> R with and without rho, and automorphisms of R in the chain's
+    search order."""
+    op1, op2 = S.quandle.op, R.quandle.op
+    order = autgroup._generation_order(op2, R.rho)[0]
+    for args in ((op1, op2), (op1, op2, S.rho, R.rho),
+                 (op2, op2, R.rho, R.rho, order)):
+        assert any(_MapSearch(*args).derived)
+        maps = _maps(*args)
+        assert maps and maps == _maps(*args, derive=False)
 
 
 def _drop_first_new_generator(monkeypatch):
