@@ -54,21 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read {path!r}: {exc}")
-
-
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path!r}: {exc}")
 
 
 def _load_qnd(path: str) -> fileio.QndFile:
-    return fileio.parse_qnd(_read(path))
+    return fileio.parse_qnd(fileio.read_text(path))
 
 
 def _quandle(qf: fileio.QndFile) -> Quandle:
@@ -223,7 +218,8 @@ def cmd_decompose(args, out: list[str]) -> int:
 
 
 def cmd_build(args, out: list[str]) -> int:
-    P = fileio.parse_prs(_read(args.file), os.path.dirname(args.file) or ".")
+    P = fileio.parse_prs(fileio.read_text(args.file),
+                         os.path.dirname(args.file) or ".")
     # looked up per call, so wrappers bound to these names see the build
     builders = {"rack": build_rack, "quandle": build_quandle,
                 "symmetric": build_symmetric_quandle}

@@ -77,66 +77,46 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
     rack: C1 (z_i centralizes H_i). quandle: adds C2 (z_i in H_i).
     symmetric: adds C3 (r_i H_i r_i^-1 in H_kappa(i)), C4 (r_kappa(i) r_i
     in H_i), C5 (z_i^-1 = r_i^-1 z_kappa(i) r_i), C6 (kappa involutive).
+    Each condition is one test of a single orbit i, which returns the
+    failure detail or None. The table lists them in paper order, a level
+    takes a prefix of it, and each check reports the first failing orbit.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     problem = _structural_problems(P)
     if problem is not None:
         raise PresentationInvalid("structure", problem)
-    G = P.group
-    k = P.orbit_count
-    checks: list[Check] = []
+    G, H, z, r, kappa = P.group, P.subgroups, P.z, P.r, P.kappa
 
-    def c1() -> Check:
-        for i in range(k):
-            if not centralizes(G, P.z[i], P.subgroups[i]):
-                zi = P.z[i]
-                h = next(h for h in P.subgroups[i].elements
-                         if G.mul(h, zi) != G.mul(zi, h))
-                return Check("C1", False, f"z_{i} does not centralize h={h}")
-        return Check("C1", True)
+    def c1(i: int) -> str | None:
+        if centralizes(G, z[i], H[i]):
+            return None
+        h = next(h for h in H[i].elements if G.mul(h, z[i]) != G.mul(z[i], h))
+        return f"z_{i} does not centralize h={h}"
 
-    def c2() -> Check:
-        for i in range(k):
-            if P.z[i] not in P.subgroups[i]:
-                return Check("C2", False, f"z_{i} not in H_{i}")
-        return Check("C2", True)
+    def c3(i: int) -> str | None:
+        Hk = set(H[kappa[i]].elements)
+        ri_inv = G.inv(r[i])
+        for h in H[i].elements:
+            if G.mul(G.mul(r[i], h), ri_inv) not in Hk:
+                return f"r_{i} h r_{i}^-1 escapes H_{kappa[i]} at h={h}"
+        return None
 
-    def c3() -> Check:
-        for i in range(k):
-            Hk = set(P.subgroups[P.kappa[i]].elements)
-            ri, ri_inv = P.r[i], G.inv(P.r[i])
-            for h in P.subgroups[i].elements:
-                if G.mul(G.mul(ri, h), ri_inv) not in Hk:
-                    return Check("C3", False,
-                                 f"r_{i} h r_{i}^-1 escapes H_{P.kappa[i]} at h={h}")
-        return Check("C3", True)
-
-    def c4() -> Check:
-        for i in range(k):
-            if G.mul(P.r[P.kappa[i]], P.r[i]) not in P.subgroups[i]:
-                return Check("C4", False, f"r_kappa({i}) r_{i} not in H_{i}")
-        return Check("C4", True)
-
-    def c5() -> Check:
-        for i in range(k):
-            lhs = G.inv(P.z[i])
-            rhs = G.mul(G.mul(G.inv(P.r[i]), P.z[P.kappa[i]]), P.r[i])
-            if lhs != rhs:
-                return Check("C5", False, f"z_{i}^-1 != r_{i}^-1 z_kappa({i}) r_{i}")
-        return Check("C5", True)
-
-    def c6() -> Check:
-        for i in range(k):
-            if P.kappa[P.kappa[i]] != i:
-                return Check("C6", False, f"kappa^2({i}) = {P.kappa[P.kappa[i]]}")
-        return Check("C6", True)
-
-    checks.append(c1())
-    if level in ("quandle", "symmetric"):
-        checks.append(c2())
-    if level == "symmetric":
-        checks.extend([c3(), c4(), c5(), c6()])
+    conditions = (
+        ("C1", c1),
+        ("C2", lambda i: None if z[i] in H[i] else f"z_{i} not in H_{i}"),
+        ("C3", c3),
+        ("C4", lambda i: None if G.mul(r[kappa[i]], r[i]) in H[i]
+         else f"r_kappa({i}) r_{i} not in H_{i}"),
+        ("C5", lambda i: None if G.inv(z[i]) == G.conj(z[kappa[i]], r[i])
+         else f"z_{i}^-1 != r_{i}^-1 z_kappa({i}) r_{i}"),
+        ("C6", lambda i: None if kappa[kappa[i]] == i
+         else f"kappa^2({i}) = {kappa[kappa[i]]}"),
+    )
+    checks = []
+    for name, test in conditions[:(1, 2, 6)[LEVELS.index(level)]]:
+        detail = next(filter(None, map(test, range(P.orbit_count))), None)
+        checks.append(Check(name, detail is None, detail or ""))
     return Report(tuple(checks))
 
 
@@ -167,15 +147,6 @@ def _element_index(spaces: tuple[CosetSpace, ...], offsets: tuple[int, ...],
     """Element index of the coset H_i x: the cosets of orbit i come after
     offsets[i] others, in the order of its coset space."""
     return offsets[i] + spaces[i].coset_index[x]
-
-
-def _require(P: CosetPresentation, level: str) -> Report:
-    """The passing report of P at level; a failing one is raised."""
-    report = validate_presentation(P, level)
-    if not report.ok:
-        bad = report.failures[0]
-        raise PresentationInvalid(bad.name, bad.detail, report)
-    return report
 
 
 def _assemble(P: CosetPresentation):
@@ -238,7 +209,10 @@ def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
     depend on the representative because C3 passed: for x1 = h x with h in
     H_i, r_i x1 and r_i x lie in one coset of H_kappa(i) iff r_i h r_i^-1
     does, whatever x is."""
-    report = _require(P, level)
+    report = validate_presentation(P, level)
+    if not report.ok:
+        bad = report.failures[0]
+        raise PresentationInvalid(bad.name, bad.detail, report)
     G = P.group
     spaces, labels, op, dual_direct, offsets = _assemble(P)
     rho = None

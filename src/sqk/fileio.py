@@ -26,6 +26,17 @@ from .quandle import Quandle
 from .symmetric import SymmetricQuandle
 
 
+def read_text(path: str, what: str = "") -> str:
+    """The text of a UTF-8 file. A file that cannot be read or is not UTF-8
+    is a FormatError, like malformed content; what names the file's role in
+    the message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {what}{path!r}: {exc}")
+
+
 def significant_lines(text: str) -> list[str]:
     out = []
     for raw in text.splitlines():
@@ -208,12 +219,7 @@ def parse_prs(text: str, base_dir: str = ".") -> CosetPresentation:
     if not parts or parts[0] != "group":
         raise FormatError(f"expected a group line, got {lines[1]!r}")
     if len(parts) == 2 and not parts[1].isdigit():
-        path = os.path.join(base_dir, parts[1])
-        try:
-            with open(path, encoding="utf-8") as fh:
-                G = parse_grp(fh.read())
-        except OSError as exc:
-            raise FormatError(f"cannot read group file {path!r}: {exc}")
+        G = parse_grp(read_text(os.path.join(base_dir, parts[1]), "group file "))
         pos = 2
     else:
         G, pos = _parse_group_block(lines, 1)

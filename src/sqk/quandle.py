@@ -293,25 +293,20 @@ class _MapSearch:
                 return False
             return rho1 is None or perm.compose(rho1, f) == perm.compose(f, rho2)
 
-        for i, v in enumerate(prefix):
-            a = order[i]
-            if used[v] or key2[v] != key1[a]:
-                return []
-            f[a] = v
-            used[v] = True
-            if not consistent(i):
-                return []
         # a depth-first walk with an explicit stack: one iterator over the
-        # candidates not yet tried per assigned position past the prefix
-        start = len(prefix)
+        # candidates not yet tried per assigned position; a prefix position
+        # has only its given image, so a prefix that fails unwinds the stack
         stack: list[Iterator[int]] = []
-        i = start
+        i = 0
         while True:
             if i == n:
                 if full_check():
                     results.append(tuple(f))
                     if not find_all:
                         break
+            elif i < len(prefix):
+                v = prefix[i]
+                stack.append(iter((v,) if key2[v] == key1[order[i]] else ()))
             elif derived[i] is None:
                 stack.append(iter(candidates[order[i]]))
             else:
@@ -319,7 +314,7 @@ class _MapSearch:
                 v = op2[f[a]][f[b]] if b >= 0 else rho2[f[a]]
                 stack.append(iter((v,) if key2[v] == key1[order[i]] else ()))
             while stack:
-                i = start + len(stack) - 1
+                i = len(stack) - 1
                 a = order[i]
                 if f[a] >= 0:
                     used[f[a]] = False

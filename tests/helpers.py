@@ -222,3 +222,53 @@ def ref_parse_qnd_table(text):
 def ref_parse_grp(text):
     """A .grp text with no names line: its rows, then ref_group_from_table."""
     return ref_group_from_table(_ref_rows(text, "group", False))
+
+
+def ref_presentation_lines(P, level):
+    """The report lines of validate_presentation(P, level), decided by one
+    loop per condition over the orbits, each stopping at its first failing
+    orbit, with the library's detail strings."""
+    G, k = P.group, P.orbit_count
+    H, z, r, kappa = P.subgroups, P.z, P.r, P.kappa
+
+    def c1():
+        for i in range(k):
+            for h in H[i].elements:
+                if G.mul(h, z[i]) != G.mul(z[i], h):
+                    return f"z_{i} does not centralize h={h}"
+
+    def c2():
+        for i in range(k):
+            if z[i] not in H[i].elements:
+                return f"z_{i} not in H_{i}"
+
+    def c3():
+        for i in range(k):
+            ri_inv = G.inv(r[i])
+            for h in H[i].elements:
+                if G.mul(G.mul(r[i], h), ri_inv) not in H[kappa[i]].elements:
+                    return f"r_{i} h r_{i}^-1 escapes H_{kappa[i]} at h={h}"
+
+    def c4():
+        for i in range(k):
+            if G.mul(r[kappa[i]], r[i]) not in H[i].elements:
+                return f"r_kappa({i}) r_{i} not in H_{i}"
+
+    def c5():
+        for i in range(k):
+            rhs = G.mul(G.mul(G.inv(r[i]), z[kappa[i]]), r[i])
+            if G.inv(z[i]) != rhs:
+                return f"z_{i}^-1 != r_{i}^-1 z_kappa({i}) r_{i}"
+
+    def c6():
+        for i in range(k):
+            if kappa[kappa[i]] != i:
+                return f"kappa^2({i}) = {kappa[kappa[i]]}"
+
+    conditions = {"rack": [c1], "quandle": [c1, c2],
+                  "symmetric": [c1, c2, c3, c4, c5, c6]}[level]
+    lines = []
+    for n, cond in enumerate(conditions, 1):
+        detail = cond()
+        lines.append(f"C{n}: pass" if detail is None else f"C{n}: fail ({detail})")
+    return lines

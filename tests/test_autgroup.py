@@ -312,6 +312,46 @@ def test_derived_images_find_the_same_maps(S, R):
         assert maps and maps == _maps(*args, derive=False)
 
 
+def _run_counting_consistent(search, prefix):
+    """search.run(prefix) and the number of consistency checks it made."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "consistent" \
+                and frame.f_code.co_filename == quandle.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        maps = search.run(prefix, find_all=True)
+    finally:
+        sys.setprofile(None)
+    return maps, calls
+
+
+def test_map_search_refuses_a_repeated_prefix_value():
+    op = dihedral_quandle(5).op
+    # only the first position is checked: the second image is taken
+    assert _run_counting_consistent(_MapSearch(op, op), (0, 0)) == ([], 1)
+
+
+def test_map_search_refuses_a_prefix_value_of_another_key():
+    op = conj_symmetric_quandle(symmetric_group(3)).quandle.op
+    search = _MapSearch(op, op)
+    # element 0 is the identity of S_3, whose translation is trivial
+    assert search.key2[1] != search.key1[0]
+    assert _run_counting_consistent(search, (1,)) == ([], 0)
+
+
+def test_map_search_refuses_a_prefix_inconsistent_at_its_last_position():
+    op = dihedral_quandle(5).op
+    search = _MapSearch(op, op)
+    assert op[0][1] == 2 and search.run((0, 1))
+    # 0*1 = 2 must go to 0*1 = 2, not 3; 3 is unused and of the same key
+    assert _run_counting_consistent(search, (0, 1, 3)) == ([], 3)
+
+
 def _drop_first_new_generator(monkeypatch):
     """Make _Chain.extend ignore the first generator that would grow its
     group; returns the list that records it."""

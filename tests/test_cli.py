@@ -1,6 +1,8 @@
 import shlex
 from pathlib import Path
 
+import pytest
+
 from sqk import cosets
 from sqk.cli import run
 
@@ -328,3 +330,40 @@ def test_readme_cli_tour(tmp_path, monkeypatch):
     assert "group order: 8\n" in text
     assert "orbits (1):\n" in text
     assert text.count("|H|=2\n") == 1
+
+
+def _one_error_line(code, text):
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1, text
+
+
+def test_check_of_a_file_that_is_not_utf8_is_malformed(tmp_path):
+    p = tmp_path / "latin1.qnd"
+    p.write_bytes("quandle 1\n0 # \xe9\n".encode("latin-1"))
+    _one_error_line(*run(["check", str(p)]))
+
+
+def test_build_with_a_group_file_that_is_not_utf8_is_malformed(tmp_path):
+    (tmp_path / "g.grp").write_bytes("group 1\n0 # \xe9\n".encode("latin-1"))
+    prs = tmp_path / "g.prs"
+    prs.write_text("presentation 1\ngroup g.grp\n"
+                   "orbit 0: H = 0 ; z = 0 ; r = 0 ; kappa = 0\n")
+    code, text = run(["build", str(prs)])
+    _one_error_line(code, text)
+    assert "cannot read group file" in text
+
+
+@pytest.mark.parametrize("verb", ["catalog", "build", "decompose"])
+def test_output_into_a_missing_directory_is_malformed(tmp_path, verb):
+    target = str(tmp_path / "missing" / "out")
+    if verb == "catalog":
+        argv = ["catalog", "antipodal", "4", "-o", target]
+    elif verb == "build":
+        argv = ["build", _catalog_file(tmp_path, "pe.prs", "paper-example"),
+                "-o", target]
+    else:
+        argv = ["decompose", _catalog_file(tmp_path, "a4.qnd", "antipodal", "4"),
+                "--emit-prs", target]
+    code, text = run(argv)
+    _one_error_line(code, text)
+    assert text.startswith(f"error: cannot write {target!r}")

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
+from conftest import transposition_quandle
+from helpers import ref_presentation_lines
 from sqk import (
     antipodal,
     build_quandle,
     build_rack,
     build_symmetric_quandle,
+    conj_symmetric_quandle,
     cyclic_group,
+    decompose,
     find_symmetric_isomorphism,
     inner_group,
     paper_example_presentation,
@@ -13,10 +19,12 @@ from sqk import (
     stabilizer,
     subgroup_closure,
     subgroup_from_elements,
+    symmetric_group,
     validate_presentation,
 )
 from sqk.cosets import CosetPresentation
 from sqk.errors import PresentationInvalid
+from sqk.fileio import format_prs, parse_prs
 
 
 def test_paper_example_all_conditions(quat):
@@ -158,3 +166,50 @@ def test_structurally_bad_presentation(quat):
     with pytest.raises(PresentationInvalid) as exc:
         validate_presentation(P, "symmetric")
     assert exc.value.condition == "structure"
+
+
+def _report_cases():
+    """(name, presentation maker, the conditions some mutant fails)."""
+    def inn(S):
+        return decompose(S, "inn").presentation
+
+    every = {f"C{n}" for n in range(1, 7)}
+    yield "paper example", paper_example_presentation, every
+    yield ("Conj(S3) inn", lambda: inn(conj_symmetric_quandle(symmetric_group(3))),
+           every)
+    # one orbit: kappa is always involutive
+    yield "T_4 inn", lambda: inn(transposition_quandle(4)), every - {"C6"}
+    # a kappa with a 2-cycle, which tells kappa^2(i) from kappa(i) in C6
+    yield "Conj(Z4) inn", lambda: inn(conj_symmetric_quandle(cyclic_group(4))), {"C6"}
+    yield "Conj(S4) read back", lambda: parse_prs(format_prs(
+        inn(conj_symmetric_quandle(symmetric_group(4))))), every
+
+
+def _single_field_mutants(P):
+    """P, then P with one of z_j, r_j (over all of G) or kappa_j (over all
+    orbit indices) replaced."""
+    def put(values, j, v):
+        return values[:j] + (v,) + values[j + 1:]
+
+    yield P
+    for j in range(P.orbit_count):
+        for x in range(P.group.order):
+            yield replace(P, z=put(P.z, j, x))
+            yield replace(P, r=put(P.r, j, x))
+        for m in range(P.orbit_count):
+            yield replace(P, kappa=put(P.kappa, j, m))
+
+
+@pytest.mark.parametrize("make,failing", [
+    pytest.param(make, failing, id=name) for name, make, failing in _report_cases()])
+def test_report_matches_per_condition_loops(make, failing):
+    """Every detail string of the report, at every level, on every
+    single-field mutant of the presentation."""
+    P = make()
+    failed = set()
+    for M in _single_field_mutants(P):
+        for level in ("rack", "quandle", "symmetric"):
+            lines = validate_presentation(M, level).lines()
+            assert lines == ref_presentation_lines(M, level), (M, level)
+            failed.update(line.split(":")[0] for line in lines if "fail" in line)
+    assert failed == failing
