@@ -35,7 +35,7 @@ def main():
 
     built = build_symmetric_quandle(P)
     n = built.sq.order
-    names = [built.label_name(k) for k in range(n)]
+    names = built.label_names()
     print("built symmetric quandle:")
     for a in range(n):
         row = " ".join(names[built.sq.quandle.op[a][b]] for b in range(n))
@@ -56,8 +56,8 @@ def main():
         print(f"  |G| = {Pd.group.order}, orbits = {Pd.orbit_count}, "
               f"|H_i| = {[H.order for H in Pd.subgroups]}")
         for i in range(Pd.orbit_count):
-            print(f"  z_{i} = {perm_line(Pd.group.elements[Pd.z[i]])}, "
-                  f"r_{i} = {perm_line(Pd.group.elements[Pd.r[i]])}")
+            print(f"  z_{i} = {perm_line(Pd.group.element(Pd.z[i]))}, "
+                  f"r_{i} = {perm_line(Pd.group.element(Pd.r[i]))}")
         print(f"  psi = {list(d.psi.map)}, verified: {d.verification.ok}")
 
 

@@ -4,8 +4,13 @@ orbits, stabilizers, transporters.
 A group is stored by a base and strong generating set on the base
 0..degree-1 (Sims 1970), built by a deterministic Schreier-Sims. The chain
 gives the order, membership by sifting and the orbits without listing any
-element; the elements are listed, in lexicographic order, only where every
-one is used (stabilizers, transporters, coset assembly, written tables).
+element. Stabilizers are a point, an order and generators; the least
+element carrying one point to another, and with it every least coset
+representative, comes from a greedy descent over base images (Butler
+1991); an element index is its lexicographic rank, computed by the same
+descent. The elements are listed, in lexicographic order, only where every
+one is used: a written group table, the witness of a failed condition and
+requests for all the indices of a subgroup or coset space.
 The product convention is "apply left, then right", so the action on
 points is a right action a.f = f(a).
 """
@@ -14,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import perm
 from .errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
-from .groups import CosetSpace, GroupLike, Subgroup
+from .groups import GroupLike
 from .quandle import Quandle, Table, _MapSearch
 from .symmetric import DEFAULT_MAX_N, SymmetricQuandle, is_symmetric_isomorphism_map
 
@@ -212,6 +217,79 @@ class _Chain:
             below(1, levels[0].trans[w], out)
             yield from out
 
+    def rank(self, g: perm.Perm) -> int | None:
+        """The index of g in the order of walk, or None if g is not a
+        member. Write g = Y P, with P the product of the levels above j and
+        Y in the group of level j; Y sends the base b_j to w = P^-1[g[b_j]],
+        and g[b_j] = P[w]. So g lies below child w, after the children u
+        with P[u] < g[b_j], each a subtree of the order of the levels below.
+        g is a member iff the product of the children taken is g."""
+        compose = perm.compose
+        x, below = 0, self.order
+        P = Pinv = self.identity
+        for L in self.levels:
+            below //= len(L.orbit)
+            v = g[L.base]
+            w = Pinv[v]
+            if w not in L.trans:
+                return None
+            x += below * sum(P[u] < v for u in L.orbit)
+            P, Pinv = compose(L.trans[w], P), compose(Pinv, L.tinv[w])
+        return x if P == g else None
+
+    def unrank(self, x: int) -> perm.Perm:
+        """The element of index x in the order of walk (0 <= x < order)."""
+        compose, below, P = perm.compose, self.order, self.identity
+        for L in self.levels:
+            below //= len(L.orbit)
+            c, x = divmod(x, below)
+            P = compose(L.trans[sorted(L.orbit, key=P.__getitem__)[c]], P)
+        return P
+
+    def transporters(self, q: int, targets: Sequence[int]
+                     ) -> list[tuple[perm.Perm, perm.Perm] | None]:
+        """For each p in targets, the lexicographically least element g
+        with g[q] = p, with g^-1; None when p is not in the orbit of q.
+
+        A greedy descent over the children of walk (Butler 1991): below the
+        product P of the levels above j, the subtree of child w is
+        Y u_w P with Y in the group of the levels below, and it holds an
+        element carrying q to p iff u_w^-1[P^-1[p]] lies in the orbit of q
+        under that group. Its elements agree on every point up to the next
+        base, so the least element takes, at each level, the feasible child
+        of least image P[w]. At the first level P is the identity, and one
+        table settles every target: the least w with p in u_w[orbit of q].
+        The orbits of q below each level are made per call, not kept with
+        the chain. Each result is checked to carry q to p."""
+        compose, levels = perm.compose, self.levels
+        if not levels:
+            return [(self.identity, self.identity) if p == q else None
+                    for p in targets]
+        below = [set(perm.closure([q], L.gens, perm.image)) for L in levels[1:]]
+        below.append({q})
+        first: dict[int, int] = {}
+        for w in sorted(levels[0].orbit):
+            u = levels[0].trans[w]
+            for a in below[0]:
+                first.setdefault(u[a], w)
+        out: list[tuple[perm.Perm, perm.Perm] | None] = []
+        for p in targets:
+            w = first.get(p)
+            if w is None:
+                out.append(None)
+                continue
+            P, Pinv = levels[0].trans[w], levels[0].tinv[w]
+            for L, orb in zip(levels[1:], below[1:]):
+                t = Pinv[p]
+                w = min((u for u in L.orbit if L.tinv[u][t] in orb),
+                        key=P.__getitem__)
+                P, Pinv = compose(L.trans[w], P), compose(Pinv, L.tinv[w])
+            if P[q] != p:
+                raise InternalVerificationFailed(
+                    f"the descent from {q} to {p} ends at {P[q]}")
+            out.append((P, Pinv))
+        return out
+
     def greedy_generators(self) -> list[perm.Perm]:
         """The greedy generators over the lexicographic order: the least
         element outside K, the group of those kept so far, is kept next,
@@ -261,9 +339,11 @@ class PermGroup(GroupLike):
     Built either from a list of elements, which must form a group, or from
     a chain. The printed generators, generator_perms, generate the group
     (every constructor in this module makes sure of it); with none given,
-    every element is one. The elements, in lexicographic order (the
-    identity first), and their indices are listed on first use, by the
-    chain's walk (iter_elements)."""
+    every element is one. The index of an element is its lexicographic rank
+    (the identity is 0), and element and index_of go between the two on the
+    chain. The elements themselves, and the products mul and inv that look
+    their indices up, are listed on first use by the chain's walk
+    (iter_elements)."""
 
     def __init__(self, degree: int, elements: Iterable[perm.Perm] = (),
                  generator_perms: Iterable[perm.Perm] = (),
@@ -281,6 +361,7 @@ class PermGroup(GroupLike):
         self.identity = 0
         self.generator_perms = (tuple(map(tuple, generator_perms))
                                 or tuple(self.elements))
+        self._perms: dict[int, perm.Perm] = {}    # index -> element, as met
 
     @property
     def order(self) -> int:
@@ -300,7 +381,22 @@ class PermGroup(GroupLike):
     @property
     def generators(self) -> tuple[int, ...]:
         """The indices of generator_perms."""
-        return tuple(self.index_of(p) for p in self.generator_perms)
+        return tuple(map(self.index_of, self.generator_perms))
+
+    def element(self, x: int) -> perm.Perm:
+        """The permutation of index x."""
+        p = self._perms.get(x)
+        if p is None:
+            p = self._perms[x] = self.chain.unrank(self.check_index(x))
+        return p
+
+    def index_of(self, p: perm.Perm) -> int | None:
+        """The index of p, or None if p is not a member."""
+        p = tuple(p)
+        x = self.chain.rank(p) if len(p) == self.degree else None
+        if x is not None:
+            self._perms[x] = p
+        return x
 
     def mul(self, x: int, y: int) -> int:
         return self._index[perm.compose(self.elements[x], self.elements[y])]
@@ -309,10 +405,7 @@ class PermGroup(GroupLike):
         return self._index[perm.inverse(self.elements[x])]
 
     def name_of(self, x: int) -> str:
-        return perm.cycle_token(self.elements[x])
-
-    def index_of(self, p: perm.Perm) -> int | None:
-        return self._index.get(tuple(p))
+        return perm.cycle_token(self.element(x))
 
 
 @dataclass(frozen=True)
@@ -485,55 +578,126 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
 
 
 @dataclass(frozen=True)
-class Stabilizer(Subgroup):
-    """The elements of a PermGroup fixing point, as stabilizer lists them."""
+class Stabilizer:
+    """The elements of a PermGroup fixing point, given by generators.
+
+    The generators are the next level's strong generators when point is
+    the chain's first base point, and the group's own generators when every
+    element fixes it. Otherwise they are Schreier generators x_v s
+    x_{v.s}^-1 over the group's generators s, with the least transporters
+    x_v (x_v[point] = v) of the coset listing as the transversal; these
+    generate the stabilizer (Schreier's lemma). Each is checked to fix
+    point, and they are taken in order, each one sifted into a chain of
+    those kept, until that chain has the order |G| / |orbit|
+    (orbit-stabilizer), so the ones kept provably generate the stabilizer.
+    The element indices are listed only on request, as the closure of the
+    generators."""
+    parent: PermGroup
     point: int
+
+    @cached_property
+    def orbit(self) -> list[int]:
+        """The orbit of point under the group, in the order reached."""
+        return perm.closure([self.point], self.parent.chain.gens, perm.image)
+
+    @property
+    def order(self) -> int:
+        return self.parent.order // len(self.orbit)
+
+    @cached_property
+    def cosets(self) -> PointCosets:
+        return PointCosets(self)
+
+    @cached_property
+    def generators(self) -> tuple[perm.Perm, ...]:
+        chain, q = self.parent.chain, self.point
+        levels = chain.levels
+        if levels and levels[0].base == q:
+            return tuple(levels[1].gens) if len(levels) > 1 else ()
+        if len(self.orbit) == 1:
+            return tuple(chain.gens)
+        compose, order = perm.compose, self.order
+        cos = self.cosets
+        kept = _Chain(len(chain.identity))
+        schreier = (compose(compose(x, s), cos.rep_invs[cos.slot[s[v]]])
+                    for x, v in zip(cos.reps, cos.points) for s in chain.gens)
+        for h in schreier:
+            if kept.order == order:
+                break
+            if h[q] != q:
+                raise InternalVerificationFailed(
+                    f"Schreier generator {perm.cycle_string(h)} moves {q}")
+            kept.extend(h)
+        if kept.order != order:
+            raise InternalVerificationFailed(
+                f"the Schreier generators of {q} generate a group of order "
+                f"{kept.order}, not {order}")
+        return tuple(kept.gens)
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        """The indices of the elements, ascending."""
+        G = self.parent
+        members = perm.closure([G.chain.identity], self.generators, perm.compose)
+        return tuple(sorted(map(G.index_of, members)))
+
+    def __contains__(self, x: int) -> bool:
+        return self.parent.element(x)[self.point] == self.point
 
 
 def stabilizer(G: PermGroup, q: int) -> Stabilizer:
-    """Indices of the elements fixing q, as a subgroup of G that records q."""
+    """The stabilizer of q in G."""
     if not 0 <= q < G.degree:
         raise IndexOutOfRange(q, G.degree)
-    elems = tuple(i for i, p in enumerate(G.elements) if p[q] == q)
-    return Stabilizer(parent=G, elements=elems, point=q)
+    return Stabilizer(parent=G, point=q)
 
 
-def stabilizer_cosets(H: Subgroup) -> tuple[CosetSpace, tuple[int, ...]] | None:
-    """H\\G listed by image point, with the point q.x of each coset, when H
-    is exactly the stabilizer of its recorded point q in a PermGroup G;
-    None otherwise, and the caller lists the cosets by products.
+class PointCosets:
+    """H\\G for the stabilizer H of a point q, listed by the point q.x of
+    each coset, with the least element x of each coset and its inverse.
 
     Orbit-stabilizer: (h x)[q] = x[h[q]] = x[q] for h fixing q, and
-    x[q] = y[q] iff x y^-1 fixes q, so H x <-> q.x is a bijection from
-    H\\G onto the orbit of q. One pass over G in index order, with no
-    products, puts every element in its coset: members come out ascending
-    and cosets by least element, as right_cosets orders them. The point is
-    not trusted. The coset of the identity is Stab(q), and it must equal H:
-    then every element of H fixes q, and |H| times the orbit length is |G|.
-    """
-    G = H.parent
-    if not (isinstance(H, Stabilizer) and isinstance(G, PermGroup)
-            and 0 <= H.point < G.degree):
-        return None
-    q = H.point
-    slot: dict[int, int] = {}
-    cosets: list[list[int]] = []
-    points: list[int] = []
-    coset_index: list[int] = []
-    for x, g in enumerate(G.elements):
-        c = slot.get(g[q])
-        if c is None:
-            c = slot[g[q]] = len(cosets)
-            cosets.append([])
-            points.append(g[q])
-        cosets[c].append(x)
-        coset_index.append(c)
-    if cosets[coset_index[G.identity]] != list(H.elements):
-        return None
-    space = CosetSpace(parent=G, subgroup=H, cosets=tuple(map(tuple, cosets)),
-                       representatives=tuple(c[0] for c in cosets),
-                       coset_index=tuple(coset_index))
-    return space, tuple(points)
+    x[q] = y[q] iff x y^-1 fixes q, so H x <-> q.x is a bijection from H\\G
+    onto the orbit of q, and the least element of the coset at p is the
+    least transporter from q to p. The cosets are ordered by it, as
+    right_cosets orders them by least element. The indices of a
+    CosetSpace (representatives, cosets, coset_index) are made on
+    request."""
+
+    def __init__(self, subgroup: Stabilizer):
+        G, q = subgroup.parent, subgroup.point
+        found = G.chain.transporters(q, subgroup.orbit)
+        found.sort()
+        self.parent, self.subgroup = G, subgroup
+        self.reps = tuple(x for x, _ in found)
+        self.rep_invs = tuple(x_inv for _, x_inv in found)
+        self.points = tuple(x[q] for x in self.reps)
+        self.slot = [-1] * G.degree       # point -> coset
+        for c, p in enumerate(self.points):
+            self.slot[p] = c
+
+    @property
+    def count(self) -> int:
+        return len(self.points)
+
+    def name(self, c: int) -> str:
+        return perm.cycle_token(self.reps[c])
+
+    @cached_property
+    def representatives(self) -> tuple[int, ...]:
+        return tuple(map(self.parent.index_of, self.reps))
+
+    @cached_property
+    def coset_index(self) -> tuple[int, ...]:
+        q = self.subgroup.point
+        return tuple(self.slot[g[q]] for g in self.parent.elements)
+
+    @cached_property
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        members: list[list[int]] = [[] for _ in self.points]
+        for x, c in enumerate(self.coset_index):
+            members[c].append(x)
+        return tuple(map(tuple, members))
 
 
 def transporter(G: PermGroup, frm: int, to: int) -> int | None:
@@ -543,10 +707,8 @@ def transporter(G: PermGroup, frm: int, to: int) -> int | None:
         raise IndexOutOfRange(frm, G.degree)
     if not 0 <= to < G.degree:
         raise IndexOutOfRange(to, G.degree)
-    for i, p in enumerate(G.elements):
-        if p[frm] == to:
-            return i
-    return None
+    found = G.chain.transporters(frm, [to])[0]
+    return None if found is None else G.index_of(found[0])
 
 
 def is_homogeneous(S: SymmetricQuandle, max_n: int = DEFAULT_MAX_N) -> bool:

@@ -191,6 +191,9 @@ def cmd_decompose(args, out: list[str]) -> int:
     S = _symmetric(_load_qnd(args.file), args.file)
     result = decompose(S, args.group, args.max_n)
     G: PermGroup = result.presentation.group
+    if args.emit_prs and G.order > catalog.MAX_ORDER:
+        # the written group is a table of |G|^2 cells
+        raise SizeBoundExceeded(G.order, catalog.MAX_ORDER, "table")
     out.append(f"group: {args.group}")
     out.append(f"group order: {G.order}")
     _print_generators(G, out, "group generators")
@@ -202,12 +205,12 @@ def cmd_decompose(args, out: list[str]) -> int:
                    f"orbit size {len(dec.orbits[i])}, |H|={P.subgroups[i].order}")
     out.append("kappa: [" + " ".join(map(str, P.kappa)) + "]")
     for i in range(P.orbit_count):
-        out.append(f"z_{i} = " + perm_line(G.elements[P.z[i]]))
+        out.append(f"z_{i} = " + perm_line(G.element(P.z[i])))
     for i in range(P.orbit_count):
-        out.append(f"r_{i} = " + perm_line(G.elements[P.r[i]]))
+        out.append(f"r_{i} = " + perm_line(G.element(P.r[i])))
     out.append("psi:")
-    for k in range(result.built.quandle.order):
-        out.append(f"  {result.built.label_name(k)} -> {result.psi.map[k]}")
+    for name, p in zip(result.built.label_names(), result.psi.map):
+        out.append(f"  {name} -> {p}")
     out.append("verification:")
     for line in result.verification.lines():
         out.append("  " + line)

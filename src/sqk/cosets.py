@@ -21,10 +21,11 @@ trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 from . import perm
-from .autgroup import stabilizer_cosets
+from .autgroup import PointCosets, Stabilizer
 from .errors import InternalVerificationFailed, PresentationInvalid
 from .groups import CosetSpace, GroupLike, Subgroup, centralizes, right_cosets
 from .quandle import Quandle, quandle_from_table
@@ -71,6 +72,22 @@ def _structural_problems(P: CosetPresentation) -> str | None:
     return None
 
 
+def _by_points(P: CosetPresentation) -> bool:
+    """Every H_i is the stabilizer of a point q_i in the permutation group G
+    (autgroup.Stabilizer), so the conditions are decided on generators and
+    points, and the cosets are listed by point."""
+    return all(isinstance(H, Stabilizer) for H in P.subgroups)
+
+
+def _commutes(z: perm.Perm, gens) -> bool:
+    compose = perm.compose
+    return all(compose(h, z) == compose(z, h) for h in gens)
+
+
+def _fix(gens, s: int) -> bool:
+    return all(h[s] == s for h in gens)
+
+
 def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Report:
     """Per-condition report for the requested level.
 
@@ -80,6 +97,14 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
     Each condition is one test of a single orbit i, which returns the
     failure detail or None. The table lists them in paper order, a level
     takes a prefix of it, and each check reports the first failing orbit.
+
+    When every H_i is the stabilizer of q_i in a permutation group, the
+    tests read permutations. The centralizer of z and the stabilizer of a
+    point are subgroups, so C1 holds iff z_i commutes with each generator
+    of H_i, and C3 iff each generator h fixes s = r_i[q_kappa(i)]: r_i h
+    r_i^-1 fixes q_kappa(i) iff h fixes s. C2 and C4 are point tests, and
+    C5 reads z_kappa(i) r_i z_i = r_i, with no inverse. A failing C1 or C3
+    scans the elements of H_i in index order to name the same witness h.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
@@ -88,13 +113,11 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
         raise PresentationInvalid("structure", problem)
     G, H, z, r, kappa = P.group, P.subgroups, P.z, P.r, P.kappa
 
-    def c1(i: int) -> str | None:
-        if centralizes(G, z[i], H[i]):
-            return None
+    def c1_witness(i: int) -> str:
         h = next(h for h in H[i].elements if G.mul(h, z[i]) != G.mul(z[i], h))
         return f"z_{i} does not centralize h={h}"
 
-    def c3(i: int) -> str | None:
+    def c3_witness(i: int) -> str | None:
         Hk = set(H[kappa[i]].elements)
         ri_inv = G.inv(r[i])
         for h in H[i].elements:
@@ -102,17 +125,37 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
                 return f"r_{i} h r_{i}^-1 escapes H_{kappa[i]} at h={h}"
         return None
 
-    conditions = (
-        ("C1", c1),
-        ("C2", lambda i: None if z[i] in H[i] else f"z_{i} not in H_{i}"),
-        ("C3", c3),
-        ("C4", lambda i: None if G.mul(r[kappa[i]], r[i]) in H[i]
-         else f"r_kappa({i}) r_{i} not in H_{i}"),
-        ("C5", lambda i: None if G.inv(z[i]) == G.conj(z[kappa[i]], r[i])
-         else f"z_{i}^-1 != r_{i}^-1 z_kappa({i}) r_{i}"),
-        ("C6", lambda i: None if kappa[kappa[i]] == i
-         else f"kappa^2({i}) = {kappa[kappa[i]]}"),
-    )
+    c2_detail = "z_{0} not in H_{0}".format
+    c4_detail = "r_kappa({0}) r_{0} not in H_{0}".format
+    c5_detail = "z_{0}^-1 != r_{0}^-1 z_kappa({0}) r_{0}".format
+    if _by_points(P):
+        compose = perm.compose
+        q = [Hi.point for Hi in H]
+        zp = [G.element(x) for x in z]
+        rp = [G.element(x) for x in r]
+        conditions = (
+            ("C1", lambda i: None if _commutes(zp[i], H[i].generators)
+             else c1_witness(i)),
+            ("C2", lambda i: None if zp[i][q[i]] == q[i] else c2_detail(i)),
+            ("C3", lambda i: None if _fix(H[i].generators, rp[i][q[kappa[i]]])
+             else c3_witness(i)),
+            ("C4", lambda i: None if rp[i][rp[kappa[i]][q[i]]] == q[i]
+             else c4_detail(i)),
+            ("C5", lambda i: None if compose(compose(zp[kappa[i]], rp[i]), zp[i])
+             == rp[i] else c5_detail(i)),
+        )
+    else:
+        conditions = (
+            ("C1", lambda i: None if centralizes(G, z[i], H[i]) else c1_witness(i)),
+            ("C2", lambda i: None if z[i] in H[i] else c2_detail(i)),
+            ("C3", c3_witness),
+            ("C4", lambda i: None if G.mul(r[kappa[i]], r[i]) in H[i]
+             else c4_detail(i)),
+            ("C5", lambda i: None if G.inv(z[i]) == G.conj(z[kappa[i]], r[i])
+             else c5_detail(i)),
+        )
+    conditions += (("C6", lambda i: None if kappa[kappa[i]] == i
+                    else f"kappa^2({i}) = {kappa[kappa[i]]}"),)
     checks = []
     for name, test in conditions[:(1, 2, 6)[LEVELS.index(level)]]:
         detail = next(filter(None, map(test, range(P.orbit_count))), None)
@@ -122,36 +165,37 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
 
 @dataclass(frozen=True)
 class LabeledQuandle:
-    """A built rack, quandle or symmetric quandle with its coset labels and
+    """A built rack, quandle or symmetric quandle with its coset spaces and
     the passing report of the conditions it was built under; sq is set only
-    at the symmetric level, where quandle is sq.quandle."""
+    at the symmetric level, where quandle is sq.quandle. The cosets of
+    orbit i are elements offsets[i], offsets[i] + 1, ..., in the order of
+    its coset space."""
     quandle: Quandle
     presentation: CosetPresentation
-    labels: tuple[tuple[int, int], ...]   # element -> (orbit index, coset rep)
-    cosets: tuple[CosetSpace, ...]        # one coset space per orbit
+    cosets: tuple[CosetSpace | PointCosets, ...]   # one coset space per orbit
     offsets: tuple[int, ...]              # element index of each orbit's first coset
     report: Report
     sq: SymmetricQuandle | None = None
 
-    def label_name(self, k: int) -> str:
-        i, x = self.labels[k]
-        return f"H{i}[{self.presentation.group.name_of(x)}]"
+    @cached_property
+    def labels(self) -> tuple[tuple[int, int], ...]:
+        """element -> (orbit index, index of the least coset member)"""
+        return tuple((i, rep) for i, sp in enumerate(self.cosets)
+                     for rep in sp.representatives)
+
+    def label_names(self) -> list[str]:
+        """The name H<i>[<least member>] of every element, in order."""
+        return [f"H{i}[{sp.name(c)}]" for i, sp in enumerate(self.cosets)
+                for c in range(sp.count)]
 
     def index_of(self, i: int, x: int) -> int:
         """Element index of the coset H_i x (any member x)."""
-        return _element_index(self.cosets, self.offsets, i, x)
-
-
-def _element_index(spaces: tuple[CosetSpace, ...], offsets: tuple[int, ...],
-                   i: int, x: int) -> int:
-    """Element index of the coset H_i x: the cosets of orbit i come after
-    offsets[i] others, in the order of its coset space."""
-    return offsets[i] + spaces[i].coset_index[x]
+        return self.offsets[i] + self.cosets[i].coset_index[x]
 
 
 def _assemble(P: CosetPresentation):
-    """Coset spaces, element labels, the operation table and the dual table
-    from the z_j^-1 formula.
+    """Coset spaces, the offset of each orbit, the operation table and the
+    dual table from the z_j^-1 formula.
 
     H_i x * H_j y = H_i (x w) with the twisting element w = y^-1 z_j y.
     The caller has decided C1, which makes this independent of the
@@ -159,47 +203,79 @@ def _assemble(P: CosetPresentation):
     commutes with z_j. For x1 = h x with h in H_i, H_i (x1 w) = H_i (x w)
     holds in any group by associativity.
 
-    Each orbit gives the point of each coset and the element index at each
-    point. When H_i is verified to be the stabilizer of a point q_i of a
-    permutation group (autgroup.stabilizer_cosets), H_i x <-> q_i.x, and
-    H_i (x w) is the coset at the point w[q_i.x], so w moves the points by
-    its permutation. Otherwise the point of H_i x is x itself, moved by one
-    product. Column b is the element index at every moved point, orbit by
-    orbit; the dual column is the same with w_b^-1. Two orbits may have the
-    same points, so each keeps its own index."""
-    G = P.group
-    listed = [stabilizer_cosets(H) for H in P.subgroups]
-    spaces = tuple(ls[0] if ls else right_cosets(G, H)
-                   for ls, H in zip(listed, P.subgroups))
-    labels = [(i, rep) for i, sp in enumerate(spaces)
-              for rep in sp.representatives]
+    Each orbit gives the position of each coset and the element index at
+    each position. When every H_i is the stabilizer of a point q_i
+    (_by_points), H_i x <-> q_i.x, and H_i (x w) is the coset at the point
+    w[q_i.x], so w moves the points by its permutation. The twisting
+    elements are permutations made from each least representative y and
+    the y^-1 its descent returned, and the dual's w^-1 = y^-1 z_j^-1 y, with
+    z_j inverted once per orbit. Otherwise the position of H_i x is its
+    least member x itself, moved by one product. Column b is the element
+    index at every moved position, orbit by orbit; the dual column is the
+    same with w_b^-1."""
+    G, compose = P.group, perm.compose
+    by_points = _by_points(P)
+    if by_points:
+        spaces = tuple(H.cosets for H in P.subgroups)
+    else:
+        spaces = tuple(right_cosets(G, H) for H in P.subgroups)
     offsets = tuple(accumulate((sp.count for sp in spaces[:-1]), initial=0))
 
-    # (points, element index at each point, moved by permutation?)
-    orbits = []
-    for i, (ls, sp) in enumerate(zip(listed, spaces)):
-        if ls:
+    if by_points:
+        orbits = []
+        for i, sp in enumerate(spaces):
             lab = [-1] * G.degree
-            for c, p in enumerate(ls[1]):
+            for c, p in enumerate(sp.points):
                 lab[p] = offsets[i] + c
-            orbits.append((ls[1], lab, True))
+            orbits.append((sp.points, lab))
+
+        def twists(dual: bool):
+            for j, sp in enumerate(spaces):
+                z = G.element(P.z[j])
+                if dual:
+                    z = perm.inverse(z)
+                for y, y_inv in zip(sp.reps, sp.rep_invs):
+                    yield compose(compose(y_inv, z), y)
+
+        def column(w: perm.Perm) -> list[int]:
+            col: list[int] = []
+            for pts, lab in orbits:
+                col += compose(compose(pts, w), lab)
+            return col
+    else:
+        def twists(dual: bool):
+            for j, sp in enumerate(spaces):
+                for y in sp.representatives:
+                    w = G.conj(P.z[j], y)
+                    yield G.inv(w) if dual else w
+
+        def column(w: int) -> list[int]:
+            col: list[int] = []
+            for i, sp in enumerate(spaces):
+                col += [offsets[i] + sp.coset_index[G.mul(x, w)]
+                        for x in sp.representatives]
+            return col
+
+    op = [list(row) for row in zip(*map(column, twists(False)))]
+    dual_direct = [list(row) for row in zip(*map(column, twists(True)))]
+    return spaces, offsets, op, dual_direct
+
+
+def _involution(P: CosetPresentation, spaces, offsets) -> list[int]:
+    """rho(H_i x) = H_kappa(i) (r_i x) at the least member x of each coset.
+    On points, the coset of r_i x is the one at (r_i x)[q_kappa(i)] =
+    x[r_i[q_kappa(i)]]."""
+    G, kappa = P.group, P.kappa
+    rho: list[int] = []
+    for i, sp in enumerate(spaces):
+        k = kappa[i]
+        if isinstance(sp, PointCosets):
+            s = G.element(P.r[i])[spaces[k].subgroup.point]
+            rho += [offsets[k] + spaces[k].slot[y[s]] for y in sp.reps]
         else:
-            orbits.append((sp.representatives,
-                           [offsets[i] + c for c in sp.coset_index], False))
-
-    def column(w: int) -> list[int]:
-        col: list[int] = []
-        for pts, lab, by_point in orbits:
-            moved = (perm.compose(pts, G.elements[w]) if by_point
-                     else [G.mul(x, w) for x in pts])
-            col += perm.compose(moved, lab)
-        return col
-
-    twist = [G.conj(P.z[j], y) for j, y in labels]
-    op = [list(row) for row in zip(*map(column, twist))]
-    dual_direct = [list(row) for row in
-                   zip(*(column(G.inv(w)) for w in twist))]
-    return spaces, tuple(labels), op, dual_direct, offsets
+            rho += [offsets[k] + spaces[k].coset_index[G.mul(P.r[i], x)]
+                    for x in sp.representatives]
+    return rho
 
 
 def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
@@ -213,19 +289,14 @@ def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
     if not report.ok:
         bad = report.failures[0]
         raise PresentationInvalid(bad.name, bad.detail, report)
-    G = P.group
-    spaces, labels, op, dual_direct, offsets = _assemble(P)
-    rho = None
-    if level == "symmetric":
-        rho = [_element_index(spaces, offsets, P.kappa[i], G.mul(P.r[i], x))
-               for (i, x) in labels]
-
+    spaces, offsets, op, dual_direct = _assemble(P)
     Q = quandle_from_table(op, allow_rack=(level == "rack"))
     if Q.dual != tuple(tuple(row) for row in dual_direct):
         raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
-    sq = attach_involution(Q, rho) if rho is not None else None
-    return LabeledQuandle(quandle=Q, presentation=P, labels=labels,
-                          cosets=spaces, offsets=offsets, report=report, sq=sq)
+    sq = (attach_involution(Q, _involution(P, spaces, offsets))
+          if level == "symmetric" else None)
+    return LabeledQuandle(quandle=Q, presentation=P, cosets=spaces,
+                          offsets=offsets, report=report, sq=sq)
 
 
 def build_rack(P: CosetPresentation) -> LabeledQuandle:

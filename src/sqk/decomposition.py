@@ -9,7 +9,8 @@ the least group element carrying q_kappa(i) to rho(q_i). The map
 psi(H_i x) = q_i . x is then checked to be a symmetric quandle isomorphism
 from the built coset object back to the input. Since H_i is the stabilizer
 of q_i, H_i x <-> q_i . x is the orbit-stabilizer bijection, and coset
-assembly lists and fills the cosets by that point action.
+assembly lists and fills the cosets by that point action. Everything is
+read off the group's stabilizer chain; no element of the group is listed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .autgroup import (
     orbits,
     stabilizer,
     symmetric_aut_group,
-    transporter,
 )
 from .catalog import conj_symmetric_quandle
 from .cosets import (
@@ -70,24 +70,27 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
     kappa = tuple(dec.orbit_index[S.rho[qi]] for qi in q)
     z = []
     for qi in q:
-        zi = G.index_of(S.quandle.column(qi))
+        zi = G.index_of(S.quandle.column(qi))     # sifts the translation
         if zi is None:
             raise InternalVerificationFailed(
                 f"translation by {qi} is missing from the chosen group")
         z.append(zi)
+    # r_i is the least representative of the coset of H_kappa(i) at rho(q_i)
     r = []
     for i, qi in enumerate(q):
-        ri = transporter(G, q[kappa[i]], S.rho[qi])
-        if ri is None:
+        listed = subgroups[kappa[i]].cosets
+        c = listed.slot[S.rho[qi]]
+        if c < 0:
             raise InternalVerificationFailed(
                 f"rho({qi}) not reachable from the orbit representative")
-        r.append(ri)
+        r.append(G.index_of(listed.reps[c]))
 
     P = CosetPresentation(group=G, subgroups=subgroups, z=tuple(z), r=tuple(r),
                           kappa=kappa)
     # the builder decided the six conditions; its report is reused
     built = build_symmetric_quandle(P)
-    psi_map = tuple(G.elements[x][q[i]] for (i, x) in built.labels)
+    # psi(H_i x) = q_i . x is the point each coset was listed by
+    psi_map = tuple(p for sp in built.cosets for p in sp.points)
     report = Report(built.report.checks + _psi_checks(built, S, psi_map))
     if not report.ok:
         raise InternalVerificationFailed(

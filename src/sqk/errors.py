@@ -10,8 +10,8 @@ class FormatError(SqkError):
 
 
 class SizeBoundExceeded(SqkError):
-    def __init__(self, n: int, bound: int):
-        super().__init__(f"order {n} exceeds the exhaustive-search bound {bound}")
+    def __init__(self, n: int, bound: int, kind: str = "exhaustive-search"):
+        super().__init__(f"order {n} exceeds the {kind} bound {bound}")
         self.n = n
         self.bound = bound
 

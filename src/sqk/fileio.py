@@ -190,7 +190,7 @@ def format_qnd(obj: Quandle | SymmetricQuandle | LabeledQuandle) -> str:
     with one comment line per element naming its coset."""
     labels = None
     if isinstance(obj, LabeledQuandle):
-        labels = [obj.label_name(k) for k in range(obj.quandle.order)]
+        labels = obj.label_names()
         obj = obj.sq if obj.sq is not None else obj.quandle
     if isinstance(obj, SymmetricQuandle):
         Q, rho = obj.quandle, obj.rho

@@ -88,6 +88,10 @@ class CosetSpace:
     def count(self) -> int:
         return len(self.cosets)
 
+    def name(self, c: int) -> str:
+        """The name of the representative of coset c."""
+        return self.parent.name_of(self.representatives[c])
+
 
 def group_from_table(table: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None) -> FiniteGroup:
@@ -184,11 +188,15 @@ def subgroup_from_elements(G: GroupLike, elements: Iterable[int]) -> Subgroup:
 
 
 def right_cosets(G: GroupLike, H: Subgroup | Iterable[int]) -> CosetSpace:
-    """Partition of G into right cosets Hx, ordered by minimal element."""
-    if not isinstance(H, Subgroup):
+    """Partition of G into right cosets Hx, ordered by minimal element. H is
+    a subgroup of G (anything with parent G and the indices of its
+    elements, as autgroup.Stabilizer), or element indices, which are
+    validated."""
+    elements = getattr(H, "elements", None)
+    if elements is None:
         H = subgroup_from_elements(G, H)
     elif H.parent is not G:
-        H = subgroup_from_elements(G, H.elements)
+        H = subgroup_from_elements(G, elements)
     n = G.order
     coset_index = [-1] * n
     cosets: list[tuple[int, ...]] = []

@@ -266,7 +266,10 @@ class _MapSearch:
         every other candidate fails the same check, so the maps found and
         their order do not change. Every product is checked once all three
         of its elements are assigned; complete maps are re-checked in full
-        before being accepted.
+        before being accepted. In a search of a table against itself, the
+        leading prefix positions that map their element to itself need no
+        check: every product (and rho pair) recorded there has all its
+        elements among them, all fixed, so it holds.
         """
         if self.candidates is None:
             return []
@@ -278,6 +281,10 @@ class _MapSearch:
         f = [-1] * n
         used = [False] * n
         results: list[perm.Perm] = []
+        fixed = 0
+        if op2 is op1 and rho2 is rho1:
+            while fixed < len(prefix) and prefix[fixed] == order[fixed]:
+                fixed += 1
 
         def consistent(i: int) -> bool:
             for a, b, c in products[i]:
@@ -324,7 +331,7 @@ class _MapSearch:
                         continue
                     f[a] = v
                     used[v] = True
-                    if consistent(i):
+                    if i < fixed or consistent(i):
                         break
                     used[v] = False
                     f[a] = -1

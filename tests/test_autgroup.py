@@ -13,6 +13,7 @@ from sqk import (
     conj_symmetric_quandle,
     dihedral_group,
     dihedral_quandle,
+    fileio,
     inner_group,
     is_homogeneous,
     orbits,
@@ -333,7 +334,19 @@ def _run_counting_consistent(search, prefix):
 def test_map_search_refuses_a_repeated_prefix_value():
     op = dihedral_quandle(5).op
     # only the first position is checked: the second image is taken
-    assert _run_counting_consistent(_MapSearch(op, op), (0, 0)) == ([], 1)
+    assert _run_counting_consistent(_MapSearch(op, op), (1, 1)) == ([], 1)
+    # a leading fixed point of a search against itself needs no check
+    assert _run_counting_consistent(_MapSearch(op, op), (0, 0)) == ([], 0)
+
+
+def test_map_search_checks_the_prefix_after_its_fixed_points():
+    # only the leading fixed points are skipped: 0 -> 0, then 1 -> 2 is
+    # checked, and so is 2 -> 2 after it
+    op = dihedral_quandle(5).op
+    maps, calls = _run_counting_consistent(_MapSearch(op, op), (0, 2, 2))
+    assert (maps, calls) == ([], 1)
+    maps, calls = _run_counting_consistent(_MapSearch(op, op), (0, 2))
+    assert maps == [(0, 2, 4, 1, 3)] and calls > 0
 
 
 def test_map_search_refuses_a_prefix_value_of_another_key():
@@ -348,8 +361,12 @@ def test_map_search_refuses_a_prefix_inconsistent_at_its_last_position():
     op = dihedral_quandle(5).op
     search = _MapSearch(op, op)
     assert op[0][1] == 2 and search.run((0, 1))
-    # 0*1 = 2 must go to 0*1 = 2, not 3; 3 is unused and of the same key
-    assert _run_counting_consistent(search, (0, 1, 3)) == ([], 3)
+    # 0*1 = 2 must go to 0*1 = 2, not 3; 3 is unused and of the same key.
+    # 0 and 1 are leading fixed points of a search of op against itself, so
+    # only the last position is checked; against a copy of op, all three
+    assert _run_counting_consistent(search, (0, 1, 3)) == ([], 1)
+    copy = _MapSearch(op, [list(row) for row in op])
+    assert _run_counting_consistent(copy, (0, 1, 3)) == ([], 3)
 
 
 def _drop_first_new_generator(monkeypatch):
@@ -538,6 +555,42 @@ def test_chain_matches_brute_force(S):
                 assert transporter(G, q, v) == first.get((q, v)), (kind, q, v)
 
 
+@pytest.mark.parametrize("S", [pytest.param(S, id=name)
+                               for name, S in _differential_cases()])
+def test_descent_matches_element_scans(S):
+    """Ranks, least transporters with their inverses, stabilizer orders and
+    generators, and least coset representatives, read off the chain,
+    against the group listed by bf_closure and scanned in sorted order."""
+    n = S.order
+    for kind, G in (("inn", inner_group(S)),
+                    ("symmetric aut", symmetric_aut_group(S, n))):
+        ref = sorted(bf_closure([identity(n)], G.generator_perms, compose_then))
+        assert [G.index_of(p) for p in ref] == list(range(len(ref))), kind
+        assert [G.element(x) for x in range(len(ref))] == ref, kind
+        members = set(ref)
+        for a in range(n - 1):
+            swap = (*range(a), a + 1, a, *range(a + 2, n))
+            assert (G.index_of(swap) is None) == (swap not in members), kind
+        for q in range(n):
+            least = {}
+            for g in ref:
+                least.setdefault(g[q], g)
+            found = G.chain.transporters(q, range(n))
+            assert found == [(least[p], inverse(least[p])) if p in least else None
+                             for p in range(n)], (kind, q)
+            H = stabilizer(G, q)
+            fixing = {g for g in ref if g[q] == q}
+            assert H.order == len(fixing), (kind, q)
+            assert all(h[q] == q for h in H.generators), (kind, q)
+            assert bf_closure([identity(n)], H.generators, compose_then) == fixing
+            reps = sorted(least.values())
+            cos = H.cosets
+            assert list(cos.reps) == reps, (kind, q)
+            assert cos.rep_invs == tuple(map(inverse, reps)), (kind, q)
+            assert cos.points == tuple(x[q] for x in reps), (kind, q)
+            assert cos.representatives == tuple(map(ref.index, reps)), (kind, q)
+
+
 def test_aut_group_product_budget(monkeypatch):
     # closing Aut(Conj(D_12)) by mulclose, then closing it again for the
     # greedy generators, made 11,088 perm.compose calls
@@ -560,12 +613,44 @@ def test_aut_group_product_budget(monkeypatch):
 def test_report_verbs_never_list_the_group(argv, tmp_path, monkeypatch):
     path = str(tmp_path / "conj_d12.qnd")
     assert run(["catalog", "conj", "dihedral-group", "12", "-o", path])[0] == 0
-
-    def refuse(self):
-        raise AssertionError("the group was listed")
-
-    monkeypatch.setattr(PermGroup, "iter_elements", refuse)
+    _refuse_the_walk(monkeypatch)
     code, text = run([argv[0], path, *argv[1:]])
     assert code == 0, text
     assert "orbits (" in text
     assert not is_homogeneous(conj_symmetric_quandle(dihedral_group(12)), 24)
+
+
+def _refuse_the_walk(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(PermGroup, "iter_elements", refuse)
+
+
+def _transpositions_file(tmp_path, m):
+    path = tmp_path / f"t{m}.qnd"
+    path.write_text(fileio.format_qnd(transposition_quandle(m)), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("m,args,order", [
+    (8, ["--group", "inn"], 40320),
+    (8, ["--group", "aut", "--max-n", "28"], 40320),
+    (10, ["--group", "inn"], 3628800)])
+def test_decompose_never_lists_the_group(m, args, order, tmp_path, monkeypatch):
+    path = _transpositions_file(tmp_path, m)
+    _refuse_the_walk(monkeypatch)
+    code, text = run(["decompose", path, *args])
+    assert code == 0, text
+    assert f"\ngroup order: {order}\n" in text
+    assert text.endswith("\nresult: ok\n")
+
+
+def test_emit_prs_refuses_a_group_above_the_table_bound(tmp_path, monkeypatch):
+    # |Inn(T_7)| = 5,040: the table would have 25,401,600 cells
+    path = _transpositions_file(tmp_path, 7)
+    out = tmp_path / "t7.prs"
+    _refuse_the_walk(monkeypatch)
+    code, text = run(["decompose", path, "--emit-prs", str(out)])
+    assert (code, text) == (3, "error: order 5040 exceeds the table bound 1024\n")
+    assert not out.exists()

@@ -25,12 +25,12 @@ from sqk import (
     right_cosets,
     single_orbit_presentation,
     stabilizer,
+    Subgroup,
     subgroup_closure,
     symmetric_group,
     trivial_quandle,
     verify_decomposition,
 )
-from sqk.autgroup import Stabilizer, stabilizer_cosets
 from sqk.errors import NoInversionClosedTransversal
 from sqk.quandle import Isomorphism
 
@@ -247,12 +247,12 @@ def _same_spaces(got, ref):
 @pytest.mark.parametrize("S,choice,max_n", DECOMPOSE_CASES)
 def test_point_path_matches_product_path(S, choice, max_n):
     P = decompose(S, choice, max_n).presentation
-    # every subgroup is a verified point stabilizer, so the point path runs
-    assert all(stabilizer_cosets(H) is not None for H in P.subgroups)
-    spaces, labels, op, dual, _ = cosets._assemble(P)
+    # every subgroup is a point stabilizer, so the point path runs
+    assert cosets._by_points(P)
+    spaces, _, op, dual = cosets._assemble(P)
     built = build_symmetric_quandle(P)
     ref_spaces, ref_labels, ref_op, ref_dual, ref_rho = _product_path(P)
-    assert list(labels) == list(built.labels) == ref_labels
+    assert list(built.labels) == ref_labels
     assert _same_spaces(spaces, ref_spaces)
     assert _same_spaces(built.cosets, ref_spaces)
     assert op == ref_op
@@ -281,30 +281,33 @@ def test_subgroup_smaller_than_the_stabilizer_takes_the_product_path():
     z = G.index_of(S.quandle.column(0))
     small = subgroup_closure(G, [z])
     assert small.order < stabilizer(G, 0).order
-    H = Stabilizer(parent=G, elements=small.elements, point=0)
-    assert all(G.elements[h][0] == 0 for h in H.elements)
-    assert stabilizer_cosets(H) is None
-    P = single_orbit_presentation(G, H, z)
+    assert all(G.elements[h][0] == 0 for h in small.elements)
+    P = single_orbit_presentation(G, small, z)
+    assert not cosets._by_points(P)
     built = build_quandle(P)
-    plain = build_quandle(single_orbit_presentation(G, small, z))
     spaces, labels, op, _, _ = _product_path(P)
     assert len(labels) == G.order // small.order
-    assert built.labels == plain.labels == tuple(labels)
+    assert built.labels == tuple(labels)
     assert _same_spaces(built.cosets, spaces)
-    assert built.quandle.op == plain.quandle.op == tuple(map(tuple, op))
+    assert built.quandle.op == tuple(map(tuple, op))
 
 
-def test_stabilizer_of_another_point_takes_the_product_path():
-    # Stab((0 1)) moves (0 2), so recording that point must not be trusted
+def test_stabilizer_elements_without_their_point_take_the_product_path():
+    # a Stabilizer derives its generators from its point; the same elements
+    # as a plain subgroup are listed by products, with the same result
     S = transposition_quandle(4)
     G = inner_group(S)
     H = stabilizer(G, 0)
-    assert stabilizer_cosets(H) is not None
-    wrong = dataclasses.replace(H, point=1)
-    assert any(G.elements[h][1] != 1 for h in H.elements)
-    assert stabilizer_cosets(wrong) is None
     z = G.index_of(S.quandle.column(0))
-    right = build_quandle(single_orbit_presentation(G, H, z))
-    moved = build_quandle(single_orbit_presentation(G, wrong, z))
+    by_point = single_orbit_presentation(G, H, z)
+    by_product = single_orbit_presentation(G, Subgroup(G, H.elements), z)
+    assert cosets._by_points(by_point) and not cosets._by_points(by_product)
+    right, moved = build_quandle(by_point), build_quandle(by_product)
     assert moved.labels == right.labels
     assert moved.quandle.op == right.quandle.op
+    # Stab((0 1)) moves (0 2): the stabilizer of another point is that
+    # point's, not a relabelled copy of the first
+    other = dataclasses.replace(H, point=1)
+    assert any(G.elements[h][1] != 1 for h in H.elements)
+    assert all(h[1] == 1 for h in other.generators)
+    assert other.elements == tuple(i for i, p in enumerate(G.elements) if p[1] == 1)

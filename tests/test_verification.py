@@ -11,6 +11,7 @@ from conftest import catalog_symmetric_quandles, relabelled, transposition_quand
 from sqk import (
     PermGroup,
     Quandle,
+    Subgroup,
     SymmetricQuandle,
     antipodal,
     attach_involution,
@@ -90,15 +91,48 @@ def test_build_rejects_every_c3_failure():
     assert failures > 0
 
 
+def _element_form(P):
+    """P with each point stabilizer given by its elements, which the
+    validator decides element by element."""
+    return dataclasses.replace(P, subgroups=tuple(
+        Subgroup(P.group, H.elements) for H in P.subgroups))
+
+
+@pytest.mark.parametrize("S,choice", [
+    pytest.param(transposition_quandle(4), "inn", id="T_4 inn"),
+    pytest.param(transposition_quandle(4), "aut", id="T_4 aut"),
+    pytest.param(conj_symmetric_quandle(symmetric_group(3)), "inn", id="Conj(S3) inn"),
+    pytest.param(relabelled(antipodal(8), 1), "aut", id="R_8 seed 1 aut")])
+def test_generator_form_rejects_what_the_element_form_rejects(S, choice):
+    # every z_j and every r_j over all of G: C1 and C3 decided on the
+    # generators of point stabilizers fail exactly where the element scans
+    # fail, and name the same witness
+    P = decompose(S, choice, S.order).presentation
+    E = _element_form(P)
+    assert cosets._by_points(P) and not cosets._by_points(E)
+    rejected = {"C1": 0, "C3": 0}
+    for j in range(P.orbit_count):
+        for x in range(P.group.order):
+            for field in ("z", "r"):
+                values = getattr(P, field)
+                change = {field: values[:j] + (x,) + values[j + 1:]}
+                got = validate_presentation(dataclasses.replace(P, **change))
+                want = validate_presentation(dataclasses.replace(E, **change))
+                assert got.lines() == want.lines(), (j, field, x)
+                for name in rejected:
+                    rejected[name] += not got[name].passed
+    assert all(rejected.values()), rejected
+
+
 def _corrupting(monkeypatch, which, p, q):
     """Make _assemble return a table with cell (p, q) moved by one."""
     real = cosets._assemble
 
     def corrupted(P):
-        spaces, labels, op, dual_direct, global_index = real(P)
+        spaces, offsets, op, dual_direct = real(P)
         table = op if which == "op" else dual_direct
-        table[p][q] = (table[p][q] + 1) % len(labels)
-        return spaces, labels, op, dual_direct, global_index
+        table[p][q] = (table[p][q] + 1) % len(table)
+        return spaces, offsets, op, dual_direct
 
     monkeypatch.setattr(cosets, "_assemble", corrupted)
 
@@ -288,17 +322,20 @@ def _count_calls(monkeypatch, name, *modules):
 
 def test_each_condition_is_decided_once(monkeypatch):
     # decompose of Conj(S_4) validated its presentation twice and made 15
-    # centralizes calls; a build of the emitted presentation made 10
+    # centralizes calls; a build of the emitted presentation made 10. C1 is
+    # decided once per orbit: on the generators of each point stabilizer in
+    # decompose, on the elements of each subgroup of the written table
     validations = _count_calls(monkeypatch, "validate_presentation",
                                cosets, decomposition)
     centralizing = _count_calls(monkeypatch, "centralizes", cosets)
+    commuting = _count_calls(monkeypatch, "_commutes", cosets)
     d = decompose(conj_symmetric_quandle(symmetric_group(4)), "inn")
     assert d.presentation.orbit_count == 5
-    assert (validations[0], centralizing[0]) == (1, 5)
+    assert (validations[0], centralizing[0], commuting[0]) == (1, 0, 5)
     P = fileio.parse_prs(fileio.format_prs(d.presentation))
-    validations[0] = centralizing[0] = 0
+    validations[0] = centralizing[0] = commuting[0] = 0
     assert build_symmetric_quandle(P).report.ok
-    assert (validations[0], centralizing[0]) == (1, 5)
+    assert (validations[0], centralizing[0], commuting[0]) == (1, 5, 0)
 
 
 def test_inner_group_checks_only_spanning_translations(monkeypatch):
