@@ -341,9 +341,8 @@ class PermGroup(GroupLike):
     (every constructor in this module makes sure of it); with none given,
     every element is one. The index of an element is its lexicographic rank
     (the identity is 0), and element and index_of go between the two on the
-    chain. The elements themselves, and the products mul and inv that look
-    their indices up, are listed on first use by the chain's walk
-    (iter_elements)."""
+    chain. The elements themselves, and mul, inv and name_of, which read
+    them, are listed on first use by the chain's walk (iter_elements)."""
 
     def __init__(self, degree: int, elements: Iterable[perm.Perm] = (),
                  generator_perms: Iterable[perm.Perm] = (),
@@ -405,7 +404,7 @@ class PermGroup(GroupLike):
         return self._index[perm.inverse(self.elements[x])]
 
     def name_of(self, x: int) -> str:
-        return perm.cycle_token(self.element(x))
+        return perm.cycle_token(self.elements[x])
 
 
 @dataclass(frozen=True)
@@ -590,8 +589,7 @@ class Stabilizer:
     point, and they are taken in order, each one sifted into a chain of
     those kept, until that chain has the order |G| / |orbit|
     (orbit-stabilizer), so the ones kept provably generate the stabilizer.
-    The element indices are listed only on request, as the closure of the
-    generators."""
+    The element indices are listed only on request."""
     parent: PermGroup
     point: int
 
@@ -636,10 +634,10 @@ class Stabilizer:
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
-        """The indices of the elements, ascending."""
-        G = self.parent
-        members = perm.closure([G.chain.identity], self.generators, perm.compose)
-        return tuple(sorted(map(G.index_of, members)))
+        """The indices of the elements, ascending, by a scan of the listed
+        group."""
+        q = self.point
+        return tuple(x for x, g in enumerate(self.parent.elements) if g[q] == q)
 
     def __contains__(self, x: int) -> bool:
         return self.parent.element(x)[self.point] == self.point

@@ -38,7 +38,7 @@ LEVELS = ("rack", "quandle", "symmetric")
 @dataclass(frozen=True)
 class CosetPresentation:
     group: GroupLike
-    subgroups: tuple[Subgroup, ...]
+    subgroups: tuple[Subgroup | Stabilizer, ...]
     z: tuple[int, ...]
     r: tuple[int, ...]
     kappa: tuple[int, ...]
