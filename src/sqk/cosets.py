@@ -243,11 +243,11 @@ def _assemble(P: CosetPresentation):
                 col += compose(compose(pts, w), lab)
             return col
     else:
+        twist = [G.conj(P.z[j], y) for j, sp in enumerate(spaces)
+                 for y in sp.representatives]
+
         def twists(dual: bool):
-            for j, sp in enumerate(spaces):
-                for y in sp.representatives:
-                    w = G.conj(P.z[j], y)
-                    yield G.inv(w) if dual else w
+            return map(G.inv, twist) if dual else twist
 
         def column(w: int) -> list[int]:
             col: list[int] = []
