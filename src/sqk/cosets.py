@@ -104,7 +104,8 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
     of H_i, and C3 iff each generator h fixes s = r_i[q_kappa(i)]: r_i h
     r_i^-1 fixes q_kappa(i) iff h fixes s. C2 and C4 are point tests, and
     C5 reads z_kappa(i) r_i z_i = r_i, with no inverse. A failing C1 or C3
-    scans the elements of H_i in index order to name the same witness h.
+    scans the elements of H_i in index order to name the same witness h;
+    a scan that finds none raises InternalVerificationFailed.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
@@ -113,17 +114,26 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
         raise PresentationInvalid("structure", problem)
     G, H, z, r, kappa = P.group, P.subgroups, P.z, P.r, P.kappa
 
-    def c1_witness(i: int) -> str:
-        h = next(h for h in H[i].elements if G.mul(h, z[i]) != G.mul(z[i], h))
-        return f"z_{i} does not centralize h={h}"
+    def c1_scan(i: int) -> str | None:
+        h = next((h for h in H[i].elements if G.mul(h, z[i]) != G.mul(z[i], h)),
+                 None)
+        return None if h is None else f"z_{i} does not centralize h={h}"
 
-    def c3_witness(i: int) -> str | None:
+    def c3_scan(i: int) -> str | None:
         Hk = set(H[kappa[i]].elements)
         ri_inv = G.inv(r[i])
         for h in H[i].elements:
             if G.mul(G.mul(r[i], h), ri_inv) not in Hk:
                 return f"r_{i} h r_{i}^-1 escapes H_{kappa[i]} at h={h}"
         return None
+
+    def witness(scan, name: str, i: int) -> str:
+        """The element scan's detail for a condition the generators failed."""
+        detail = scan(i)
+        if detail is None:
+            raise InternalVerificationFailed(
+                f"{name} fails on the generators of H_{i} and holds on its elements")
+        return detail
 
     c2_detail = "z_{0} not in H_{0}".format
     c4_detail = "r_kappa({0}) r_{0} not in H_{0}".format
@@ -135,10 +145,10 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
         rp = [G.element(x) for x in r]
         conditions = (
             ("C1", lambda i: None if _commutes(zp[i], H[i].generators)
-             else c1_witness(i)),
+             else witness(c1_scan, "C1", i)),
             ("C2", lambda i: None if zp[i][q[i]] == q[i] else c2_detail(i)),
             ("C3", lambda i: None if _fix(H[i].generators, rp[i][q[kappa[i]]])
-             else c3_witness(i)),
+             else witness(c3_scan, "C3", i)),
             ("C4", lambda i: None if rp[i][rp[kappa[i]][q[i]]] == q[i]
              else c4_detail(i)),
             ("C5", lambda i: None if compose(compose(zp[kappa[i]], rp[i]), zp[i])
@@ -146,9 +156,9 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
         )
     else:
         conditions = (
-            ("C1", lambda i: None if centralizes(G, z[i], H[i]) else c1_witness(i)),
+            ("C1", lambda i: None if centralizes(G, z[i], H[i]) else c1_scan(i)),
             ("C2", lambda i: None if z[i] in H[i] else c2_detail(i)),
-            ("C3", c3_witness),
+            ("C3", c3_scan),
             ("C4", lambda i: None if G.mul(r[kappa[i]], r[i]) in H[i]
              else c4_detail(i)),
             ("C5", lambda i: None if G.inv(z[i]) == G.conj(z[kappa[i]], r[i])

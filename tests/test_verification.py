@@ -124,6 +124,18 @@ def test_generator_form_rejects_what_the_element_form_rejects(S, choice):
     assert all(rejected.values()), rejected
 
 
+@pytest.mark.parametrize("helper,condition", [("_commutes", "C1"), ("_fix", "C3")])
+def test_generator_verdict_without_an_element_witness_is_reported(
+        helper, condition, monkeypatch):
+    # a generator test that fails where the element scan finds no witness
+    # is a contradiction, not a passing condition
+    P = decompose(transposition_quandle(4), "inn").presentation
+    monkeypatch.setattr(cosets, helper, lambda *args: False)
+    with pytest.raises(InternalVerificationFailed,
+                       match=f"{condition} fails on the generators"):
+        validate_presentation(P)
+
+
 def _corrupting(monkeypatch, which, p, q):
     """Make _assemble return a table with cell (p, q) moved by one."""
     real = cosets._assemble
