@@ -632,6 +632,12 @@ class Stabilizer:
                 f"{kept.order}, not {order}")
         return tuple(kept.gens)
 
+    def iter_elements(self) -> Iterator[perm.Perm]:
+        """The elements in lexicographic order, which is the parent's index
+        order, by the walk of a chain of the generators; the parent is not
+        listed."""
+        return _Chain(self.parent.degree, self.generators).walk()
+
     @cached_property
     def elements(self) -> tuple[int, ...]:
         """The indices of the elements, ascending, by a scan of the listed

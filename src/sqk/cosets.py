@@ -104,8 +104,10 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
     of H_i, and C3 iff each generator h fixes s = r_i[q_kappa(i)]: r_i h
     r_i^-1 fixes q_kappa(i) iff h fixes s. C2 and C4 are point tests, and
     C5 reads z_kappa(i) r_i z_i = r_i, with no inverse. A failing C1 or C3
-    scans the elements of H_i in index order to name the same witness h;
-    a scan that finds none raises InternalVerificationFailed.
+    names the same witness h as the element scan, the least in index
+    order, by walking H_i's own chain in lexicographic order (an index is
+    the lexicographic rank in G), so G is not listed; a walk that finds
+    none raises InternalVerificationFailed.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
@@ -114,41 +116,57 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
         raise PresentationInvalid("structure", problem)
     G, H, z, r, kappa = P.group, P.subgroups, P.z, P.r, P.kappa
 
+    c1_detail = "z_{0} does not centralize h={1}".format
+    c2_detail = "z_{0} not in H_{0}".format
+    c3_detail = "r_{0} h r_{0}^-1 escapes H_{1} at h={2}".format
+    c4_detail = "r_kappa({0}) r_{0} not in H_{0}".format
+    c5_detail = "z_{0}^-1 != r_{0}^-1 z_kappa({0}) r_{0}".format
+
     def c1_scan(i: int) -> str | None:
         h = next((h for h in H[i].elements if G.mul(h, z[i]) != G.mul(z[i], h)),
                  None)
-        return None if h is None else f"z_{i} does not centralize h={h}"
+        return None if h is None else c1_detail(i, h)
 
     def c3_scan(i: int) -> str | None:
         Hk = set(H[kappa[i]].elements)
         ri_inv = G.inv(r[i])
-        for h in H[i].elements:
-            if G.mul(G.mul(r[i], h), ri_inv) not in Hk:
-                return f"r_{i} h r_{i}^-1 escapes H_{kappa[i]} at h={h}"
-        return None
+        h = next((h for h in H[i].elements
+                  if G.mul(G.mul(r[i], h), ri_inv) not in Hk), None)
+        return None if h is None else c3_detail(i, kappa[i], h)
 
-    def witness(scan, name: str, i: int) -> str:
-        """The element scan's detail for a condition the generators failed."""
-        detail = scan(i)
-        if detail is None:
-            raise InternalVerificationFailed(
-                f"{name} fails on the generators of H_{i} and holds on its elements")
-        return detail
-
-    c2_detail = "z_{0} not in H_{0}".format
-    c4_detail = "r_kappa({0}) r_{0} not in H_{0}".format
-    c5_detail = "z_{0}^-1 != r_{0}^-1 z_kappa({0}) r_{0}".format
     if _by_points(P):
         compose = perm.compose
         q = [Hi.point for Hi in H]
         zp = [G.element(x) for x in z]
         rp = [G.element(x) for x in r]
+
+        def least(name: str, i: int, fails) -> int:
+            """The index of the least h in H_i with fails(h), for a
+            condition its generators failed."""
+            h = next(filter(fails, H[i].iter_elements()), None)
+            if h is None:
+                raise InternalVerificationFailed(
+                    f"{name} fails on the generators of H_{i} and holds on "
+                    "its elements")
+            return G.index_of(h)
+
+        def c1(i: int) -> str | None:
+            zi = zp[i]
+            if _commutes(zi, H[i].generators):
+                return None
+            return c1_detail(i, least(
+                "C1", i, lambda h: compose(h, zi) != compose(zi, h)))
+
+        def c3(i: int) -> str | None:
+            s = rp[i][q[kappa[i]]]
+            if _fix(H[i].generators, s):
+                return None
+            return c3_detail(i, kappa[i], least("C3", i, lambda h: h[s] != s))
+
         conditions = (
-            ("C1", lambda i: None if _commutes(zp[i], H[i].generators)
-             else witness(c1_scan, "C1", i)),
+            ("C1", c1),
             ("C2", lambda i: None if zp[i][q[i]] == q[i] else c2_detail(i)),
-            ("C3", lambda i: None if _fix(H[i].generators, rp[i][q[kappa[i]]])
-             else witness(c3_scan, "C3", i)),
+            ("C3", c3),
             ("C4", lambda i: None if rp[i][rp[kappa[i]][q[i]]] == q[i]
              else c4_detail(i)),
             ("C5", lambda i: None if compose(compose(zp[kappa[i]], rp[i]), zp[i])

@@ -132,7 +132,7 @@ def parse_grp(text: str) -> FiniteGroup:
 
 def format_grp(G: FiniteGroup) -> str:
     out = [f"group {G.order}"]
-    out += [" ".join(map(str, row)) for row in G.product]
+    out += map(perm.row_string, G.product)
     if G.names:
         out.append("names: " + " ".join(G.names))
     return "\n".join(out) + "\n"
@@ -198,9 +198,9 @@ def format_qnd(obj: Quandle | SymmetricQuandle | LabeledQuandle) -> str:
         Q, rho = obj, None
     kind = "rack" if Q.rack_only else "quandle"
     out = [f"{kind} {Q.order}"]
-    out += [" ".join(map(str, row)) for row in Q.op]
+    out += map(perm.row_string, Q.op)
     if rho is not None:
-        out.append("rho: " + " ".join(map(str, rho)))
+        out.append("rho: " + perm.row_string(rho))
     if labels is not None:
         out += [f"# {k}: {name}" for k, name in enumerate(labels)]
     return "\n".join(out) + "\n"

@@ -97,14 +97,20 @@ def group_from_table(table: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None) -> FiniteGroup:
     """Validate a multiplication table and return the group it defines.
 
-    Checks, in order: the entries (perm.square_rows: each row whole),
-    Latin square (rows then columns), existence of a two-sided identity,
-    associativity. Inverses are then read off the table. Each check looks
-    at whole rows and columns: a row or column is a permutation iff its
-    set of entries is every element, and e is the identity iff row e and
-    column e both equal (0, ..., n-1). Rows, then columns, then e = 0,
-    1, ... are scanned in order, so the witness is the one a cell-by-cell
-    scan in that order names.
+    The verdict is the first of these that fails, in order: the entries
+    (perm.square_rows: each row whole), Latin square (rows then columns),
+    existence of a two-sided identity, associativity. Inverses are then
+    read off the table. Each check looks at whole rows and columns: a row
+    or column is a permutation iff its set of entries is every element,
+    and e is the identity iff row e and column e both equal (0, ..., n-1).
+    Rows, then columns, then e = 0, 1, ... are scanned in order, so the
+    witness is the one a cell-by-cell scan in that order names.
+
+    The columns are scanned only when the identity or associativity
+    fails, before either is reported. Otherwise they are proved Latin:
+    with Latin rows, each x has a y with xy = e, and a monoid in which
+    every element has a right inverse is a group, whose columns are
+    Latin.
 
     Associativity is proved by Light's test on a generating set. The set A
     of a with (xa)z = x(az) for all x, z is closed under products: for a, b
@@ -112,11 +118,12 @@ def group_from_table(table: Sequence[Sequence[int]],
     as maps z -> xz, a lies in A iff row(xa) = compose(row(a), row(x)) for
     every x. That is checked for the points s of perm.spanning_points over
     the columns x -> xs, whose closure under right multiplication by
-    themselves is every element, so A is everything. A greedy generating
-    set of a group has at most 1 + log2 |G| elements (the first may be the
-    identity, and each later one at least doubles the subgroup reached).
-    When the proof fails, the triple loop runs to report the
-    lexicographically first witness, the one a full scan would report.
+    themselves is every element, so A is everything. The identity is in A
+    and is skipped. A greedy generating set of a group has at most
+    1 + log2 |G| elements (the first may be the identity, and each later
+    one at least doubles the subgroup reached). When the proof fails, the
+    triple loop runs to report the lexicographically first witness, the
+    one a full scan would report.
     """
     n = len(table)
     if n == 0:
@@ -132,20 +139,20 @@ def group_from_table(table: Sequence[Sequence[int]],
         if set(row) != points:
             raise NotLatinSquare("row", x)
     cols = list(zip(*product))
-    for y, col in enumerate(cols):
-        if set(col) != points:
-            raise NotLatinSquare("column", y)
-
     full = perm.identity(n)
     identity = next((e for e in range(n)
                      if product[e] == full and cols[e] == full), None)
-    if identity is None:
-        raise NoIdentity()
 
     # for each s, row(xs) over every x against row(x) gathered through row(s)
-    if not all(list(perm.compose(cols[s], product)) ==
-               perm.compose_each(product[s], product)
-               for s in perm.spanning_points(cols)):
+    if identity is None or not all(
+            list(perm.compose(cols[s], product)) ==
+            perm.compose_each(product[s], product)
+            for s in perm.spanning_points(cols) if s != identity):
+        for y, col in enumerate(cols):
+            if set(col) != points:
+                raise NotLatinSquare("column", y)
+        if identity is None:
+            raise NoIdentity()
         for x in range(n):
             for y in range(n):
                 xy = product[x][y]

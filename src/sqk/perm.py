@@ -129,17 +129,19 @@ def square_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     tuples.
 
     Each row is checked whole: its length, then that its entries are all
-    of type int (set(map(type, row)) == {int}) and that min and max lie in
-    0..n-1. A row failing that runs the per-entry loop, which names the
-    first bad entry and accepts what isinstance(v, int) accepts (bool).
+    of type int (set(map(type, row)) == {int}) and all points of 0..n-1
+    (a subset of them). A row failing that runs the per-entry loop, which
+    names the first bad entry and accepts what isinstance(v, int) accepts
+    (bool).
     """
     n = len(table)
+    points = set(range(n))
     rows = []
     for a, row in enumerate(table):
         row = tuple(row)
         if len(row) != n:
             raise FormatError(f"row {a} has {len(row)} entries, expected {n}")
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+        if set(map(type, row)) != {int} or not points.issuperset(row):
             for v in row:
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise FormatError(f"entry {v!r} in row {a} not in 0..{n - 1}")
@@ -207,11 +209,21 @@ def cycle_token(p: Perm) -> str:
     return "".join(_cycle_parts(p, ",")) or "id"
 
 
+def row_string(row: Sequence[int]) -> str:
+    """The entries of row, each a point of 0..len(row)-1, as decimal
+    names separated by spaces: a table row or a permutation as written.
+    The names are gathered from the name table in C, as compose gathers,
+    so degrees 0 and 1 take the Python path; an entry True or False is
+    printed as 1 or 0, the point it indexes."""
+    names = _names(len(row))
+    if len(row) > 1:
+        return " ".join(itemgetter(*row)(names))
+    return " ".join([names[a] for a in row])
+
+
 def array_string(p: Perm) -> str:
-    """The images in order, their names gathered in C as compose does."""
-    names = _names(len(p))
-    items = itemgetter(*p)(names) if len(p) > 1 else [names[a] for a in p]
-    return "[" + " ".join(items) + "]"
+    """The images in order, in brackets."""
+    return "[" + row_string(p) + "]"
 
 
 def perm_line(p: Perm) -> str:

@@ -68,7 +68,10 @@ def _spanning_translations(Q: Quandle) -> list[perm.Perm]:
 
 def _commutes(rho: perm.Perm, maps: Sequence[perm.Perm]) -> bool:
     compose = perm.compose
-    return all(compose(s, rho) == compose(rho, s) for s in maps)
+    for s in maps:
+        if compose(s, rho) != compose(rho, s):
+            return False
+    return True
 
 
 def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int] | None:
@@ -113,26 +116,56 @@ def enumerate_good_involutions(Q: Quandle,
     """All good involutions of Q, in lexicographic order of the array.
 
     Dual compatibility pins rho(b) to C_b = {c : s_c = s_b^-1}, so the
-    search backtracks over involutions respecting C_b, assigning
-    b = 0, 1, ... in turn with an explicit stack. Each completion is kept
-    when it commutes with the spanning translations, which proves
-    equivariance (see _spanning_translations). A rack has none, as
-    attach_involution rules.
+    search backtracks over involutions respecting C_b, assigning the least
+    free b = 0, 1, ... in turn with an explicit stack. A good involution
+    commutes with every spanning translation t (see
+    _spanning_translations), so rho(b) = c forces rho(t[b]) = t[c]. Each
+    choice is propagated over those forced pairs, and fails on a point
+    already assigned another image or on a pair outside C_b; what it
+    assigned is kept on a trail and undone on backtrack. Every point below
+    the next free b is fixed, so the completions come in lexicographic
+    order. Each is kept when it commutes with the spanning translations,
+    which proves equivariance. A trivial quandle has no spanning
+    translations, and each choice assigns b and c alone. A rack has none,
+    as attach_involution rules.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
     n = Q.order
     if n > max_n:
         raise SizeBoundExceeded(n, max_n)
+    # s_c = s_b^-1 iff kind[c] == dual_kind[b]
     cols = Q.translations()
-    inv_cols = [perm.inverse(c) for c in cols]
-    cand = [[c for c in range(n) if cols[c] == inv_cols[b]] for b in range(n)]
+    kinds: dict[perm.Perm, int] = {}
+    kind = [kinds.setdefault(col, len(kinds)) for col in cols]
+    dual_kind = [kinds.get(perm.inverse(col), -1) for col in cols]
+    cand = [[c for c in range(n) if kind[c] == dual_kind[b]] for b in range(n)]
     gens = _spanning_translations(Q)
 
     rho = [-1] * n
+    trail: list[int] = []       # the points assigned, in order
+
+    def force(b: int, c: int) -> bool:
+        """Assign rho(b) = c and every pair it forces, on the trail; False
+        at the first clash or pair outside C_x, with what was assigned
+        left for the caller to undo."""
+        pairs = [(b, c)]
+        for x, y in pairs:
+            if rho[x] == y:
+                continue
+            if rho[x] >= 0 or rho[y] >= 0 or kind[y] != dual_kind[x]:
+                return False
+            rho[x] = y
+            rho[y] = x
+            trail.append(x)
+            trail.append(y)
+            pairs += [(t[x], t[y]) for t in gens]
+        return True
+
     found: list[perm.Perm] = []
-    # one entry per open choice: b and the candidates for rho(b) not yet tried
-    stack: list[tuple[int, Iterator[int]]] = []
+    # one entry per open choice: b, the candidates for rho(b) not yet
+    # tried, and the length of the trail before b was assigned
+    stack: list[tuple[int, Iterator[int], int]] = []
     b = 0
     while True:
         while b < n and rho[b] >= 0:
@@ -142,20 +175,27 @@ def enumerate_good_involutions(Q: Quandle,
             if _commutes(r, gens):
                 found.append(r)
         else:
-            stack.append((b, iter(cand[b])))
+            stack.append((b, iter(cand[b]), len(trail)))
         while stack:
-            b, options = stack[-1]
-            c = rho[b]
-            if c >= 0:
-                rho[b] = rho[c] = -1
+            b, options, mark = stack[-1]
+            if gens:
+                while len(trail) > mark:
+                    rho[trail.pop()] = -1
+            else:
+                c = rho[b]
+                if c >= 0:
+                    rho[b] = rho[c] = -1
             for c in options:
                 if c >= b and rho[c] < 0:
-                    rho[b] = c
-                    rho[c] = b
                     break
             else:
                 stack.pop()
                 continue
+            if not gens:
+                rho[b] = c
+                rho[c] = b
+            elif not force(b, c):
+                continue    # undone at the top, then the next candidate
             break
         else:
             return found

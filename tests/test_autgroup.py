@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -10,7 +11,9 @@ from sqk import (
     attach_involution,
     aut_group,
     autgroup,
+    Subgroup,
     conj_symmetric_quandle,
+    decompose,
     dihedral_group,
     dihedral_quandle,
     fileio,
@@ -24,6 +27,7 @@ from sqk import (
     symmetric_group,
     transporter,
     trivial_quandle,
+    validate_presentation,
 )
 from sqk.autgroup import PermGroup, mulclose
 from sqk.cli import run
@@ -644,6 +648,30 @@ def test_decompose_never_lists_the_group(m, args, order, tmp_path, monkeypatch):
     assert code == 0, text
     assert f"\ngroup order: {order}\n" in text
     assert text.endswith("\nresult: ok\n")
+
+
+def _with_each_translation(field):
+    """The T_6 inn presentation with z_0 or r_0 replaced by each spanning
+    translation in turn, on a group made for it."""
+    P = decompose(transposition_quandle(6), "inn").presentation
+    G = P.group
+    return [dataclasses.replace(P, **{field: (G.index_of(g),) + getattr(P, field)[1:]})
+            for g in G.generator_perms]
+
+
+@pytest.mark.parametrize("field,condition", [("z", "C1"), ("r", "C3")])
+def test_failed_condition_names_its_witness_without_listing_the_group(
+        field, condition, monkeypatch):
+    # the element scan lists G to name the least failing h; the walk of
+    # H_0's own chain names the same h
+    want = [validate_presentation(dataclasses.replace(P, subgroups=tuple(
+        Subgroup(P.group, H.elements) for H in P.subgroups))).lines()
+        for P in _with_each_translation(field)]
+    assert any(line.startswith(f"{condition}: fail (") for lines in want
+               for line in lines)
+    _refuse_the_walk(monkeypatch)
+    assert [validate_presentation(P).lines()
+            for P in _with_each_translation(field)] == want
 
 
 def test_emit_prs_refuses_a_group_above_the_table_bound(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ verdict, witness and error message to the per-cell reference loops in
 helpers.py, on inputs mutated one or two cells at a time."""
 
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -37,7 +38,7 @@ from sqk.errors import (
     NotLatinSquare,
     SqkError,
 )
-from sqk.fileio import parse_grp, parse_qnd
+from sqk.fileio import format_grp, format_qnd, parse_grp, parse_qnd
 
 QUANDLES = {
     "trivial 1": trivial_quandle(1).op,
@@ -242,6 +243,54 @@ def test_library_tables_accept_bools_only():
             quandle_from_table([[0, 0], [bad, 1]])
         with pytest.raises(SqkError, match=f"entry {bad!r} in row 0"):
             group_from_table([[0, bad], [1, 0]])
+
+
+# Latin rows, column 1 = (1, 2, 1), and no row equal to (0, 1, 2)
+ROWS_ONLY = ((1, 2, 0), (2, 0, 1), (0, 2, 1))
+# the same kind of table with the identity 0; it cannot be associative
+ROWS_AND_IDENTITY = ((0, 1, 2), (1, 2, 0), (2, 1, 0))
+
+
+@pytest.mark.parametrize("table,error", [
+    (ROWS_ONLY, NotLatinSquare), (ROWS_AND_IDENTITY, NotLatinSquare),
+    (LOOP5, NotAssociative)])
+def test_columns_are_scanned_before_a_failed_identity_or_light_test(table, error):
+    # the column scan is skipped only when the identity and Light's test
+    # pass; otherwise it still decides first
+    got = outcome(lambda: _group_parts(group_from_table(table)))
+    assert got == outcome(ref_group_from_table, table)
+    assert got[0] is error
+
+
+def test_every_table_of_degree_3_with_latin_rows_matches_the_per_cell_loop():
+    # a Latin square of order below 5 with an identity is a group, so
+    # NotAssociative needs LOOP5
+    verdicts = set()
+    for table in product(permutations(range(3)), repeat=3):
+        got = outcome(lambda: _group_parts(group_from_table(table)))
+        assert got == outcome(ref_group_from_table, table), table
+        verdicts.add(got[0] if isinstance(got[0], type) else None)
+    assert verdicts == {None, NotLatinSquare, NoIdentity}
+
+
+@pytest.mark.parametrize("table", [[[0]], [[False]]])
+def test_degree_1_tables_are_written_and_read_back(table):
+    # itemgetter returns a bare item, not a tuple, for one key
+    G = group_from_table(table)
+    assert format_grp(G) == "group 1\n0\n"
+    assert parse_grp(format_grp(G)).product == G.product == ((0,),)
+    Q = quandle_from_table(table)
+    assert format_qnd(Q) == "quandle 1\n0\n"
+    assert parse_qnd(format_qnd(Q)).table == Q.op == ((0,),)
+
+
+def test_bool_tables_are_written_as_points_and_read_back():
+    Q = quandle_from_table([[False, False], [True, True]])
+    assert format_qnd(Q) == "quandle 2\n0 0\n1 1\n"
+    assert parse_qnd(format_qnd(Q)).table == Q.op
+    G = group_from_table([[False, True], [True, False]])
+    assert format_grp(G) == "group 2\n0 1\n1 0\n"
+    assert parse_grp(format_grp(G)).product == G.product
 
 
 DUAL_CASES = {
