@@ -9,8 +9,9 @@ element carrying one point to another, and with it every least coset
 representative, comes from a greedy descent over base images (Butler
 1991); an element index is its lexicographic rank, computed by the same
 descent. The elements are listed, in lexicographic order, only where every
-one is used: a written group table, the witness of a failed condition and
-requests for all the indices of a subgroup or coset space.
+one is used: a written group table and requests for all the indices of a
+subgroup or coset space. The witness of a failed condition on a
+stabilizer comes from a walk of the stabilizer's own chain.
 The product convention is "apply left, then right", so the action on
 points is a right action a.f = f(a).
 """
