@@ -8,10 +8,11 @@ element. Stabilizers are a point, an order and generators; the least
 element carrying one point to another, and with it every least coset
 representative, comes from a greedy descent over base images (Butler
 1991); an element index is its lexicographic rank, computed by the same
-descent. The elements are listed, in lexicographic order, only where every
-one is used: a written group table and requests for all the indices of a
-subgroup or coset space. The witness of a failed condition on a
-stabilizer comes from a walk of the stabilizer's own chain.
+descent. The least element outside a subgroup, which gives the greedy
+generators and decides whether a stabilizer lies in a subgroup, comes
+from one more greedy descent. The elements are listed, in lexicographic
+order, only where every one is used: a written group table and requests
+for all the indices of a subgroup or coset space.
 The product convention is "apply left, then right", so the action on
 points is a right action a.f = f(a).
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import perm
 from .errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
@@ -188,35 +189,33 @@ class _Chain:
                 i = self._add(residue, L.base + 1)
 
     def walk(self) -> Iterator[perm.Perm]:
-        """Every element in lexicographic order, one subtree of the first
-        level at a time. An element is u_{d-1} ... u_1 u_0 (u_0 applied
-        last), one transversal element per level; below the product P of
-        the levels above, level j contributes base image P[w] for w in its
-        orbit, and every element of the subtree agrees with P on the points
-        before the base. So children taken by ascending P[w] give the
-        sorted list."""
+        """Every element in lexicographic order, made as it is taken. An
+        element is u_{d-1} ... u_1 u_0 (u_0 applied last), one transversal
+        element per level; below the product P of the levels above, level
+        j contributes base image P[w] for w in its orbit, and every element
+        of the subtree agrees with P on the points before the base. So
+        children taken by ascending P[w] give the sorted order."""
         compose, levels = perm.compose, self.levels
         last = len(levels) - 1
 
-        def below(j: int, P: perm.Perm, out: list[perm.Perm]) -> None:
+        def below(j: int, P: perm.Perm) -> Iterator[perm.Perm]:
             if j > last:
-                out.append(P)
+                yield P
                 return
             L = levels[j]
             kids = sorted(L.orbit, key=P.__getitem__)
             if j == last:
-                out += [compose(L.trans[w], P) for w in kids]
+                for w in kids:
+                    yield compose(L.trans[w], P)
             else:
                 for w in kids:
-                    below(j + 1, compose(L.trans[w], P), out)
+                    yield from below(j + 1, compose(L.trans[w], P))
 
         if not levels:
             yield self.identity
             return
         for w in sorted(levels[0].orbit):
-            out: list[perm.Perm] = []
-            below(1, levels[0].trans[w], out)
-            yield from out
+            yield from below(1, levels[0].trans[w])
 
     def rank(self, g: perm.Perm) -> int | None:
         """The index of g in the order of walk, or None if g is not a
@@ -291,45 +290,47 @@ class _Chain:
             out.append((P, Pinv))
         return out
 
+    def least_outside(self, ok: Callable[[perm.Perm], bool],
+                      start: int = 0) -> perm.Perm | None:
+        """The lexicographically least element g of G_start, the group of
+        the levels from start on, with ok(g) false, or None; the elements
+        with ok true must form a subgroup K.
+
+        G_j, the group of levels j and below, is generated by G_{j+1} and
+        the strong generators that move its base b_j, which are all in
+        level j. So, from the bottom up, G_j <= K iff G_{j+1} <= K and each
+        of those passes ok. The elements of G_j fix every point before
+        b_j, and each of G_start outside G_j moves one of them up, so the
+        least g lies in G_j for the deepest j with G_j not in K. There
+        G_{j+1} <= K: the subtree G_{j+1} u_w of child w (P is the identity
+        at the top) lies inside K when u_w does and outside it otherwise.
+        g is the least element of the least child outside, reached by
+        taking the child of least base image at each level below, with no
+        backtracking (Butler 1991). The result is checked to fail ok."""
+        compose, levels = perm.compose, self.levels
+        for j in reversed(range(start, len(levels))):
+            L = levels[j]
+            if not all(ok(s) for s in L.gens if s[L.base] != L.base):
+                break
+        else:
+            return None
+        P = next(L.trans[w] for w in sorted(L.orbit) if not ok(L.trans[w]))
+        for L in levels[j + 1:]:
+            P = compose(L.trans[min(L.orbit, key=P.__getitem__)], P)
+        if ok(P):
+            raise InternalVerificationFailed(
+                f"the descent below level {j} ends inside the subgroup")
+        return P
+
     def greedy_generators(self) -> list[perm.Perm]:
         """The greedy generators over the lexicographic order: the least
         element outside K, the group of those kept so far, is kept next,
-        until K is everything.
-
-        The walk is the one of walk. At depth j the subtree below P is the
-        coset G_j P, where G_j is the group of levels j and below. When
-        K's orbit at every such level is as long as G's, G_j <= K, so the
-        coset lies in K when P sifts into K and is disjoint from it
-        otherwise; in that case its least element, reached by taking the
-        least child at each level, is the next one kept, and the coset is
-        then in K. Leaves are cosets of the trivial group."""
-        compose, levels = perm.compose, self.levels
-        depth, size = len(levels), self.order
+        until K is everything."""
         K = _Chain(len(self.identity))
         kept: list[perm.Perm] = []
-        full = [False] * depth + [True]
-
-        def visit(j: int, P: perm.Perm) -> None:
-            if full[j]:
-                if P in K:
-                    return
-                for L in levels[j:]:
-                    w = min(L.orbit, key=P.__getitem__)
-                    P = compose(L.trans[w], P)
-                kept.append(P)
-                K.extend(P)
-                lengths = {L.base: len(L.orbit) for L in K.levels}
-                for i in reversed(range(depth)):
-                    L = levels[i]
-                    full[i] = full[i + 1] and lengths.get(L.base) == len(L.orbit)
-                return
-            L = levels[j]
-            for w in sorted(L.orbit, key=P.__getitem__):
-                visit(j + 1, compose(L.trans[w], P))
-                if K.order == size:
-                    return
-
-        visit(0, self.identity)
+        while (g := self.least_outside(K.__contains__)) is not None:
+            kept.append(g)
+            K.extend(g)
         return kept
 
 
@@ -579,18 +580,19 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
 
 @dataclass(frozen=True)
 class Stabilizer:
-    """The elements of a PermGroup fixing point, given by generators.
+    """The elements of a PermGroup fixing point, given by a chain whose
+    levels from start on generate them.
 
-    The generators are the next level's strong generators when point is
-    the chain's first base point, and the group's own generators when every
-    element fixes it. Otherwise they are Schreier generators x_v s
+    The chain is the group's own from its second level when point is the
+    chain's first base point, and from its first when every element fixes
+    point. Otherwise it is a chain of Schreier generators x_v s
     x_{v.s}^-1 over the group's generators s, with the least transporters
     x_v (x_v[point] = v) of the coset listing as the transversal; these
     generate the stabilizer (Schreier's lemma). Each is checked to fix
-    point, and they are taken in order, each one sifted into a chain of
-    those kept, until that chain has the order |G| / |orbit|
-    (orbit-stabilizer), so the ones kept provably generate the stabilizer.
-    The element indices are listed only on request."""
+    point, and they are taken in order, each one sifted into the chain,
+    until it has the order |G| / |orbit| (orbit-stabilizer), so the ones
+    kept provably generate the stabilizer. The element indices are listed
+    only on request."""
     parent: PermGroup
     point: int
 
@@ -608,13 +610,14 @@ class Stabilizer:
         return PointCosets(self)
 
     @cached_property
-    def generators(self) -> tuple[perm.Perm, ...]:
+    def _chain(self) -> tuple[_Chain, int]:
+        """A chain and the first of its levels that generate the
+        stabilizer."""
         chain, q = self.parent.chain, self.point
-        levels = chain.levels
-        if levels and levels[0].base == q:
-            return tuple(levels[1].gens) if len(levels) > 1 else ()
+        if chain.levels and chain.levels[0].base == q:
+            return chain, 1
         if len(self.orbit) == 1:
-            return tuple(chain.gens)
+            return chain, 0
         compose, order = perm.compose, self.order
         cos = self.cosets
         kept = _Chain(len(chain.identity))
@@ -631,13 +634,21 @@ class Stabilizer:
             raise InternalVerificationFailed(
                 f"the Schreier generators of {q} generate a group of order "
                 f"{kept.order}, not {order}")
-        return tuple(kept.gens)
+        return kept, 0
 
-    def iter_elements(self) -> Iterator[perm.Perm]:
-        """The elements in lexicographic order, which is the parent's index
-        order, by the walk of a chain of the generators; the parent is not
-        listed."""
-        return _Chain(self.parent.degree, self.generators).walk()
+    @property
+    def generators(self) -> tuple[perm.Perm, ...]:
+        chain, start = self._chain
+        if start == 0:
+            return tuple(chain.gens)
+        return tuple(chain.levels[1].gens) if len(chain.levels) > 1 else ()
+
+    def least_outside(self, ok: Callable[[perm.Perm], bool]) -> perm.Perm | None:
+        """The lexicographically least element h, which is the least in the
+        parent's index order, with ok(h) false, or None; the elements with
+        ok true must form a subgroup (_Chain.least_outside)."""
+        chain, start = self._chain
+        return chain.least_outside(ok, start)
 
     @cached_property
     def elements(self) -> tuple[int, ...]:

@@ -121,13 +121,15 @@ def enumerate_good_involutions(Q: Quandle,
     commutes with every spanning translation t (see
     _spanning_translations), so rho(b) = c forces rho(t[b]) = t[c]. Each
     choice is propagated over those forced pairs, and fails on a point
-    already assigned another image or on a pair outside C_b; what it
-    assigned is kept on a trail and undone on backtrack. Every point below
-    the next free b is fixed, so the completions come in lexicographic
-    order. Each is kept when it commutes with the spanning translations,
-    which proves equivariance. A trivial quandle has no spanning
-    translations, and each choice assigns b and c alone. A rack has none,
-    as attach_involution rules.
+    already assigned another image; what it assigned is kept on a trail
+    and undone on backtrack. A forced pair needs no test against C: the
+    choice has c in C_b, and a translation t is an automorphism, so
+    s_{t[x]} = t^-1 s_x t, and s_y = s_x^-1 gives s_{t[y]} = s_{t[x]}^-1.
+    Every point below the next free b is fixed, so the completions come in
+    lexicographic order. Each is kept when it commutes with the spanning
+    translations, which proves equivariance. A trivial quandle has no
+    spanning translations, and each choice assigns b and c alone. A rack
+    has none, as attach_involution rules.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -147,13 +149,13 @@ def enumerate_good_involutions(Q: Quandle,
 
     def force(b: int, c: int) -> bool:
         """Assign rho(b) = c and every pair it forces, on the trail; False
-        at the first clash or pair outside C_x, with what was assigned
-        left for the caller to undo."""
+        at the first clash, with what was assigned left for the caller to
+        undo."""
         pairs = [(b, c)]
         for x, y in pairs:
             if rho[x] == y:
                 continue
-            if rho[x] >= 0 or rho[y] >= 0 or kind[y] != dual_kind[x]:
+            if rho[x] >= 0 or rho[y] >= 0:
                 return False
             rho[x] = y
             rho[y] = x

@@ -560,6 +560,49 @@ def test_chain_matches_brute_force(S):
 
 
 @pytest.mark.parametrize("S", [pytest.param(S, id=name)
+                               for name, S in _chain_cases()])
+def test_least_outside_matches_brute_force(S):
+    """The least element outside the stabilizer of each point and outside
+    the centralizer of each generator, over the whole group and over the
+    group of the levels from 1, against the sorted listing."""
+    n = S.order
+    for kind, G in (("aut", aut_group(S.quandle, n)),
+                    ("symmetric aut", symmetric_aut_group(S, n)),
+                    ("inn", inner_group(S))):
+        chain = G.chain
+        ref = sorted(bf_closure([identity(n)], G.generator_perms, compose_then))
+        starts = [(0, ref)]
+        if chain.levels:
+            b = chain.levels[0].base
+            starts.append((1, [p for p in ref if p[b] == b]))
+        for start, els in starts:
+            tests = [(("fixes", a), lambda h, a=a: h[a] == a) for a in range(n)]
+            tests += [(("commutes", g), lambda h, g=g:
+                       compose_then(h, g) == compose_then(g, h))
+                      for g in G.generator_perms]
+            for name, ok in tests:
+                want = next((p for p in els if not ok(p)), None)
+                assert chain.least_outside(ok, start) == want, \
+                    (kind, start, name)
+
+
+def test_walk_makes_each_element_as_it_is_taken(monkeypatch):
+    # the walk built each first-level subtree as a list: the first element
+    # of Inn(T_8) cost 2,472 products
+    chain = inner_group(transposition_quandle(8)).chain
+    calls = [0]
+    real = perm.compose
+
+    def counting(p, q):
+        calls[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(perm, "compose", counting)
+    assert next(chain.walk()) == chain.identity
+    assert calls[0] <= len(chain.levels)
+
+
+@pytest.mark.parametrize("S", [pytest.param(S, id=name)
                                for name, S in _differential_cases()])
 def test_descent_matches_element_scans(S):
     """Ranks, least transporters with their inverses, stabilizer orders and
@@ -629,6 +672,7 @@ def _refuse_the_walk(monkeypatch):
         raise AssertionError("the group was listed")
 
     monkeypatch.setattr(PermGroup, "iter_elements", refuse)
+    monkeypatch.setattr(autgroup._Chain, "walk", refuse)
 
 
 def _transpositions_file(tmp_path, m):
@@ -650,28 +694,40 @@ def test_decompose_never_lists_the_group(m, args, order, tmp_path, monkeypatch):
     assert text.endswith("\nresult: ok\n")
 
 
-def _with_each_translation(field):
-    """The T_6 inn presentation with z_0 or r_0 replaced by each spanning
+def _with_each_translation(m, field):
+    """The T_m inn presentation with z_0 or r_0 replaced by each spanning
     translation in turn, on a group made for it."""
-    P = decompose(transposition_quandle(6), "inn").presentation
+    P = decompose(transposition_quandle(m), "inn").presentation
     G = P.group
     return [dataclasses.replace(P, **{field: (G.index_of(g),) + getattr(P, field)[1:]})
             for g in G.generator_perms]
 
 
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
 @pytest.mark.parametrize("field,condition", [("z", "C1"), ("r", "C3")])
 def test_failed_condition_names_its_witness_without_listing_the_group(
-        field, condition, monkeypatch):
-    # the element scan lists G to name the least failing h; the walk of
-    # H_0's own chain names the same h
+        m, field, condition, monkeypatch):
+    # the element scan lists G to name the least failing h; one descent on
+    # H_0's chain names the same h
     want = [validate_presentation(dataclasses.replace(P, subgroups=tuple(
         Subgroup(P.group, H.elements) for H in P.subgroups))).lines()
-        for P in _with_each_translation(field)]
+        for P in _with_each_translation(m, field)]
     assert any(line.startswith(f"{condition}: fail (") for lines in want
                for line in lines)
     _refuse_the_walk(monkeypatch)
     assert [validate_presentation(P).lines()
-            for P in _with_each_translation(field)] == want
+            for P in _with_each_translation(m, field)] == want
+
+
+@pytest.mark.parametrize("field,detail", [
+    ("z", "C1: fail (z_0 does not centralize h=362880)"),
+    ("r", "C3: fail (r_0 h r_0^-1 escapes H_0 at h=362880)")])
+def test_failed_condition_on_t12_names_its_witness(field, detail, monkeypatch):
+    # |H_0| = 7,257,600; walking it to the witness took seconds and +200 MB
+    _refuse_the_walk(monkeypatch)
+    P = next(P for P in _with_each_translation(12, field)
+             if not validate_presentation(P).ok)
+    assert detail in validate_presentation(P).lines()
 
 
 def test_emit_prs_refuses_a_group_above_the_table_bound(tmp_path, monkeypatch):
