@@ -580,8 +580,8 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
 
 @dataclass(frozen=True)
 class Stabilizer:
-    """The elements of a PermGroup fixing point, given by a chain whose
-    levels from start on generate them.
+    """The elements of a PermGroup fixing point, given by a chain and the
+    first of its levels that generate them (_chain).
 
     The chain is the group's own from its second level when point is the
     chain's first base point, and from its first when every element fixes

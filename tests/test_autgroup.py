@@ -721,7 +721,7 @@ def test_failed_condition_names_its_witness_without_listing_the_group(
 
 @pytest.mark.parametrize("field,detail", [
     ("z", "C1: fail (z_0 does not centralize h=362880)"),
-    ("r", "C3: fail (r_0 h r_0^-1 escapes H_0 at h=362880)")])
+    ("r", "C3: fail (r_0 h r_0^-1 escapes H_0 at h=362880)")], ids=["C1", "C3"])
 def test_failed_condition_on_t12_names_its_witness(field, detail, monkeypatch):
     # |H_0| = 7,257,600; walking it to the witness took seconds and +200 MB
     _refuse_the_walk(monkeypatch)
