@@ -8,11 +8,12 @@ element. Stabilizers are a point, an order and generators; the least
 element carrying one point to another, and with it every least coset
 representative, comes from a greedy descent over base images (Butler
 1991); an element index is its lexicographic rank, computed by the same
-descent. The least element outside a subgroup, which gives the greedy
-generators and decides whether a stabilizer lies in a subgroup, comes
-from one more greedy descent. The elements are listed, in lexicographic
-order, only where every one is used: a written group table and requests
-for all the indices of a subgroup or coset space.
+descent. The least element outside a subgroup, which decides whether a
+stabilizer lies in a subgroup, comes from one more greedy descent; the
+greedy generators are read off the level orbits, with the same descent
+below each level. The elements are listed, in lexicographic order, only
+where every one is used: a written group table and requests for all the
+indices of a subgroup or coset space.
 The product convention is "apply left, then right", so the action on
 points is a right action a.f = f(a).
 """
@@ -290,6 +291,15 @@ class _Chain:
             out.append((P, Pinv))
         return out
 
+    def _least_below(self, P: perm.Perm, j: int) -> perm.Perm:
+        """The least element of the subtree of walk below P, the product
+        of the levels above j: the child of least base image at each level
+        from j on."""
+        compose = perm.compose
+        for L in self.levels[j:]:
+            P = compose(L.trans[min(L.orbit, key=P.__getitem__)], P)
+        return P
+
     def least_outside(self, ok: Callable[[perm.Perm], bool],
                       start: int = 0) -> perm.Perm | None:
         """The lexicographically least element g of G_start, the group of
@@ -306,17 +316,20 @@ class _Chain:
         at the top) lies inside K when u_w does and outside it otherwise.
         g is the least element of the least child outside, reached by
         taking the child of least base image at each level below, with no
-        backtracking (Butler 1991). The result is checked to fail ok."""
-        compose, levels = perm.compose, self.levels
+        backtracking (Butler 1991). The result is checked to fail ok.
+        It decides C1 and C3 (cosets.validate_presentation); the greedy
+        generators take the same descent below each level without a
+        membership test (greedy_generators)."""
+        levels = self.levels
         for j in reversed(range(start, len(levels))):
             L = levels[j]
             if not all(ok(s) for s in L.gens if s[L.base] != L.base):
                 break
         else:
             return None
-        P = next(L.trans[w] for w in sorted(L.orbit) if not ok(L.trans[w]))
-        for L in levels[j + 1:]:
-            P = compose(L.trans[min(L.orbit, key=P.__getitem__)], P)
+        P = self._least_below(
+            next(L.trans[w] for w in sorted(L.orbit) if not ok(L.trans[w])),
+            j + 1)
         if ok(P):
             raise InternalVerificationFailed(
                 f"the descent below level {j} ends inside the subgroup")
@@ -325,12 +338,34 @@ class _Chain:
     def greedy_generators(self) -> list[perm.Perm]:
         """The greedy generators over the lexicographic order: the least
         element outside K, the group of those kept so far, is kept next,
-        until K is everything."""
-        K = _Chain(len(self.identity))
+        until K is everything. They are read off the level orbits, from the
+        deepest level up; no chain is built for K and nothing is sifted.
+
+        At level j, K holds G_{j+1}, the stabilizer of the base b_j in G_j,
+        and lies in G_j, so K is the x in G_j with x[b_j] in D, the orbit of
+        b_j under the kept generators. Each element outside G_j moves a
+        point before b_j up, and the elements of G_j are ordered first by
+        their image of b_j, so the least element outside K is the least
+        element of the subtree G_{j+1} u_w for w the least orbit point
+        outside D: the child of least base image at each level below, as in
+        least_outside. When D is the whole orbit, K = G_j (orbit-stabilizer)
+        and the next level up starts with D = {its base}. Each kept element
+        is checked to carry b_j out of D."""
+        levels = self.levels
         kept: list[perm.Perm] = []
-        while (g := self.least_outside(K.__contains__)) is not None:
-            kept.append(g)
-            K.extend(g)
+        for j in reversed(range(len(levels))):
+            L = levels[j]
+            D = {L.base}
+            for w in sorted(L.orbit):
+                if w in D:
+                    continue
+                P = self._least_below(L.trans[w], j + 1)
+                if P[L.base] in D:
+                    raise InternalVerificationFailed(
+                        f"the greedy generator for level {j} keeps its base "
+                        "point inside the orbit of those kept")
+                kept.append(P)
+                D = set(perm.closure([L.base], kept, perm.image))
         return kept
 
 
@@ -502,9 +537,9 @@ def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
       generator changes one side and not the other.
 
     The result is kept as that chain; no element is listed. The printed
-    generators are the greedy ones over the lexicographic order, walked on
-    the chain (_Chain.greedy_generators), so they do not depend on the
-    generators found.
+    generators are the greedy ones over the lexicographic order, read off
+    the chain's level orbits (_Chain.greedy_generators) with no second
+    chain, so they do not depend on the generators found.
     """
     if Q.order > max_n:
         raise SizeBoundExceeded(Q.order, max_n)

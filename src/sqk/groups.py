@@ -96,6 +96,8 @@ class CosetSpace:
 def group_from_table(table: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None) -> FiniteGroup:
     """Validate a multiplication table and return the group it defines.
+    Names, when given, must be n distinct tokens: a repeated one is a
+    FormatError that names both elements.
 
     The verdict is the first of these that fails, in order: the entries
     (perm.square_rows: each row whole), Latin square (rows then columns),
@@ -133,6 +135,12 @@ def group_from_table(table: Sequence[Sequence[int]],
         names = tuple(names)
         if len(names) != n:
             raise FormatError(f"{len(names)} names for {n} elements")
+        first: dict[str, int] = {}
+        for x, name in enumerate(names):
+            y = first.setdefault(name, x)
+            if y != x:
+                raise FormatError(
+                    f"name {name!r} given to elements {y} and {x}")
 
     points = set(range(n))
     for x, row in enumerate(product):

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
 from helpers import bf_automorphisms, bf_closure, compose_then
@@ -584,6 +586,52 @@ def test_least_outside_matches_brute_force(S):
                 want = next((p for p in els if not ok(p)), None)
                 assert chain.least_outside(ok, start) == want, \
                     (kind, start, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.permutations(list(range(n))).map(tuple), max_size=3)
+    .map(lambda gens: (n, gens))))
+def test_greedy_generators_match_the_sorted_scan(case):
+    n, gens = case
+    ref = sorted(bf_closure([identity(n)], gens, compose_then))
+    assert autgroup._Chain(n, gens).greedy_generators() == _bf_greedy(ref)
+
+
+def _s8_chain():
+    return autgroup._Chain(8, [(1, 0, *range(2, 8)), (*range(1, 8), 0)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: aut_group(conj_symmetric_quandle(dihedral_group(12)).quandle,
+                      24).chain,
+    _s8_chain], ids=["Aut(Conj(D12))", "S_8"])
+def test_greedy_generators_build_and_sift_nothing(make, monkeypatch):
+    # the greedy generators were kept in a second chain, one sift per level
+    # and kept generator
+    chain = make()
+    want = chain.greedy_generators()
+    calls = {"__init__": 0, "sift": 0}
+    for name in calls:
+        real = getattr(autgroup._Chain, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(autgroup._Chain, name, counting)
+    assert chain.greedy_generators() == want
+    assert calls == {"__init__": 0, "sift": 0}
+
+
+def test_greedy_generators_check_each_kept_element():
+    # the first element taken is the least transporter of the deepest level;
+    # made the identity, it leaves the base point inside the kept orbit
+    chain = _s8_chain()
+    L = chain.levels[-1]
+    L.trans[min(set(L.orbit) - {L.base})] = chain.identity
+    with pytest.raises(InternalVerificationFailed, match="greedy generator"):
+        chain.greedy_generators()
 
 
 def test_walk_makes_each_element_as_it_is_taken(monkeypatch):

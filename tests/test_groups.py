@@ -17,6 +17,7 @@ from sqk import (
     subgroup_from_elements,
     symmetric_group,
 )
+from sqk.cli import run
 from sqk.errors import (
     FormatError,
     IndexOutOfRange,
@@ -76,6 +77,20 @@ def test_bad_shape():
         group_from_table([[0, 1], [1, 0], [0, 1]])
     with pytest.raises(FormatError):
         group_from_table([[0, 2], [2, 0]])
+
+
+def test_repeated_name_is_rejected(tmp_path):
+    # one label named both elements: build printed "# 0: H0[a]" and
+    # "# 1: H0[a]" and exited 0
+    with pytest.raises(FormatError, match="name 'a' given to elements 0 and 1"):
+        group_from_table([[0, 1], [1, 0]], ["a", "a"])
+    with pytest.raises(FormatError, match="'b' given to elements 1 and 3"):
+        group_from_table(cyclic_group(4).product, ["e", "b", "c", "b"])
+    path = tmp_path / "dup.prs"
+    path.write_text("presentation 1\ngroup 2\n0 1\n1 0\nnames: a a\n"
+                    "orbit 0: H = 0 ; z = 0 ; r = 0 ; kappa = 0\n")
+    assert run(["build", str(path)]) == \
+        (2, "error: name 'a' given to elements 0 and 1\n")
 
 
 def test_subgroup_closure_quaternion(quat):
