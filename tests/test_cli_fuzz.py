@@ -4,9 +4,7 @@ lets no exception escape. Files are built from the format's own tokens
 their own or edited into small valid files, so no example starts large
 work."""
 
-import tempfile
-from pathlib import Path
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,8 +46,6 @@ line = st.one_of(
     st.builds("orbit {}: H = {} ; z = {} ; r = {} ; kappa = {}".format,
               st.integers(-1, 3), row, entry, entry, entry),
     st.text(alphabet="0123456789 -+_:;=#abcgHzr", max_size=12))
-
-
 token = st.one_of(entry, st.sampled_from(["", "a", ":", ";", "=", "#", "rho:"]))
 
 
@@ -74,19 +70,19 @@ def files(draw):
     return "\n".join(lines) + "\n"
 
 
-_DIR = tempfile.TemporaryDirectory()
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 @settings(deadline=None)
-@given(files())
-def test_every_verb_exits_with_a_documented_code(text):
-    path = Path(_DIR.name) / "input"
+@given(text=files())
+def test_every_verb_exits_with_a_documented_code(work_dir, text):
+    path = work_dir / "input"
     path.write_text(text)
-    src, dst = str(path), str(Path(_DIR.name) / "output")
-    for argv in ([*verb, src] for verb in VERBS):
-        code, out = run(argv)
-        assert code in (0, 1, 2, 3), (argv, out)
-    for argv in (["iso", src, src], ["iso", "--symmetric", src, src],
-                 ["build", src, "-o", dst]):
+    src, dst = str(path), str(work_dir / "output")
+    for argv in [[*verb, src] for verb in VERBS] + [
+            ["iso", src, src], ["iso", "--symmetric", src, src],
+            ["build", src, "-o", dst]]:
         code, out = run(argv)
         assert code in (0, 1, 2, 3), (argv, out)
