@@ -455,39 +455,17 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-def _generation_order(op: Table,
-                      rho: perm.Perm | None) -> tuple[list[int], list[int]]:
-    """Every point, in the order the subquandles generated by 0..k are
-    reached for k = 0, 1, ..., and the points k not in the subquandle
-    generated by 0..k-1.
-
-    The subquandle generated by S (closed under *, the dual and rho, when
-    given) is the closure T of S under the translations s_b: a -> a*b for
-    b in S (and rho). Let B be the b in T with T closed under s_b; B holds
-    S. A finite set closed under s_b is closed under s_b^-1. For a, b in
-    B, s_{a*b} = s_b^-1 s_a s_b, and for a good involution
-    s_{rho(b)} = s_b^-1, so a*b and rho(b), both in T, lie in B. So B
-    holds S and is closed under the maps that generate T: B = T, and T is
-    closed under *, the dual and rho. This is perm.greedy_span over the
-    columns with rho as a generator from the start; the points before a
-    kept k are exactly the subquandle generated by 0..k-1.
-    """
-    bases, order = perm.greedy_span(range(len(op)), list(zip(*op)), perm.image,
-                                    gens=[rho] if rho is not None else [])
-    return order, bases
-
-
 def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
     """The automorphisms of op (commuting with rho, when given), found along
     the pointwise stabilizer chain G = G_0 >= G_1 >= ... >= G_n = 1, where
     G_k fixes 0..k-1; see aut_group for why the result is exact."""
     n = len(op)
-    order, bases = _generation_order(op, rho)
+    search = _MapSearch(op, op, rho, rho)
+    order = search.order
     pos = {a: i for i, a in enumerate(order)}
-    search = _MapSearch(op, op, rho, rho, order)
     gens: list[perm.Perm] = []
     size = 1
-    for k in reversed(bases):
+    for k in reversed(search.gens):
         # the points before k in the order are the subquandle generated by
         # 0..k-1, fixed by all of G_k; so are the images sought
         orbit = {k}
@@ -517,16 +495,22 @@ def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
     0..k-1 and, by induction, generate G_{k+1}.
 
     * Forced points: the subquandle generated by 0..k-1 is their closure
-      under their translations s_b (see _generation_order), and an
+      under their translations s_b (see quandle._generation_order), and an
       automorphism f fixing each b in 0..k-1 has f(a*b) = f(a)*b, so it
       fixes every point of that closure. A k in it has the trivial orbit
       {k}, and no search is made for it.
     * One search per coset: for every other k, each candidate image v (same
       translation cycle type) not yet in the orbit of k under the
       generators gets one find-first search for an automorphism with
-      f(i) = i for i < k and f(k) = v. A hit is a new generator; it is
-      accepted only after the complete-map check (every product). A miss
-      is an exhaustive proof that v is not in the orbit of k under G_k.
+      f(i) = i for i < k and f(k) = v. The searches share one _MapSearch
+      in its default order, op's generation order: its generating points
+      are the k searched, and the points before each are forced. A search
+      checks only the products a*g with g a generating point; these prove
+      every product inside a generated subquandle before the next
+      generating point is branched on (see _MapSearch). A hit is a new
+      generator; it is accepted only after the complete-map check (every
+      product). A miss is an exhaustive proof that v is not in the orbit
+      of k under G_k.
     * So each orbit is exact, and the generators found generate G_k, since
       |G_k| is the orbit length times |G_{k+1}| (Schreier-Sims). Each
       generator passed the full check, so the group they generate is G and

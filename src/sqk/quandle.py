@@ -186,6 +186,34 @@ def is_homomorphism_map(Q1: Quandle, Q2: Quandle, f: Sequence[int]) -> bool:
     return product_violation(Q1.op, Q2.op, f) is None
 
 
+def _generation_order(op: Table, rho: perm.Perm | None = None,
+                      points: Sequence[int] | None = None
+                      ) -> tuple[list[int], list[int]]:
+    """Every point, in the order the subquandles generated by the first k
+    of points (default 0, 1, ..., n-1) are reached for k = 0, 1, ..., and
+    the generating points: those of points not in the subquandle generated
+    by the points before them.
+
+    The subquandle generated by S (closed under *, the dual and rho, when
+    given) is the closure T of S under the translations s_b: a -> a*b for
+    b in S (and rho). Let B be the b in T with T closed under s_b; B holds
+    S. A finite set closed under s_b is closed under s_b^-1. For a, b in
+    B, s_{a*b} = s_b^-1 s_a s_b, and for a good involution
+    s_{rho(b)} = s_b^-1, so a*b and rho(b), both in T, lie in B. So B
+    holds S and is closed under the maps that generate T: B = T, and T is
+    closed under *, the dual and rho. This is perm.greedy_span over the
+    columns with rho as a generator from the start; the points before a
+    generating point g are exactly the subquandle generated by the points
+    before g in points. Every other point is reached as a*g or rho(a) from
+    points before it, g a generating point.
+    """
+    cols = list(zip(*op))
+    points = range(len(op)) if points is None else points
+    kept, order = perm.greedy_span(points, [cols[a] for a in points], perm.image,
+                                   gens=[rho] if rho is not None else [])
+    return order, [points[c] for c in kept]
+
+
 class _MapSearch:
     """Backtracking search for operation-preserving bijections op1 -> op2.
 
@@ -193,15 +221,28 @@ class _MapSearch:
     element (the cycle type of its translation, which an isomorphism must
     match, and, when rho constraints are present, its rho fixed-point
     status), the candidate images that share its key (one ascending list
-    per key), and the checks of each position. Elements are assigned
-    images in the given order (default 0, 1, ...); each product a*b = c,
-    and each pair (a, rho1(a)), is checked at the position where the last
-    of its elements is assigned. When that last element is c, with a and
-    b earlier, the check admits only f(c) = f(a)*f(b) (or rho2(f(a)));
-    derived[i] records the first such (a, b) (or (a, -1)) of position i,
-    and None when there is none. candidates is None when the keys do not
-    match up, so no bijection exists. The keys are computed once when op2
-    is op1 and rho2 is rho1, as for automorphisms.
+    per key), the search order with its generating points, and the checks
+    of each position. The default order is op1's generation order
+    (_generation_order, with rho1); gens holds the points of the order not
+    in the subquandle generated, with rho1, by the points before them.
+
+    Only the products a*b = c with b in gens are recorded, and each pair
+    (a, rho1(a)); each is checked at the position where the last of its
+    elements is assigned. That proves every product inside each generated
+    subquandle T before the next generating point is branched on: the b
+    in T with f(a*b) = f(a)*f(b) for every a in T include the generating
+    points of T and are closed under *, the dual and rho (the argument of
+    q3_violation, with f(a/c) = f(a)/f(c) since s_c permutes T), so they
+    are all of T. So the searches reach the same branch nodes as when
+    every product is checked.
+
+    When the last element of a check is c, with a and b earlier, the check
+    admits only f(c) = f(a)*f(b) (or rho2(f(a))); derived[i] records the
+    first such (a, b) (or (a, -1)) of position i, and None when there is
+    none. In the generation order every position but the generating points
+    is derived. candidates is None when the keys do not match up, so no
+    bijection exists. The keys are computed once when op2 is op1 and rho2
+    is rho1, as for automorphisms.
     """
 
     def __init__(self, op1: Table, op2: Table,
@@ -209,6 +250,11 @@ class _MapSearch:
                  rho2: perm.Perm | None = None,
                  order: Sequence[int] | None = None):
         self.op1, self.op2, self.rho1, self.rho2 = op1, op2, rho1, rho2
+        if order is None:
+            order, gens = _generation_order(op1, rho1)
+        else:
+            gens = _generation_order(op1, rho1, order)[1]
+        self.order, self.gens = tuple(order), gens
         self.candidates: list[list[int]] | None = None
         n = len(op1)
         if len(op2) != n:
@@ -227,7 +273,6 @@ class _MapSearch:
         for v, key in enumerate(key2):
             by_key.setdefault(key, []).append(v)
         self.candidates = [by_key[key] for key in key1]
-        self.order = tuple(range(n)) if order is None else tuple(order)
         pos = [0] * n
         for i, a in enumerate(self.order):
             pos[a] = i
@@ -235,7 +280,8 @@ class _MapSearch:
         derived: list[tuple[int, int] | None] = [None] * n
         for a, row in enumerate(op1):
             pa = pos[a]
-            for b, c in enumerate(row):
+            for b in gens:
+                c = row[b]
                 i = max(pa, pos[b])
                 if pos[c] > i:
                     i = pos[c]
@@ -258,17 +304,25 @@ class _MapSearch:
         """The maps sending the first len(prefix) elements of the order to
         the entries of prefix.
 
-        The remaining elements are assigned in order, candidates tried in
-        ascending order, so results come out least first (lexicographically
-        for the default order); without find_all the search stops at the
-        first. A derived position tries only the image its recorded
-        product (or rho pair) dictates, if that image has the element's key:
-        every other candidate fails the same check, so the maps found and
-        their order do not change. Every product is checked once all three
-        of its elements are assigned; complete maps are re-checked in full
-        before being accepted. In a search of a table against itself, the
-        leading prefix positions that map their element to itself need no
-        check: every product (and rho pair) recorded there has all its
+        The remaining elements are assigned in order. A branch position
+        (past the prefix and not derived) tries its candidates in ascending
+        order. A derived position tries only the image its recorded product
+        (or rho pair) dictates, if that image has the element's key: every
+        other candidate fails the same check, so the maps found and their
+        order do not change. The stack holds only the branch positions;
+        each run of prefix or derived positions after one is filled in one
+        loop and undone as a whole.
+
+        Each recorded check is made once all its elements are assigned;
+        complete maps are re-checked in full (product_violation, and rho)
+        before being accepted. Results come out least first in the order;
+        without find_all the search stops at the first. In the default
+        order that is the lexicographic order: two maps first differ at a
+        generating point g, since every other image is derived from earlier
+        ones, and every label below g lies in the subquandle generated
+        before g, where they agree. In a search of a table against itself,
+        the leading prefix positions that map their element to itself need
+        no check: every product (and rho pair) recorded there has all its
         elements among them, all fixed, so it holds.
         """
         if self.candidates is None:
@@ -277,13 +331,13 @@ class _MapSearch:
         candidates, order = self.candidates, self.order
         products, rho_pairs, derived = self.products, self.rho_pairs, self.derived
         key1, key2 = self.key1, self.key2
-        n = len(op1)
+        n, m = len(op1), len(prefix)
         f = [-1] * n
         used = [False] * n
         results: list[perm.Perm] = []
         fixed = 0
         if op2 is op1 and rho2 is rho1:
-            while fixed < len(prefix) and prefix[fixed] == order[fixed]:
+            while fixed < m and prefix[fixed] == order[fixed]:
                 fixed += 1
 
         def consistent(i: int) -> bool:
@@ -300,45 +354,70 @@ class _MapSearch:
                 return False
             return rho1 is None or perm.compose(rho1, f) == perm.compose(f, rho2)
 
-        # a depth-first walk with an explicit stack: one iterator over the
-        # candidates not yet tried per assigned position; a prefix position
-        # has only its given image, so a prefix that fails unwinds the stack
-        stack: list[Iterator[int]] = []
-        i = 0
+        def clear(i: int) -> None:
+            """Unassign positions i, i+1, ... up to the first unassigned one."""
+            while i < n and f[order[i]] >= 0:
+                used[f[order[i]]] = False
+                f[order[i]] = -1
+                i += 1
+
+        def fill(i: int) -> int:
+            """Assign positions i, i+1, ... while each has one image, its
+            prefix entry or its derived image. Returns the first branch
+            position, or n; or -1, with those positions unassigned again,
+            when an image is taken, of another key or fails its check."""
+            start = i
+            while i < n:
+                if i < m:
+                    v = prefix[i]
+                elif derived[i] is None:
+                    return i
+                else:
+                    a, b = derived[i]
+                    v = op2[f[a]][f[b]] if b >= 0 else rho2[f[a]]
+                a = order[i]
+                if used[v] or key2[v] != key1[a]:
+                    break
+                f[a] = v
+                used[v] = True
+                if i >= fixed and not consistent(i):
+                    break
+                i += 1
+            else:
+                return n
+            clear(start)
+            return -1
+
+        # a depth-first walk with an explicit stack: each branch position
+        # with an iterator over its candidates not yet tried
+        stack: list[tuple[int, Iterator[int]]] = []
+        i = fill(0)
         while True:
             if i == n:
                 if full_check():
                     results.append(tuple(f))
                     if not find_all:
                         break
-            elif i < len(prefix):
-                v = prefix[i]
-                stack.append(iter((v,) if key2[v] == key1[order[i]] else ()))
-            elif derived[i] is None:
-                stack.append(iter(candidates[order[i]]))
-            else:
-                a, b = derived[i]
-                v = op2[f[a]][f[b]] if b >= 0 else rho2[f[a]]
-                stack.append(iter((v,) if key2[v] == key1[order[i]] else ()))
+            elif i >= 0:
+                stack.append((i, iter(candidates[order[i]])))
             while stack:
-                i = len(stack) - 1
-                a = order[i]
-                if f[a] >= 0:
-                    used[f[a]] = False
-                    f[a] = -1
-                for v in stack[-1]:
+                j, untried = stack[-1]
+                clear(j)
+                a = order[j]
+                for v in untried:
                     if used[v]:
                         continue
                     f[a] = v
                     used[v] = True
-                    if i < fixed or consistent(i):
-                        break
+                    if consistent(j):
+                        i = fill(j + 1)
+                        if i >= 0:
+                            break
                     used[v] = False
                     f[a] = -1
                 else:
                     stack.pop()
                     continue
-                i += 1
                 break
             else:
                 break

@@ -23,15 +23,25 @@ def bf_dual(table, a, b):
     return hits[0]
 
 
+def bf_isomorphisms(t1, t2, rho1=None, rho2=None):
+    """The operation-preserving bijections p from t1 to t2, with
+    p(rho1(a)) = rho2(p(a)) when the involutions are given, in
+    lexicographic order: each of the n! candidates is tested on every
+    product a*b, in a plain loop that stops at the first failure."""
+    n = len(t1)
+    products = [(a, b, c) for a, row in enumerate(t1) for b, c in enumerate(row)]
+    for p in permutations(range(n)):
+        for a, b, c in products:
+            if p[c] != t2[p[a]][p[b]]:
+                break
+        else:
+            if rho1 is None or all(p[rho1[a]] == rho2[p[a]] for a in range(n)):
+                yield p
+
+
 def bf_automorphisms(table):
     """All operation-preserving permutations, by filtering n! candidates."""
-    n = len(table)
-    out = []
-    for p in permutations(range(n)):
-        if all(p[table[a][b]] == table[p[a]][p[b]]
-               for a in range(n) for b in range(n)):
-            out.append(p)
-    return out
+    return list(bf_isomorphisms(table, table))
 
 
 def all_involutions(n):

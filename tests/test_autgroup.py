@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
-from helpers import bf_automorphisms, bf_closure, compose_then
+from helpers import bf_automorphisms, bf_closure, bf_isomorphisms, compose_then
 from sqk import (
     antipodal,
     attach_involution,
@@ -19,6 +19,8 @@ from sqk import (
     dihedral_group,
     dihedral_quandle,
     fileio,
+    find_quandle_isomorphism,
+    find_symmetric_isomorphism,
     inner_group,
     is_homogeneous,
     orbits,
@@ -263,11 +265,8 @@ def test_aut_group_complete_map_checks_are_few(monkeypatch):
     assert 1 <= len(calls) <= 9
 
 
-def test_aut_group_tries_only_derived_images():
-    # on the catalog labelling of Conj(D_12) most positions of the search
-    # order hold a product of earlier points, so only one image is tried
-    # there; trying every candidate of the same key made 11,014
-    # consistency checks
+def _counting_consistent(call, *args):
+    """call(*args) and the number of _MapSearch consistency checks it made."""
     calls = 0
 
     def count(frame, event, arg):
@@ -276,14 +275,59 @@ def test_aut_group_tries_only_derived_images():
                 and frame.f_code.co_filename == quandle.__file__:
             calls += 1
 
-    Q = conj_symmetric_quandle(dihedral_group(12)).quandle
     sys.setprofile(count)
     try:
-        G = aut_group(Q, 24)
+        result = call(*args)
     finally:
         sys.setprofile(None)
+    return result, calls
+
+
+def test_aut_group_tries_only_derived_images():
+    # on the catalog labelling of Conj(D_12) most positions of the search
+    # order hold a product of earlier points, so only one image is tried
+    # there; trying every candidate of the same key made 11,014
+    # consistency checks
+    Q = conj_symmetric_quandle(dihedral_group(12)).quandle
+    G, calls = _counting_consistent(aut_group, Q, 24)
     assert G.order == 768
     assert 0 < calls <= 6000
+
+
+def _least_first_cases():
+    trivial = attach_involution(trivial_quandle(4), [1, 0, 2, 3])
+    for name, S in [("R_6", antipodal(6)), ("R_8", antipodal(8)),
+                    ("R_10", antipodal(10)),
+                    ("Conj(S3)", conj_symmetric_quandle(symmetric_group(3))),
+                    ("Conj(D4)", conj_symmetric_quandle(dihedral_group(4))),
+                    ("T_4", transposition_quandle(4)), ("trivial 4", trivial)]:
+        for seed in range(2):
+            yield pytest.param(S, seed, id=f"{name} seed {seed}")
+
+
+@pytest.mark.parametrize("S,seed", list(_least_first_cases()))
+def test_map_searches_answer_least_first_under_any_labelling(S, seed):
+    """The searches run in the generation order of the relabelled copy, not
+    in label order; their answers are still the lexicographically least:
+    every automorphism in order, and the least isomorphism to the original
+    with and without rho, as the brute-force scans of all n! maps give."""
+    R = relabelled(S, seed)
+    op = R.quandle.op
+    assert all_automorphism_maps(R.quandle) == bf_automorphisms(op)
+    assert find_quandle_isomorphism(R.quandle, S.quandle).map == \
+        next(bf_isomorphisms(op, S.quandle.op))
+    assert find_symmetric_isomorphism(R, S).map == \
+        next(bf_isomorphisms(op, S.quandle.op, R.rho, S.rho))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_automorphism_listing_work_does_not_swing_with_the_labelling(seed):
+    # in label order these copies of R_20 took from 3,760 to 3,512,880
+    # consistency checks; in the generation order 4,240 to 6,160
+    Q = relabelled(antipodal(20), seed).quandle
+    maps, calls = _counting_consistent(all_automorphism_maps, Q)
+    assert len(maps) == 160
+    assert calls <= 10_000
 
 
 def _relabelled_pairs():
@@ -311,7 +355,7 @@ def test_derived_images_find_the_same_maps(S, R):
     S -> R with and without rho, and automorphisms of R in the chain's
     search order."""
     op1, op2 = S.quandle.op, R.quandle.op
-    order = autgroup._generation_order(op2, R.rho)[0]
+    order = quandle._generation_order(op2, R.rho)[0]
     for args in ((op1, op2), (op1, op2, S.rho, R.rho),
                  (op2, op2, R.rho, R.rho, order)):
         assert any(_MapSearch(*args).derived)
@@ -321,20 +365,7 @@ def test_derived_images_find_the_same_maps(S, R):
 
 def _run_counting_consistent(search, prefix):
     """search.run(prefix) and the number of consistency checks it made."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "consistent" \
-                and frame.f_code.co_filename == quandle.__file__:
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        maps = search.run(prefix, find_all=True)
-    finally:
-        sys.setprofile(None)
-    return maps, calls
+    return _counting_consistent(search.run, prefix, True)
 
 
 def test_map_search_refuses_a_repeated_prefix_value():
@@ -460,7 +491,7 @@ def _subquandle(S, points, rho):
 def test_generation_order_prefixes_are_the_generated_subquandles(S):
     cols = list(S.quandle.translations())
     for rho in (None, S.rho):
-        order, bases = autgroup._generation_order(S.quandle.op, rho)
+        order, bases = quandle._generation_order(S.quandle.op, rho)
         assert sorted(order) == list(range(S.order))
         if rho is None:
             assert bases == perm.spanning_points(cols)
