@@ -186,13 +186,11 @@ def is_homomorphism_map(Q1: Quandle, Q2: Quandle, f: Sequence[int]) -> bool:
     return product_violation(Q1.op, Q2.op, f) is None
 
 
-def _generation_order(op: Table, rho: perm.Perm | None = None,
-                      points: Sequence[int] | None = None
-                      ) -> tuple[list[int], list[int]]:
-    """Every point, in the order the subquandles generated by the first k
-    of points (default 0, 1, ..., n-1) are reached for k = 0, 1, ..., and
-    the generating points: those of points not in the subquandle generated
-    by the points before them.
+def _generation_order(op: Table,
+                      rho: perm.Perm | None = None) -> tuple[list[int], list[int]]:
+    """Every point, in the order the subquandles generated by 0..k are
+    reached for k = 0, 1, ..., and the generating points: the k not in the
+    subquandle generated by 0..k-1.
 
     The subquandle generated by S (closed under *, the dual and rho, when
     given) is the closure T of S under the translations s_b: a -> a*b for
@@ -203,15 +201,13 @@ def _generation_order(op: Table, rho: perm.Perm | None = None,
     holds S and is closed under the maps that generate T: B = T, and T is
     closed under *, the dual and rho. This is perm.greedy_span over the
     columns with rho as a generator from the start; the points before a
-    generating point g are exactly the subquandle generated by the points
-    before g in points. Every other point is reached as a*g or rho(a) from
-    points before it, g a generating point.
+    generating point k are exactly the subquandle generated by 0..k-1.
+    Every other point is reached as a*g or rho(a) from points before it,
+    g a generating point.
     """
-    cols = list(zip(*op))
-    points = range(len(op)) if points is None else points
-    kept, order = perm.greedy_span(points, [cols[a] for a in points], perm.image,
+    gens, order = perm.greedy_span(range(len(op)), list(zip(*op)), perm.image,
                                    gens=[rho] if rho is not None else [])
-    return order, [points[c] for c in kept]
+    return order, gens
 
 
 class _MapSearch:
@@ -221,20 +217,22 @@ class _MapSearch:
     element (the cycle type of its translation, which an isomorphism must
     match, and, when rho constraints are present, its rho fixed-point
     status), the candidate images that share its key (one ascending list
-    per key), the search order with its generating points, and the checks
-    of each position. The default order is op1's generation order
-    (_generation_order, with rho1); gens holds the points of the order not
-    in the subquandle generated, with rho1, by the points before them.
+    per key), the search order, the points gens whose products are
+    recorded, and the checks of each position.
 
-    Only the products a*b = c with b in gens are recorded, and each pair
+    The products a*b = c with b in gens are recorded, and each pair
     (a, rho1(a)); each is checked at the position where the last of its
-    elements is assigned. That proves every product inside each generated
+    elements is assigned. The default order is op1's generation order
+    (_generation_order, with rho1), and gens its generating points: the
+    points not in the subquandle generated, with rho1, by the points
+    before them. That proves every product inside each generated
     subquandle T before the next generating point is branched on: the b
     in T with f(a*b) = f(a)*f(b) for every a in T include the generating
     points of T and are closed under *, the dual and rho (the argument of
     q3_violation, with f(a/c) = f(a)/f(c) since s_c permutes T), so they
-    are all of T. So the searches reach the same branch nodes as when
-    every product is checked.
+    are all of T. So in that order the search reaches the same branch
+    nodes as when every product is checked. In any other order, given
+    explicitly, the argument fails, and gens holds every point.
 
     When the last element of a check is c, with a and b earlier, the check
     admits only f(c) = f(a)*f(b) (or rho2(f(a))); derived[i] records the
@@ -253,7 +251,7 @@ class _MapSearch:
         if order is None:
             order, gens = _generation_order(op1, rho1)
         else:
-            gens = _generation_order(op1, rho1, order)[1]
+            gens = list(range(len(op1)))
         self.order, self.gens = tuple(order), gens
         self.candidates: list[list[int]] | None = None
         n = len(op1)

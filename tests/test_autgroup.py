@@ -247,6 +247,18 @@ def test_map_search_in_any_order_finds_every_automorphism():
         assert sorted(found) == expected, name
 
 
+def test_map_search_in_a_given_order_records_every_product():
+    # checking products at generating points only is enough in the
+    # generation order alone; a given order records all n^2 of them
+    op = dihedral_quandle(8).op
+    order = list(range(8))
+    random.Random(8).shuffle(order)
+    search = _MapSearch(op, op, order=order)
+    assert sum(map(len, search.products)) == 64
+    # R_8 is generated by 0 and 1
+    assert sum(map(len, _MapSearch(op, op).products)) == 8 * 2
+
+
 def test_aut_group_complete_map_checks_are_few(monkeypatch):
     # listing Aut(Conj(D_12)) leaf by leaf checks all 768 complete maps.
     # The chain checks only the generators it keeps, and each one moves k
