@@ -152,8 +152,7 @@ def cmd_involutions(args, out: list[str]) -> int:
     invs = enumerate_good_involutions(Q, args.max_n)
     out.append(f"order: {Q.order}")
     out.append(f"count: {len(invs)}")
-    for rho in invs:
-        out.append(perm_line(rho))
+    out += map(perm_line, invs)
     return 0
 
 

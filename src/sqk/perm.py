@@ -149,10 +149,6 @@ def square_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def is_involution(p: Perm) -> bool:
-    return all(p[p[a]] == a for a in range(len(p)))
-
-
 def cycles(p: Perm) -> list[list[int]]:
     """Cycle decomposition; cycles ordered by least element, 1-cycles included."""
     seen = [False] * len(p)
@@ -172,7 +168,34 @@ def cycles(p: Perm) -> list[list[int]]:
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
-    return tuple(sorted(len(c) for c in cycles(p)))
+    """The cycle lengths, 1-cycles included, in increasing order.
+
+    Counted by the walk rule of _cycle_parts: 2-cycles are counted where
+    they are met, only cycles of length 3 or more are walked, and the
+    points in no cycle counted are fixed. No cycle is built as a list.
+    """
+    pairs = 0
+    longer = []
+    seen = None
+    for a, b in enumerate(p):
+        if b <= a or seen is not None and seen[a]:
+            continue
+        c = p[b]
+        if c == a:
+            pairs += 1
+            continue
+        if seen is None:
+            seen = bytearray(len(p))
+        length = 2
+        while c != a:
+            seen[c] = 1
+            length += 1
+            c = p[c]
+        seen[b] = 1
+        longer.append(length)
+    longer.sort()
+    fixed = len(p) - 2 * pairs - sum(longer)
+    return (1,) * fixed + (2,) * pairs + tuple(longer)
 
 
 @cache
@@ -183,18 +206,34 @@ def _names(n: int) -> tuple[str, ...]:
 
 def _cycle_parts(p: Perm, sep: str) -> list[str]:
     """Each nontrivial cycle in parentheses, by least element; fixed
-    points are skipped, not built as 1-cycles."""
+    points are skipped, not built as 1-cycles.
+
+    The walk rule: a point a with p[a] <= a is skipped, since it is fixed
+    or p[a] is a smaller point of the same cycle, so the cycle was printed
+    when the scan passed its least point. A 2-cycle (a p[a]) with p[a] > a
+    is printed at once, with no walk and no mark. Only cycles of length 3
+    or more are walked, from their least point, marking their points in a
+    seen array made on first use; a later point of such a cycle can have
+    p[a] > a, and the mark skips it.
+    """
     names = _names(len(p))
-    seen = bytearray(len(p))
+    seen = None
     parts = []
     for a, b in enumerate(p):
-        if b == a or seen[a]:
+        if b <= a or seen is not None and seen[a]:
             continue
-        cyc = [names[a]]
-        while b != a:
-            seen[b] = 1
-            cyc.append(names[b])
-            b = p[b]
+        c = p[b]
+        if c == a:
+            parts.append(f"({names[a]}{sep}{names[b]})")
+            continue
+        if seen is None:
+            seen = bytearray(len(p))
+        seen[b] = 1
+        cyc = [names[a], names[b]]
+        while c != a:
+            seen[c] = 1
+            cyc.append(names[c])
+            c = p[c]
         parts.append("(" + sep.join(cyc) + ")")
     return parts
 

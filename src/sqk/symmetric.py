@@ -126,10 +126,11 @@ def enumerate_good_involutions(Q: Quandle,
     choice has c in C_b, and a translation t is an automorphism, so
     s_{t[x]} = t^-1 s_x t, and s_y = s_x^-1 gives s_{t[y]} = s_{t[x]}^-1.
     Every point below the next free b is fixed, so the completions come in
-    lexicographic order. Each is kept when it commutes with the spanning
-    translations, which proves equivariance. A trivial quandle has no
-    spanning translations, and each choice assigns b and c alone. A rack
-    has none, as attach_involution rules.
+    lexicographic order, and the candidates for rho(b) start at b: every c
+    in C_b below b is already assigned. A completion is kept when it
+    commutes with the spanning translations, which proves equivariance.
+    A trivial quandle has no spanning translations, and each choice
+    assigns b and c alone. A rack has none, as attach_involution rules.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -141,7 +142,7 @@ def enumerate_good_involutions(Q: Quandle,
     kinds: dict[perm.Perm, int] = {}
     kind = [kinds.setdefault(col, len(kinds)) for col in cols]
     dual_kind = [kinds.get(perm.inverse(col), -1) for col in cols]
-    cand = [[c for c in range(n) if kind[c] == dual_kind[b]] for b in range(n)]
+    cand = [[c for c in range(b, n) if kind[c] == dual_kind[b]] for b in range(n)]
     gens = _spanning_translations(Q)
 
     rho = [-1] * n
@@ -188,7 +189,7 @@ def enumerate_good_involutions(Q: Quandle,
                 if c >= 0:
                     rho[b] = rho[c] = -1
             for c in options:
-                if c >= b and rho[c] < 0:
+                if rho[c] < 0:
                     break
             else:
                 stack.pop()

@@ -44,23 +44,44 @@ def bf_automorphisms(table):
     return list(bf_isomorphisms(table, table))
 
 
-def all_involutions(n):
-    return [p for p in permutations(range(n))
-            if all(p[p[a]] == a for a in range(n))]
+def all_involutions(n, pair_ok=None):
+    """Every involution of 0..n-1, in lexicographic order of the array:
+    the least unpaired point a is fixed, then paired with each larger
+    unpaired point in turn. With pair_ok, only the involutions whose
+    every pair rho(a) = c has pair_ok(a, c) and pair_ok(c, a).
+    test_symmetric checks it against the involutions among all n!
+    permutations for small n."""
+    out = []
+    p = [-1] * n
+
+    def extend(a):
+        while a < n and p[a] >= 0:
+            a += 1
+        if a == n:
+            out.append(tuple(p))
+            return
+        for c in range(a, n):
+            if p[c] < 0 and (pair_ok is None
+                             or pair_ok(a, c) and pair_ok(c, a)):
+                p[a], p[c] = c, a
+                extend(a + 1)
+                p[a] = p[c] = -1
+
+    extend(0)
+    return out
 
 
 def bf_good_involutions(table):
     """All good involutions by testing the definition on every involution:
-    rho^2 = id, rho(a*b) = rho(a)*b, and a*rho(b) = the dual product."""
+    rho^2 = id, rho(a*b) = rho(a)*b, and a*rho(b) = the dual product.
+    The last is a condition on b and rho(b) alone, so it is tested on each
+    pair as the involutions are listed."""
     n = len(table)
-    out = []
-    for rho in all_involutions(n):
-        if all(rho[table[a][b]] == table[rho[a]][b]
-               for a in range(n) for b in range(n)) and \
-           all(table[a][rho[b]] == bf_dual(table, a, b)
-               for a in range(n) for b in range(n)):
-            out.append(rho)
-    return out
+    dual = [[bf_dual(table, a, b) for b in range(n)] for a in range(n)]
+    return [rho for rho in all_involutions(
+                n, lambda b, c: all(table[a][c] == dual[a][b] for a in range(n)))
+            if all(rho[table[a][b]] == table[rho[a]][b]
+                   for a in range(n) for b in range(n))]
 
 
 def bf_conjugacy_classes(G):

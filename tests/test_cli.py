@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import all_involutions, bf_good_involutions
 from sqk import cosets
+from sqk.catalog import conj_symmetric_quandle, dihedral_group, trivial_quandle
 from sqk.cli import run
+from sqk.fileio import format_qnd
+from test_perm import _old_array_string, _old_cycle_string
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -82,6 +86,24 @@ def test_involutions_r4(tmp_path):
     assert code == 0
     assert "count: 4" in text
     assert "(0 2)(1 3)  [2 3 0 1]" in text
+
+
+@pytest.mark.parametrize("name", ["trivial-7", "conj-d12"])
+def test_involutions_lines_keep_their_bytes(tmp_path, name):
+    if name == "trivial-7":
+        Q = trivial_quandle(7)
+        expected = all_involutions(7)
+    else:
+        Q = conj_symmetric_quandle(dihedral_group(12)).quandle
+        expected = bf_good_involutions(Q.op)
+    p = tmp_path / f"{name}.qnd"
+    p.write_text(format_qnd(Q))
+    code, text = run(["involutions", str(p), "--max-n", "24"])
+    assert code == 0
+    assert text.splitlines() == [f"order: {Q.order}",
+                                 f"count: {len(expected)}"] + [
+        f"{_old_cycle_string(rho)}  {_old_array_string(rho)}"
+        for rho in expected]
 
 
 def test_involutions_of_a_rack_exit_1(tmp_path):

@@ -46,11 +46,6 @@ def test_cycle_string():
     assert perm.array_string((0, 3, 2, 1)) == "[0 3 2 1]"
 
 
-def test_is_involution():
-    assert perm.is_involution((1, 0, 2))
-    assert not perm.is_involution((1, 2, 0))
-
-
 def point_families(max_n=7, max_maps=4):
     """A degree n and up to max_maps permutations of 0..n-1."""
     return st.integers(1, max_n).flatmap(lambda n: st.lists(
@@ -147,6 +142,34 @@ def _pinned_perms():
         if k % 10:
             rng.shuffle(p)
         out.append(tuple(p))
+    # involutions with fixed points: the walk rule settles every 2-cycle
+    # without a walk
+    for _ in range(60):
+        n = rng.randrange(2, 41)
+        points = list(range(n))
+        rng.shuffle(points)
+        p = list(range(n))
+        for i in range(0, 2 * rng.randrange(1, n // 2 + 1), 2):
+            a, b = points[i], points[i + 1]
+            p[a], p[b] = b, a
+        out.append(tuple(p))
+    # 2-cycles mixed with longer cycles, some of whose later points have
+    # p[a] > a, so the seen marks must skip them
+    for _ in range(60):
+        n = rng.randrange(5, 41)
+        points = list(range(n))
+        rng.shuffle(points)
+        p = list(range(n))
+        i = 0
+        while i < n:
+            size = rng.choice((1, 2, 2, 3, 4, rng.randrange(2, n + 1)))
+            cyc = points[i:i + size]
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                p[a] = b
+            i += size
+        out.append(tuple(p))
+    out += [(1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (1, 0, 3, 2, 5, 6, 7, 4),
+            (3, 2, 1, 4, 0)]
     return out
 
 
@@ -159,6 +182,8 @@ def test_printed_forms_keep_their_bytes():
         assert perm.array_string(p) == _old_array_string(p), p
         assert perm.perm_line(p) == \
             f"{_old_cycle_string(p)}  {_old_array_string(p)}", p
+        assert perm.cycle_type(p) == \
+            tuple(sorted(map(len, perm.cycles(p)))), p
     assert perm.array_string(()) == "[]"
     assert perm.cycle_string(()) == "()"
     assert perm.cycle_token((0,)) == "id"

@@ -107,6 +107,28 @@ def test_enumerate_matches_brute_force_on_small_corpus():
         assert enumerate_good_involutions(Q) == bf_good_involutions(Q.op)
 
 
+def test_brute_force_involution_helpers_filter_all_permutations():
+    from itertools import permutations
+
+    from helpers import bf_dual
+
+    def involutions(n):
+        return [p for p in permutations(range(n))
+                if all(p[p[a]] == a for a in range(n))]
+
+    for n in range(8):
+        assert all_involutions(n) == involutions(n)
+    for Q in _small_corpus():
+        if Q.order > 7:
+            continue
+        op, n = Q.op, Q.order
+        assert bf_good_involutions(op) == [
+            rho for rho in involutions(n)
+            if all(rho[op[a][b]] == op[rho[a]][b] and
+                   op[a][rho[b]] == bf_dual(op, a, b)
+                   for a in range(n) for b in range(n))]
+
+
 def test_conj_d12_has_64_good_involutions():
     Q = conj_symmetric_quandle(dihedral_group(12)).quandle
     invs = enumerate_good_involutions(Q, max_n=24)
