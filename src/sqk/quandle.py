@@ -182,10 +182,6 @@ def product_violation(op1: Sequence[Sequence[int]], op2: Sequence[Sequence[int]]
                           perm.compose_each(f, map(op2.__getitem__, f)))
 
 
-def is_homomorphism_map(Q1: Quandle, Q2: Quandle, f: Sequence[int]) -> bool:
-    return product_violation(Q1.op, Q2.op, f) is None
-
-
 def _generation_order(op: Table,
                       rho: perm.Perm | None = None) -> tuple[list[int], list[int]]:
     """Every point, in the order the subquandles generated by 0..k are
@@ -222,7 +218,7 @@ class _MapSearch:
 
     The products a*b = c with b in gens are recorded, and each pair
     (a, rho1(a)); each is checked at the position where the last of its
-    elements is assigned. The default order is op1's generation order
+    elements is assigned. The order is op1's generation order
     (_generation_order, with rho1), and gens its generating points: the
     points not in the subquandle generated, with rho1, by the points
     before them. That proves every product inside each generated
@@ -230,28 +226,23 @@ class _MapSearch:
     in T with f(a*b) = f(a)*f(b) for every a in T include the generating
     points of T and are closed under *, the dual and rho (the argument of
     q3_violation, with f(a/c) = f(a)/f(c) since s_c permutes T), so they
-    are all of T. So in that order the search reaches the same branch
-    nodes as when every product is checked. In any other order, given
-    explicitly, the argument fails, and gens holds every point.
+    are all of T. So the search reaches the same branch nodes as when
+    every product is checked.
 
     When the last element of a check is c, with a and b earlier, the check
     admits only f(c) = f(a)*f(b) (or rho2(f(a))); derived[i] records the
     first such (a, b) (or (a, -1)) of position i, and None when there is
-    none. In the generation order every position but the generating points
-    is derived. candidates is None when the keys do not match up, so no
-    bijection exists. The keys are computed once when op2 is op1 and rho2
-    is rho1, as for automorphisms.
+    none. Every position but the generating points is derived. candidates
+    is None when the keys do not match up, so no bijection exists. The
+    keys are computed once when op2 is op1 and rho2 is rho1, as for
+    automorphisms.
     """
 
     def __init__(self, op1: Table, op2: Table,
                  rho1: perm.Perm | None = None,
-                 rho2: perm.Perm | None = None,
-                 order: Sequence[int] | None = None):
+                 rho2: perm.Perm | None = None):
         self.op1, self.op2, self.rho1, self.rho2 = op1, op2, rho1, rho2
-        if order is None:
-            order, gens = _generation_order(op1, rho1)
-        else:
-            gens = list(range(len(op1)))
+        order, gens = _generation_order(op1, rho1)
         self.order, self.gens = tuple(order), gens
         self.candidates: list[list[int]] | None = None
         n = len(op1)
@@ -314,14 +305,14 @@ class _MapSearch:
         Each recorded check is made once all its elements are assigned;
         complete maps are re-checked in full (product_violation, and rho)
         before being accepted. Results come out least first in the order;
-        without find_all the search stops at the first. In the default
-        order that is the lexicographic order: two maps first differ at a
-        generating point g, since every other image is derived from earlier
-        ones, and every label below g lies in the subquandle generated
-        before g, where they agree. In a search of a table against itself,
-        the leading prefix positions that map their element to itself need
-        no check: every product (and rho pair) recorded there has all its
-        elements among them, all fixed, so it holds.
+        without find_all the search stops at the first. That is the
+        lexicographic order: two maps first differ at a generating point
+        g, since every other image is derived from earlier ones, and every
+        label below g lies in the subquandle generated before g, where they
+        agree. In a search of a table against itself, the leading prefix
+        positions that map their element to itself need no check: every
+        product (and rho pair) recorded there has all its elements among
+        them, all fixed, so it holds.
         """
         if self.candidates is None:
             return []

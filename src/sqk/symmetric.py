@@ -66,14 +66,6 @@ def _spanning_translations(Q: Quandle) -> list[perm.Perm]:
                               if cols[b] != ident))
 
 
-def _commutes(rho: perm.Perm, maps: Sequence[perm.Perm]) -> bool:
-    compose = perm.compose
-    for s in maps:
-        if compose(s, rho) != compose(rho, s):
-            return False
-    return True
-
-
 def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int] | None:
     """First (a,b) with a*rho(b) != the dual product, or None: row a of
     a*rho(b) is compose(rho, op[a])."""
@@ -91,6 +83,9 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
     rho = tuple(rho)
     if len(rho) != Q.order:
         raise SqkError(f"rho has length {len(rho)}, expected {Q.order}")
+    for v in rho:
+        if not isinstance(v, int) or not 0 <= v < Q.order:
+            raise SqkError(f"entry {v!r} of rho not in 0..{Q.order - 1}")
     a = involution_violation(rho)
     if a is not None:
         raise NotInvolution(a)
@@ -127,8 +122,12 @@ def enumerate_good_involutions(Q: Quandle,
     s_{t[x]} = t^-1 s_x t, and s_y = s_x^-1 gives s_{t[y]} = s_{t[x]}^-1.
     Every point below the next free b is fixed, so the completions come in
     lexicographic order, and the candidates for rho(b) start at b: every c
-    in C_b below b is already assigned. A completion is kept when it
-    commutes with the spanning translations, which proves equivariance.
+    in C_b below b is already assigned. A completion is kept unchecked,
+    as it was reached through force alone: for each pair (x, y) it
+    assigned, force took (t[x], t[y]) for every spanning translation t
+    and assigned that pair, found it already assigned, or failed. As rho
+    is stored both ways, rho(t(a)) = t(rho(a)) for every a and t: rho
+    commutes with the spanning translations, so it is equivariant.
     A trivial quandle has no spanning translations, and each choice
     assigns b and c alone. A rack has none, as attach_involution rules.
     """
@@ -174,9 +173,7 @@ def enumerate_good_involutions(Q: Quandle,
         while b < n and rho[b] >= 0:
             b += 1
         if b == n:
-            r = tuple(rho)
-            if _commutes(r, gens):
-                found.append(r)
+            found.append(tuple(rho))
         else:
             stack.append((b, iter(cand[b]), len(trail)))
         while stack:

@@ -1,4 +1,5 @@
 import random
+import signal
 import sys
 from contextlib import contextmanager
 from itertools import combinations
@@ -20,6 +21,29 @@ from sqk import (
 )
 
 R4_TABLE = ((0, 2, 0, 2), (3, 1, 3, 1), (2, 0, 2, 0), (1, 3, 1, 3))
+
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test still running after TEST_TIME_LIMIT_S seconds, so a
+    search that has lost its pruning fails by name instead of hanging the
+    whole run. Not armed where SIGALRM is missing (Windows)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test still running after {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

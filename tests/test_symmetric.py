@@ -14,6 +14,7 @@ from sqk import (
     is_good_involution,
     paper_example_presentation,
     build_symmetric_quandle,
+    quandle_from_table,
     quaternion_group,
     symmetric_group,
     trivial_quandle,
@@ -53,6 +54,14 @@ def test_not_involution(r4):
     assert exc.value.a == 0
 
 
+def test_malformed_rho_entry_is_named(r4):
+    with pytest.raises(SqkError, match=r"^entry 4 of rho not in 0\.\.3$"):
+        attach_involution(r4, (4, 1, 2, 3))
+    with pytest.raises(SqkError, match=r"^entry 1\.0 of rho not in 0\.\.3$"):
+        attach_involution(r4, (2, 3, 0, 1.0))
+    assert not is_good_involution(r4, (9, 1, 2, 3))
+
+
 def test_not_equivariant(conj_s3):
     # swap the identity element with a transposition: an involution, but it
     # does not commute with the translations
@@ -68,8 +77,6 @@ def test_not_equivariant(conj_s3):
 
 
 def test_rack_rejected():
-    from sqk import quandle_from_table
-
     R = quandle_from_table([[1, 1], [0, 0]], allow_rack=True)
     with pytest.raises(SqkError):
         attach_involution(R, [0, 1])
@@ -99,12 +106,20 @@ def _small_corpus():
     corpus += [conj_symmetric_quandle(G).quandle
                for G in (symmetric_group(3), dihedral_group(4), quaternion_group())]
     corpus.append(antipodal(8).quandle)
+    # large enough that an involution propagated over too few translates
+    # completes without being equivariant
+    corpus += [dihedral_quandle(16), dihedral_quandle(20)]
+    # not faithful: s_0 = s_1 = s_2 = id and s_3 = (0 2), so rho(0) = 1
+    # forces rho(2) = 1, a clash on the image
+    corpus.append(quandle_from_table([[0, 0, 0, 2], [1, 1, 1, 1],
+                                      [2, 2, 2, 0], [3, 3, 3, 3]]))
     return corpus
 
 
 def test_enumerate_matches_brute_force_on_small_corpus():
     for Q in _small_corpus():
-        assert enumerate_good_involutions(Q) == bf_good_involutions(Q.op)
+        assert enumerate_good_involutions(Q, max_n=Q.order) == \
+            bf_good_involutions(Q.op)
 
 
 def test_brute_force_involution_helpers_filter_all_permutations():
@@ -145,6 +160,8 @@ def _bf_equivariance_witness(op, rho):
 
 def test_not_equivariant_names_the_first_pair_on_every_involution():
     for Q in _small_corpus():
+        if Q.order > 8:
+            continue
         for rho in all_involutions(Q.order):
             witness = _bf_equivariance_witness(Q.op, rho)
             try:
@@ -248,8 +265,6 @@ def test_antipodal_6_passes_validation():
 
 def test_rack_has_no_good_involutions():
     # the search alone would report both involutions of this rack
-    from sqk import quandle_from_table
-
     R = quandle_from_table([[1, 1], [0, 0]], allow_rack=True)
     assert not any(is_good_involution(R, rho) for rho in all_involutions(2))
     with pytest.raises(SqkError, match="rack"):
