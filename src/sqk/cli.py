@@ -28,7 +28,7 @@ from .errors import (
     SizeBoundExceeded,
     SqkError,
 )
-from .perm import perm_line
+from .perm import involution_lines, perm_line
 from .quandle import (
     Quandle,
     find_quandle_isomorphism,
@@ -152,7 +152,7 @@ def cmd_involutions(args, out: list[str]) -> int:
     invs = enumerate_good_involutions(Q, args.max_n)
     out.append(f"order: {Q.order}")
     out.append(f"count: {len(invs)}")
-    out += map(perm_line, invs)
+    out += involution_lines(invs, Q.order)
     return 0
 
 
@@ -368,7 +368,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         return 3, f"error: {exc}\n"
     except SqkError as exc:
         return 1, f"error: {exc}\n"
-    return code, "".join(line + "\n" for line in out)
+    out.append("")  # the final newline; no lines print as ""
+    return code, "\n".join(out)
 
 
 def main() -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import perm
 from .errors import (
@@ -110,26 +110,23 @@ def enumerate_good_involutions(Q: Quandle,
                                max_n: int = DEFAULT_MAX_N) -> list[perm.Perm]:
     """All good involutions of Q, in lexicographic order of the array.
 
-    Dual compatibility pins rho(b) to C_b = {c : s_c = s_b^-1}, so the
-    search backtracks over involutions respecting C_b, assigning the least
-    free b = 0, 1, ... in turn with an explicit stack. A good involution
-    commutes with every spanning translation t (see
-    _spanning_translations), so rho(b) = c forces rho(t[b]) = t[c]. Each
-    choice is propagated over those forced pairs, and fails on a point
-    already assigned another image; what it assigned is kept on a trail
-    and undone on backtrack. A forced pair needs no test against C: the
-    choice has c in C_b, and a translation t is an automorphism, so
-    s_{t[x]} = t^-1 s_x t, and s_y = s_x^-1 gives s_{t[y]} = s_{t[x]}^-1.
-    Every point below the next free b is fixed, so the completions come in
-    lexicographic order, and the candidates for rho(b) start at b: every c
-    in C_b below b is already assigned. A completion is kept unchecked,
-    as it was reached through force alone: for each pair (x, y) it
-    assigned, force took (t[x], t[y]) for every spanning translation t
-    and assigned that pair, found it already assigned, or failed. As rho
-    is stored both ways, rho(t(a)) = t(rho(a)) for every a and t: rho
-    commutes with the spanning translations, so it is equivariant.
-    A trivial quandle has no spanning translations, and each choice
-    assigns b and c alone. A rack has none, as attach_involution rules.
+    A good involution commutes with every spanning translation t (see
+    _spanning_translations), so on an orbit of theirs it is the orbit map
+    m fixed by its value y at the least point x, m(t[a]) = t[m(a)], built
+    once along a Schreier tree. Dual compatibility s_y = s_x^-1 checked
+    at x carries along the orbit: t is an automorphism, so
+    s_{t[a]} = t^-1 s_a t. Each y >= x with s_y = s_x^-1 is tried once,
+    and m is kept when it is injective and commutes with every spanning
+    translation on the orbit, so it maps the orbit onto the orbit of y;
+    when y lies in the same orbit, also when m(y) = x, as m^2 commutes
+    and fixes x, so it is the identity there. Then rho is m on the orbit
+    and m^-1 on the orbit of y, and commuting with the spanning
+    translations is equivariance. The search pairs the least unpaired
+    orbit with the orbit of each kept y while that is unpaired, with an
+    explicit stack. That orbit's x is the least point not yet assigned,
+    and y increases, so the completions come in lexicographic order; each
+    has written every point, so nothing is undone. A trivial quandle's
+    orbits are its points. A rack has none, as attach_involution rules.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -141,64 +138,61 @@ def enumerate_good_involutions(Q: Quandle,
     kinds: dict[perm.Perm, int] = {}
     kind = [kinds.setdefault(col, len(kinds)) for col in cols]
     dual_kind = [kinds.get(perm.inverse(col), -1) for col in cols]
-    cand = [[c for c in range(b, n) if kind[c] == dual_kind[b]] for b in range(n)]
     gens = _spanning_translations(Q)
-
-    rho = [-1] * n
-    trail: list[int] = []       # the points assigned, in order
-
-    def force(b: int, c: int) -> bool:
-        """Assign rho(b) = c and every pair it forces, on the trail; False
-        at the first clash, with what was assigned left for the caller to
-        undo."""
-        pairs = [(b, c)]
-        for x, y in pairs:
-            if rho[x] == y:
-                continue
-            if rho[x] >= 0 or rho[y] >= 0:
-                return False
-            rho[x] = y
-            rho[y] = x
-            trail.append(x)
-            trail.append(y)
-            pairs += [(t[x], t[y]) for t in gens]
-        return True
+    orbit = [-1] * n
+    trees = []          # per orbit, (point, parent, t) from its least point
+    for x in range(n):
+        if orbit[x] < 0:
+            orbit[x] = len(trees)
+            trees.append([(x, x, None)])
+            for a, _, _ in trees[-1]:
+                for t in gens:
+                    if orbit[t[a]] < 0:
+                        orbit[t[a]] = orbit[x]
+                        trees[-1].append((t[a], a, t))
+    choices = []        # per orbit, each (orbit paired with it, rho's pairs)
+    for i, tree in enumerate(trees):
+        x, points = tree[0][0], [a for a, _, _ in tree]
+        choices.append([])
+        for y in range(x, n):
+            if kind[y] != dual_kind[x] or orbit[y] < i:
+                continue    # an orbit below i is paired before i
+            m = {x: y}
+            for b, a, t in tree[1:]:
+                m[b] = t[m[a]]
+            images = list(m.values())
+            if len(set(images)) == len(points) and (orbit[y] > i or m[y] == x) \
+                    and all(m[t[a]] == t[m[a]] for t in gens for a in points):
+                choices[i].append(
+                    (orbit[y], tuple(zip(points + images, images + points))))
 
     found: list[perm.Perm] = []
-    # one entry per open choice: b, the candidates for rho(b) not yet
-    # tried, and the length of the trail before b was assigned
-    stack: list[tuple[int, Iterator[int], int]] = []
-    b = 0
-    while True:
-        while b < n and rho[b] >= 0:
-            b += 1
-        if b == n:
+    rho = [-1] * n
+    k = len(trees)
+    partner = [-1] * k  # the orbit paired with each, or -1
+    stack = [(0, iter(choices[0]))]     # per open orbit, its choices left
+    while stack:
+        i, options = stack[-1]
+        j = partner[i]
+        if j >= 0:
+            partner[i] = partner[j] = -1
+        for j, pairs in options:
+            if partner[j] < 0:
+                break
+        else:
+            stack.pop()
+            continue
+        partner[i] = j
+        partner[j] = i
+        for a, b in pairs:
+            rho[a] = b
+        while i < k and partner[i] >= 0:
+            i += 1
+        if i == k:
             found.append(tuple(rho))
         else:
-            stack.append((b, iter(cand[b]), len(trail)))
-        while stack:
-            b, options, mark = stack[-1]
-            if gens:
-                while len(trail) > mark:
-                    rho[trail.pop()] = -1
-            else:
-                c = rho[b]
-                if c >= 0:
-                    rho[b] = rho[c] = -1
-            for c in options:
-                if rho[c] < 0:
-                    break
-            else:
-                stack.pop()
-                continue
-            if not gens:
-                rho[b] = c
-                rho[c] = b
-            elif not force(b, c):
-                continue    # undone at the top, then the next candidate
-            break
-        else:
-            return found
+            stack.append((i, iter(choices[i])))
+    return found
 
 
 def find_symmetric_isomorphism(S1: SymmetricQuandle,

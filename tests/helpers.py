@@ -84,6 +84,42 @@ def bf_good_involutions(table):
                    for a in range(n) for b in range(n))]
 
 
+def all_quandle_tables(n):
+    """Every quandle operation table on 0..n-1, as a tuple of row tuples.
+    Column b of a table is its translation s_b: a -> a*b, a bijection
+    with s_b(b) = b (Q2 and Q1). The columns are chosen in turn, b = 0,
+    1, ..., from the permutations fixing b, and a choice is kept while
+    s_b s_c = s_c s_{b*c} (apply left, then right) holds for every b and
+    c whose columns, and that of b*c, are chosen, one of the three being
+    the new one. That identity at every a is (a*b)*c = (a*c)*(b*c), so the
+    complete tables are exactly those satisfying Q3."""
+    perms = list(permutations(range(n)))
+    cols = []
+    out = []
+
+    def holds(b, c):
+        d = cols[c][b]
+        return d >= len(cols) or all(cols[c][cols[b][a]] == cols[d][cols[c][a]]
+                                     for a in range(n))
+
+    def extend():
+        new = len(cols)
+        if new == n:
+            out.append(tuple(tuple(col[a] for col in cols) for a in range(n)))
+            return
+        for col in perms:
+            if col[new] != new:
+                continue
+            cols.append(col)
+            if all(holds(b, c) for b in range(new + 1) for c in range(new + 1)
+                   if new in (b, c, cols[c][b])):
+                extend()
+            cols.pop()
+
+    extend()
+    return out
+
+
 def bf_conjugacy_classes(G):
     """Partition by pairwise conjugacy testing over all pairs."""
     n = G.order

@@ -106,6 +106,17 @@ def test_involutions_lines_keep_their_bytes(tmp_path, name):
         for rho in expected]
 
 
+def test_output_is_its_lines_each_ending_in_a_newline(tmp_path):
+    # a verb that writes its result to a file prints nothing at all
+    prs, qnd = tmp_path / "pe.prs", tmp_path / "pe.qnd"
+    assert run(["catalog", "paper-example", "-o", str(prs)]) == (0, "")
+    assert run(["build", str(prs), "-o", str(qnd)]) == (0, "")
+    code, text = run(["involutions", str(qnd)])
+    assert code == 0
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert text == "".join(line + "\n" for line in text.splitlines())
+
+
 def test_involutions_of_a_rack_exit_1(tmp_path):
     p = tmp_path / "rack.qnd"
     p.write_text("rack 2\n1 1\n0 0\n")

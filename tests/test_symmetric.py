@@ -1,7 +1,12 @@
 import pytest
 
 from conftest import catalog_symmetric_quandles, shallow_stack
-from helpers import all_involutions, bf_good_involutions, compose_then
+from helpers import (
+    all_involutions,
+    all_quandle_tables,
+    bf_good_involutions,
+    compose_then,
+)
 from sqk import (
     antipodal,
     attach_involution,
@@ -27,7 +32,7 @@ from sqk.errors import (
     SqkError,
 )
 from sqk import symmetric
-from sqk.perm import inverse
+from sqk.perm import involution_lines, inverse, perm_line
 
 R4_GOOD = [(0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1)]
 
@@ -106,13 +111,23 @@ def _small_corpus():
     corpus += [conj_symmetric_quandle(G).quandle
                for G in (symmetric_group(3), dihedral_group(4), quaternion_group())]
     corpus.append(antipodal(8).quandle)
-    # large enough that an involution propagated over too few translates
-    # completes without being equivariant
+    # large enough that an involution carried over too few translations
+    # is not equivariant
     corpus += [dihedral_quandle(16), dihedral_quandle(20)]
-    # not faithful: s_0 = s_1 = s_2 = id and s_3 = (0 2), so rho(0) = 1
-    # forces rho(2) = 1, a clash on the image
+    # not faithful: s_0 = s_1 = s_2 = id and s_3 = (0 2), so the orbit
+    # map from rho(0) = 1 takes 2 to 1 as well, and is not injective
     corpus.append(quandle_from_table([[0, 0, 0, 2], [1, 1, 1, 1],
                                       [2, 2, 2, 0], [3, 3, 3, 3]]))
+    # orbits {0}, {1, 2}, {3} under s_3 = (1 2): rho(0) = 1 does not
+    # commute with s_3, and would pair a one-point orbit with a two-point
+    # one
+    corpus.append(quandle_from_table([[0, 0, 0, 0], [1, 1, 1, 2],
+                                      [2, 2, 2, 1], [3, 3, 3, 3]]))
+    # the orbit {0, 1, 2} under s_3 = (0 1 2): rho(0) = 1 extends to the
+    # orbit map (0 1 2), which commutes with s_3 but is no involution
+    corpus.append(quandle_from_table([[0, 0, 0, 1, 2], [1, 1, 1, 2, 0],
+                                      [2, 2, 2, 0, 1], [3, 3, 3, 3, 3],
+                                      [4, 4, 4, 4, 4]]))
     return corpus
 
 
@@ -120,6 +135,35 @@ def test_enumerate_matches_brute_force_on_small_corpus():
     for Q in _small_corpus():
         assert enumerate_good_involutions(Q, max_n=Q.order) == \
             bf_good_involutions(Q.op)
+
+
+def test_enumerate_matches_brute_force_on_every_small_table():
+    # every labelled quandle table of order at most 5
+    tables = [t for n in range(1, 6) for t in all_quandle_tables(n)]
+    assert len(tables) == 447
+    for table in tables:
+        Q = quandle_from_table(table)
+        assert enumerate_good_involutions(Q) == bf_good_involutions(table), table
+
+
+def test_quandle_table_helper_filters_every_column_choice():
+    from itertools import permutations, product
+
+    for n in range(1, 5):
+        fixing = [[p for p in permutations(range(n)) if p[b] == b]
+                  for b in range(n)]
+        tables = [tuple(tuple(col[a] for col in cols) for a in range(n))
+                  for cols in product(*fixing)]
+        assert all_quandle_tables(n) == [
+            t for t in tables
+            if all(t[t[a][b]][c] == t[t[a][c]][t[b][c]]
+                   for a in range(n) for b in range(n) for c in range(n))]
+
+
+def test_involution_lines_are_perm_lines_on_the_corpus():
+    for Q in _small_corpus() + [conj_symmetric_quandle(dihedral_group(12)).quandle]:
+        invs = enumerate_good_involutions(Q, max_n=Q.order)
+        assert involution_lines(invs, Q.order) == list(map(perm_line, invs))
 
 
 def test_brute_force_involution_helpers_filter_all_permutations():
@@ -150,6 +194,16 @@ def test_conj_d12_has_64_good_involutions():
     assert len(invs) == 64
     for rho in invs:
         assert attach_involution(Q, rho).rho == rho
+
+
+@pytest.mark.parametrize("n, count", [(8, 32), (16, 128), (32, 2048)])
+def test_conj_dihedral_involutions_past_brute_force(n, count):
+    Q = conj_symmetric_quandle(dihedral_group(n)).quandle
+    invs = enumerate_good_involutions(Q, max_n=2 * n)
+    assert len(invs) == count
+    assert all(a < b for a, b in zip(invs, invs[1:]))
+    for rho in invs:
+        attach_involution(Q, rho)
 
 
 def _bf_equivariance_witness(op, rho):
