@@ -13,14 +13,14 @@ table is assembled. Its verdict covers every choice of representatives:
 the twisting element y^-1 z_j y is the same for every member of H_j y
 exactly when C1 holds, and rho(H_i x) is the same for every member of
 H_i x exactly when C3 holds. Independence from the choice of x in the
-product holds in any group by associativity. The finished tables are
-re-validated against the quandle and good-involution axioms rather than
-trusted.
+product holds in any group by associativity. assemble checks the tables
+as tables; the builders prove the axioms on them, and decompose proves
+them through an isomorphism onto its validated input (see assemble).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 
@@ -283,25 +283,43 @@ def _involution(P: CosetPresentation, spaces, offsets) -> list[int]:
     return rho
 
 
-def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
-    """The object of P at the given level, once its conditions pass. At the
-    symmetric level rho(H_i x) = H_kappa(i) (r_i x) is read at each coset
-    representative, then re-validated as a good involution. It does not
-    depend on the representative because C3 passed: for x1 = h x with h in
-    H_i, r_i x1 and r_i x lie in one coset of H_kappa(i) iff r_i h r_i^-1
-    does, whatever x is."""
+def assemble(P: CosetPresentation, level: str) -> LabeledQuandle:
+    """The step every build shares; it proves no axiom. It decides the
+    level's conditions, assembles the tables, checks op's entries
+    (perm.square_rows) and that dual column b sends a*b to a, so s_b is
+    injective and the z^-1 formula gives its inverse, and at the symmetric
+    level that rho, read at the coset representatives (C3 makes that
+    choice immaterial), is a permutation. The builders close the proof
+    with the axioms (_build). decompose and conj_presentation close it with
+    a bijection psi onto a validated S with psi(a*b) = psi(a)*psi(b) and
+    psi rho = rho psi: then s_b = psi^-1 s_psi(b) psi, so op is a quandle,
+    its column-inverse dual maps to S's dual, and rho is a good involution."""
     report = validate_presentation(P, level)
     if not report.ok:
         bad = report.failures[0]
         raise PresentationInvalid(bad.name, bad.detail, report)
     spaces, offsets, op, dual_direct = _assemble(P)
-    Q = quandle_from_table(op, allow_rack=(level == "rack"))
-    if Q.dual != tuple(tuple(row) for row in dual_direct):
+    op = perm.square_rows(op)
+    n, dual = len(op), tuple(map(tuple, dual_direct))
+    if list(map(perm.compose, zip(*op), zip(*dual))) != [perm.identity(n)] * n:
         raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
-    sq = (attach_involution(Q, _involution(P, spaces, offsets))
-          if level == "symmetric" else None)
+    Q, sq = Quandle(order=n, op=op, dual=dual), None
+    if level == "symmetric":
+        rho = tuple(_involution(P, spaces, offsets))
+        if sorted(rho) != list(range(n)):
+            raise InternalVerificationFailed("rho is not a permutation of the cosets")
+        sq = SymmetricQuandle(quandle=Q, rho=rho)
     return LabeledQuandle(quandle=Q, presentation=P, cosets=spaces,
                           offsets=offsets, report=report, sq=sq)
+
+
+def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
+    """The object of P at the given level: assemble, closed by the quandle
+    (or rack) axioms and, at the symmetric level, the good involution."""
+    built = assemble(P, level)
+    Q = quandle_from_table(built.quandle.op, allow_rack=(level == "rack"))
+    sq = None if built.sq is None else attach_involution(Q, built.sq.rho)
+    return replace(built, quandle=Q, sq=sq)
 
 
 def build_rack(P: CosetPresentation) -> LabeledQuandle:

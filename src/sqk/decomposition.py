@@ -7,7 +7,8 @@ minimal representative q_i of each orbit, and put H_i = stabilizer(q_i),
 z_i = the translation by q_i, kappa(i) = the orbit of rho(q_i), and r_i =
 the least group element carrying q_kappa(i) to rho(q_i). The map
 psi(H_i x) = q_i . x is then checked to be a symmetric quandle isomorphism
-from the built coset object back to the input. Since H_i is the stabilizer
+from the built coset object back to the input, which also proves the built
+tables a symmetric quandle (cosets.assemble). Since H_i is the stabilizer
 of q_i, H_i x <-> q_i . x is the orbit-stabilizer bijection, and coset
 assembly lists and fills the cosets by that point action. Everything is
 read off the group's stabilizer chain; no element of the group is listed.
@@ -30,7 +31,7 @@ from .catalog import conj_symmetric_quandle
 from .cosets import (
     CosetPresentation,
     LabeledQuandle,
-    build_symmetric_quandle,
+    assemble,
     validate_presentation,
 )
 from .errors import InternalVerificationFailed, NoInversionClosedTransversal
@@ -87,8 +88,8 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
 
     P = CosetPresentation(group=G, subgroups=subgroups, z=tuple(z), r=tuple(r),
                           kappa=kappa)
-    # the builder decided the six conditions; its report is reused
-    built = build_symmetric_quandle(P)
+    # assemble decided the six conditions; the psi checks prove the rest
+    built = assemble(P, "symmetric")
     # psi(H_i x) = q_i . x is the point each coset was listed by
     psi_map = tuple(p for sp in built.cosets for p in sp.points)
     report = Report(built.report.checks + _psi_checks(built, S, psi_map))
@@ -166,8 +167,8 @@ def conj_presentation(G: FiniteGroup) -> CosetPresentation:
     P = CosetPresentation(group=G, subgroups=subgroups, z=z, r=r,
                           kappa=tuple(kappa))
 
-    # the built object must agree with Conj(G) under psi(H_i x) = x^-1 g_i x
-    built = build_symmetric_quandle(P)
+    # proved by agreeing with Conj(G) under psi(H_i x) = x^-1 g_i x
+    built = assemble(P, "symmetric")
     psi = tuple(G.conj(z[i], x) for (i, x) in built.labels)
     failures = [c for c in _psi_checks(built, conj_symmetric_quandle(G), psi)
                 if not c.passed]

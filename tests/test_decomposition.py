@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
-from helpers import bf_inversion_closed_transversal_exists
+from helpers import all_quandle_tables, bf_inversion_closed_transversal_exists
 from sqk import (
     antipodal,
     attach_involution,
@@ -21,6 +21,7 @@ from sqk import (
     find_symmetric_isomorphism,
     inner_group,
     orbits,
+    quandle_from_table,
     quaternion_group,
     right_cosets,
     single_orbit_presentation,
@@ -104,6 +105,30 @@ def test_round_trip_over_aut_small():
     for name, S in catalog_symmetric_quandles(6):
         d = decompose(S, "aut")
         assert verify_decomposition(S, d).ok, name
+
+
+def test_round_trip_over_every_small_symmetric_quandle():
+    # every labelled symmetric quandle of order at most 5, under both groups:
+    # decompose proves the built object through psi alone, so the axioms are
+    # run on it here, and the written presentation builds back to the input
+    count = 0
+    for n in range(1, 6):
+        for table in all_quandle_tables(n):
+            Q = quandle_from_table(table)
+            for rho in enumerate_good_involutions(Q):
+                S = attach_involution(Q, rho)
+                for choice in ("inn", "aut"):
+                    d = decompose(S, choice)
+                    built = d.built.sq
+                    ref = quandle_from_table(built.quandle.op)
+                    assert (built.quandle.op, built.quandle.dual) == \
+                        (ref.op, ref.dual), (table, rho, choice)
+                    attach_involution(ref, built.rho)
+                    again = build_symmetric_quandle(d.presentation).sq
+                    assert find_symmetric_isomorphism(again, S) is not None, \
+                        (table, rho, choice)
+                    count += 1
+    assert count == 2180
 
 
 def test_homogeneous_gives_single_orbit(anti4):

@@ -2,6 +2,7 @@
 isomorphisms and translations are rejected, and coset assembly stays within
 a product budget that a cell-by-cell re-check would exceed."""
 
+import copy
 import dataclasses
 from itertools import combinations
 
@@ -19,7 +20,9 @@ from sqk import (
     build_quandle,
     build_rack,
     build_symmetric_quandle,
+    conj_presentation,
     conj_symmetric_quandle,
+    cyclic_group,
     decompose,
     inner_group,
     paper_example_presentation,
@@ -173,6 +176,110 @@ def test_flipped_rho_entry_is_rejected(name, P):
             rho[a] = v
             with pytest.raises(SqkError):
                 attach_involution(sq.quandle, rho)
+
+
+def _decompose_cases():
+    return [pytest.param(conj_symmetric_quandle(symmetric_group(3)), "inn",
+                         id="Conj(S3) inn"),
+            pytest.param(transposition_quandle(4), "inn", id="T4 inn"),
+            pytest.param(relabelled(antipodal(8), 1), "aut", id="R_8 seed 1 aut")]
+
+
+def _assembled_with(monkeypatch, edit):
+    """Make decompose and conj_presentation see assemble's output with op,
+    rho and the coset points (psi's values) passed through edit."""
+    real = cosets.assemble
+
+    def edited(P, level):
+        built = real(P, level)
+        op = [list(row) for row in built.quandle.op]
+        rho = list(built.sq.rho)
+        spaces = [copy.copy(sp) for sp in built.cosets]
+        edit(op, rho, spaces)
+        Q = dataclasses.replace(built.quandle, op=tuple(map(tuple, op)))
+        return dataclasses.replace(built, quandle=Q, cosets=tuple(spaces),
+                                   sq=SymmetricQuandle(quandle=Q, rho=tuple(rho)))
+
+    monkeypatch.setattr(decomposition, "assemble", edited)
+
+
+@pytest.mark.parametrize("S,choice", _decompose_cases())
+def test_decompose_rejects_a_moved_op_entry(S, choice, monkeypatch):
+    # the entry passed every table check of assemble; only the psi
+    # homomorphism check can see it
+    n = S.order
+    for p in range(n):
+        for q in range(n):
+            def edit(op, rho, spaces):
+                op[p][q] = (op[p][q] + 1) % n
+            with monkeypatch.context() as m:
+                _assembled_with(m, edit)
+                with pytest.raises(InternalVerificationFailed,
+                                   match="psi homomorphism"):
+                    decompose(S, choice)
+
+
+def test_conj_presentation_rejects_a_moved_op_entry(monkeypatch):
+    G = cyclic_group(4)
+    for p in range(G.order):
+        for q in range(G.order):
+            def edit(op, rho, spaces):
+                op[p][q] = (op[p][q] + 1) % len(op)
+            with monkeypatch.context() as m:
+                _assembled_with(m, edit)
+                with pytest.raises(InternalVerificationFailed, match="conjugation"):
+                    conj_presentation(G)
+
+
+@pytest.mark.parametrize("S,choice", _decompose_cases())
+def test_decompose_rejects_a_moved_dual_entry(S, choice, monkeypatch):
+    # psi never reads the dual, so the comparison with the column inverse
+    # of op is what rejects it
+    n = S.order
+    for p in range(n):
+        for q in range(n):
+            with monkeypatch.context() as m:
+                _corrupting(m, "dual", p, q)
+                with pytest.raises(InternalVerificationFailed, match="dual"):
+                    decompose(S, choice)
+
+
+@pytest.mark.parametrize("S,choice", _decompose_cases())
+def test_decompose_rejects_a_moved_rho_entry(S, choice, monkeypatch):
+    # every other value of 0..n, and right[a] - n, which indexes the right
+    # coset from the end
+    right = decompose(S, choice).built.sq.rho
+    n = len(right)
+    real = cosets._involution
+    for a in range(n):
+        for v in [v for v in range(n + 1) if v != right[a]] + [right[a] - n]:
+            def corrupted(P, spaces, offsets):
+                rho = real(P, spaces, offsets)
+                rho[a] = v
+                return rho
+            with monkeypatch.context() as m:
+                m.setattr(cosets, "_involution", corrupted)
+                with pytest.raises(InternalVerificationFailed):
+                    decompose(S, choice)
+
+
+@pytest.mark.parametrize("S,choice", _decompose_cases())
+def test_decompose_rejects_a_moved_psi_entry(S, choice, monkeypatch):
+    # one point of one coset space, the value psi takes there, moved to
+    # every other point
+    n = S.order
+    counts = [sp.count for sp in decompose(S, choice).built.cosets]
+    for i, count in enumerate(counts):
+        for c in range(count):
+            for shift in range(1, n):
+                def edit(op, rho, spaces):
+                    points = list(spaces[i].points)
+                    points[c] = (points[c] + shift) % n
+                    spaces[i].points = tuple(points)
+                with monkeypatch.context() as m:
+                    _assembled_with(m, edit)
+                    with pytest.raises(InternalVerificationFailed, match="psi"):
+                        decompose(S, choice)
 
 
 def _is_symmetric_iso(op1, rho1, op2, rho2, f):
