@@ -28,7 +28,12 @@ from . import perm
 from .errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
 from .groups import GroupLike
 from .quandle import Quandle, Table, _MapSearch
-from .symmetric import DEFAULT_MAX_N, SymmetricQuandle, is_symmetric_isomorphism_map
+from .symmetric import (
+    DEFAULT_MAX_N,
+    SymmetricQuandle,
+    _spanning_translations,
+    is_symmetric_isomorphism_map,
+)
 
 
 def mulclose(perms: Iterable[perm.Perm]) -> set[perm.Perm]:
@@ -550,26 +555,26 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
     """The group generated by the translations s_b: a -> a*b, kept as a
     stabilizer chain.
 
-    Only the translations at perm.spanning_points of the columns are
+    Only the spanning translations (symmetric._spanning_translations: the
+    distinct non-identity ones at perm.spanning_points of the columns) are
     checked to be symmetric quandle automorphisms, and the chain is built
     from them alone. They generate every translation: once s_b is a
     verified automorphism, s_{a*b} = s_b^-1 s_a s_b (so s_a in the group
     gives s_{a*b} in it), and every point is reached from the spanning
-    points by their translations. A composite of symmetric automorphisms is
-    one, so every element of the group is. The printed generators are
-    still every distinct translation, in column order; each is sifted
-    through the chain as a cross-check, and a miss raises
-    InternalVerificationFailed.
+    points by their translations; the identity and a repeated column add
+    nothing. A composite of symmetric automorphisms is one, so every
+    element of the group is. The printed generators are still every
+    distinct translation, in column order; each is sifted through the
+    chain as a cross-check, and a miss raises InternalVerificationFailed.
     """
-    cols = S.quandle.translations()
-    span = [cols[c] for c in perm.spanning_points(list(cols))]
+    span = _spanning_translations(S.quandle)
     for t in span:
         if not is_symmetric_isomorphism_map(S, S, t):
             raise InternalVerificationFailed(
                 f"translation {perm.cycle_string(t)} is not a symmetric "
                 "automorphism")
     chain = _Chain(S.order, span)
-    gens = list(dict.fromkeys(cols))
+    gens = list(dict.fromkeys(S.quandle.translations()))
     for t in gens:
         if t not in chain:
             raise InternalVerificationFailed(

@@ -13,9 +13,12 @@ table is assembled. Its verdict covers every choice of representatives:
 the twisting element y^-1 z_j y is the same for every member of H_j y
 exactly when C1 holds, and rho(H_i x) is the same for every member of
 H_i x exactly when C3 holds. Independence from the choice of x in the
-product holds in any group by associativity. assemble checks the tables
-as tables; the builders prove the axioms on them, and decompose proves
-them through an isomorphism onto its validated input (see assemble).
+product holds in any group by associativity. The dual operation
+H_i x *^-1 H_j y = H_i (x y^-1 z_j^-1 y) is the column inverse of *, so
+it is not assembled: Quandle.dual derives it from op on first read.
+assemble checks the tables as tables; the builders prove the axioms on
+them, and decompose proves them through an isomorphism onto its
+validated input (see assemble). Either proof covers the derived dual.
 """
 
 from __future__ import annotations
@@ -199,8 +202,7 @@ class LabeledQuandle:
 
 
 def _assemble(P: CosetPresentation):
-    """Coset spaces, the offset of each orbit, the operation table and the
-    dual table from the z_j^-1 formula.
+    """Coset spaces, the offset of each orbit and the operation table.
 
     H_i x * H_j y = H_i (x w) with the twisting element w = y^-1 z_j y.
     The caller has decided C1, which makes this independent of the
@@ -213,11 +215,9 @@ def _assemble(P: CosetPresentation):
     (_by_points), H_i x <-> q_i.x, and H_i (x w) is the coset at the point
     w[q_i.x], so w moves the points by its permutation. The twisting
     elements are permutations made from each least representative y and
-    the y^-1 its descent returned, and the dual's w^-1 = y^-1 z_j^-1 y, with
-    z_j inverted once per orbit. Otherwise the position of H_i x is its
+    the y^-1 its descent returned. Otherwise the position of H_i x is its
     least member x itself, moved by one product. Column b is the element
-    index at every moved position, orbit by orbit; the dual column is the
-    same with w_b^-1."""
+    index at every moved position, orbit by orbit."""
     G, compose = P.group, perm.compose
     by_points = _by_points(P)
     if by_points:
@@ -233,14 +233,9 @@ def _assemble(P: CosetPresentation):
             for c, p in enumerate(sp.points):
                 lab[p] = offsets[i] + c
             orbits.append((sp.points, lab))
-
-        def twists(dual: bool):
-            for j, sp in enumerate(spaces):
-                z = G.element(P.z[j])
-                if dual:
-                    z = perm.inverse(z)
-                for y, y_inv in zip(sp.reps, sp.rep_invs):
-                    yield compose(compose(y_inv, z), y)
+        z = [G.element(x) for x in P.z]
+        twists = (compose(compose(y_inv, z[j]), y) for j, sp in enumerate(spaces)
+                  for y, y_inv in zip(sp.reps, sp.rep_invs))
 
         def column(w: perm.Perm) -> list[int]:
             col: list[int] = []
@@ -248,11 +243,8 @@ def _assemble(P: CosetPresentation):
                 col += compose(compose(pts, w), lab)
             return col
     else:
-        twist = [G.conj(P.z[j], y) for j, sp in enumerate(spaces)
-                 for y in sp.representatives]
-
-        def twists(dual: bool):
-            return map(G.inv, twist) if dual else twist
+        twists = (G.conj(P.z[j], y) for j, sp in enumerate(spaces)
+                  for y in sp.representatives)
 
         def column(w: int) -> list[int]:
             col: list[int] = []
@@ -261,9 +253,8 @@ def _assemble(P: CosetPresentation):
                         for x in sp.representatives]
             return col
 
-    op = [list(row) for row in zip(*map(column, twists(False)))]
-    dual_direct = [list(row) for row in zip(*map(column, twists(True)))]
-    return spaces, offsets, op, dual_direct
+    op = [list(row) for row in zip(*map(column, twists))]
+    return spaces, offsets, op
 
 
 def _involution(P: CosetPresentation, spaces, offsets) -> list[int]:
@@ -285,25 +276,23 @@ def _involution(P: CosetPresentation, spaces, offsets) -> list[int]:
 
 def assemble(P: CosetPresentation, level: str) -> LabeledQuandle:
     """The step every build shares; it proves no axiom. It decides the
-    level's conditions, assembles the tables, checks op's entries
-    (perm.square_rows) and that dual column b sends a*b to a, so s_b is
-    injective and the z^-1 formula gives its inverse, and at the symmetric
-    level that rho, read at the coset representatives (C3 makes that
-    choice immaterial), is a permutation. The builders close the proof
-    with the axioms (_build). decompose and conj_presentation close it with
-    a bijection psi onto a validated S with psi(a*b) = psi(a)*psi(b) and
-    psi rho = rho psi: then s_b = psi^-1 s_psi(b) psi, so op is a quandle,
-    its column-inverse dual maps to S's dual, and rho is a good involution."""
+    level's conditions, assembles the table, checks op's entries
+    (perm.square_rows) and, at the symmetric level, that rho, read at the
+    coset representatives (C3 makes that choice immaterial), is a
+    permutation. The builders close the proof with the axioms (_build).
+    decompose and conj_presentation close it with a bijection psi onto a
+    validated S with psi(a*b) = psi(a)*psi(b) and psi rho = rho psi: then
+    s_b = psi^-1 s_psi(b) psi, so op is a quandle, its dual (the column
+    inverse, derived on first read) maps to S's dual, and rho is a good
+    involution."""
     report = validate_presentation(P, level)
     if not report.ok:
         bad = report.failures[0]
         raise PresentationInvalid(bad.name, bad.detail, report)
-    spaces, offsets, op, dual_direct = _assemble(P)
+    spaces, offsets, op = _assemble(P)
     op = perm.square_rows(op)
-    n, dual = len(op), tuple(map(tuple, dual_direct))
-    if list(map(perm.compose, zip(*op), zip(*dual))) != [perm.identity(n)] * n:
-        raise InternalVerificationFailed("dual table disagrees with z^-1 formula")
-    Q, sq = Quandle(order=n, op=op, dual=dual), None
+    n = len(op)
+    Q, sq = Quandle(order=n, op=op), None
     if level == "symmetric":
         rho = tuple(_involution(P, spaces, offsets))
         if sorted(rho) != list(range(n)):

@@ -103,7 +103,7 @@ def _read_header(line: str, keywords: tuple[str, ...]) -> tuple[str, int]:
 
 def _parse_group_block(lines: list[str], pos: int) -> tuple[FiniteGroup, int]:
     """Parse a group block starting at lines[pos]; return (group, next pos).
-    Validation of the table happens in group_from_table."""
+    Validation of the table and the names happens in group_from_table."""
     _, n = _read_header(lines[pos], ("group",))
     pos += 1
     if pos + n > len(lines):
@@ -114,8 +114,6 @@ def _parse_group_block(lines: list[str], pos: int) -> tuple[FiniteGroup, int]:
     names = None
     if pos < len(lines) and lines[pos].startswith("names:"):
         names = lines[pos][len("names:"):].split()
-        if len(names) != n:
-            raise FormatError(f"{len(names)} names for {n} elements")
         pos += 1
     return group_from_table(table, names), pos
 

@@ -1,13 +1,15 @@
 """Finite racks and quandles as operation tables.
 
 Rows index the left argument, columns the right: op[a][b] = a*b, so the
-translation s_b is column b. The dual table is derived by inverting each
-column; a kei (every s_b an involution) is its own dual.
+translation s_b is column b. The dual table is a function of op, derived
+on first read by inverting each column; a kei (every s_b an involution)
+is its own dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import perm
@@ -23,10 +25,24 @@ Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Quandle:
+    """A rack or quandle given by its operation table. The dual is not
+    stored: it is the only dual there is, derived from op on first read,
+    so whatever proof accepts op accepts it too."""
     order: int
     op: Table
-    dual: Table
     rack_only: bool = False
+
+    @cached_property
+    def dual(self) -> Table:
+        """The table of a/b = s_b^-1(a): column b inverted. When every
+        column is an involution (a kei), s_b^-1 = s_b and the dual is op
+        itself."""
+        cols = self.translations()
+        ident = perm.identity(self.order)
+        compose = perm.compose
+        if all(compose(col, col) == ident for col in cols):
+            return self.op
+        return tuple(zip(*map(perm.inverse, cols)))
 
     def column(self, b: int) -> perm.Perm:
         """The translation map a -> a*b."""
@@ -104,16 +120,6 @@ def q1_violation(table: Sequence[Sequence[int]]) -> int | None:
     return None
 
 
-def _dual_table(op: Table, cols: list[perm.Perm]) -> Table:
-    """The table of a/b = s_b^-1(a): column b inverted. When every column
-    is an involution (a kei), s_b^-1 = s_b and the dual is op itself."""
-    ident = perm.identity(len(op))
-    compose = perm.compose
-    if all(compose(col, col) == ident for col in cols):
-        return op
-    return tuple(zip(*map(perm.inverse, cols)))
-
-
 def quandle_from_table(table: Sequence[Sequence[int]],
                        allow_rack: bool = False) -> Quandle:
     """Validate an operation table and return the quandle (or rack) it defines.
@@ -124,8 +130,8 @@ def quandle_from_table(table: Sequence[Sequence[int]],
     columns are built once: column b is a bijection iff its set of entries
     is every point. Self-distributivity is proved on a generating set of
     the table from those columns (see q3_violation), which covers every
-    triple. The dual table inverts each column; when every s_b squares to
-    the identity (a kei), s_b^-1 = s_b, so the dual is op itself.
+    triple. The dual is not made here: Quandle.dual derives it from op
+    when it is first read.
 
     The whole-row and whole-column checks only decide. When one fails, a
     per-entry, per-column or triple loop names the witness a cell-by-cell
@@ -151,7 +157,7 @@ def quandle_from_table(table: Sequence[Sequence[int]],
         if not allow_rack:
             raise AxiomQ1Violated(a)
         rack_only = True
-    return Quandle(order=n, op=op, dual=_dual_table(op, cols), rack_only=rack_only)
+    return Quandle(order=n, op=op, rack_only=rack_only)
 
 
 def is_kei(Q: Quandle) -> bool:

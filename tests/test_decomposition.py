@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import catalog_symmetric_quandles, relabelled, transposition_quandle
-from helpers import all_quandle_tables, bf_inversion_closed_transversal_exists
+from helpers import all_quandle_tables, bf_dual, bf_inversion_closed_transversal_exists
 from sqk import (
     antipodal,
     attach_involution,
@@ -274,17 +274,31 @@ def test_point_path_matches_product_path(S, choice, max_n):
     P = decompose(S, choice, max_n).presentation
     # every subgroup is a point stabilizer, so the point path runs
     assert cosets._by_points(P)
-    spaces, _, op, dual = cosets._assemble(P)
+    spaces, _, op = cosets._assemble(P)
     built = build_symmetric_quandle(P)
     ref_spaces, ref_labels, ref_op, ref_dual, ref_rho = _product_path(P)
     assert list(built.labels) == ref_labels
     assert _same_spaces(spaces, ref_spaces)
     assert _same_spaces(built.cosets, ref_spaces)
     assert op == ref_op
-    assert dual == ref_dual
     assert built.sq.quandle.op == tuple(map(tuple, ref_op))
     assert built.sq.quandle.dual == tuple(map(tuple, ref_dual))
     assert built.sq.rho == tuple(ref_rho)
+
+
+def test_dual_is_derived_only_when_read():
+    # nothing on the decompose path reads the dual, so it is never made
+    d = decompose(conj_symmetric_quandle(symmetric_group(4)), "inn")
+    assert "dual" not in vars(d.built.quandle)
+    # Conj(S3) is not a kei: the dual is the column inverse of op
+    Q = decompose(conj_symmetric_quandle(symmetric_group(3)), "inn").built.quandle
+    assert "dual" not in vars(Q)
+    assert Q.dual == tuple(tuple(bf_dual(Q.op, a, b) for b in range(Q.order))
+                           for a in range(Q.order))
+    assert Q.dual != Q.op
+    # R_8 is a kei: the dual is op itself
+    K = decompose(antipodal(8), "inn").built.quandle
+    assert K.dual is K.op
 
 
 @pytest.mark.parametrize("S,choice,max_n", DECOMPOSE_CASES)

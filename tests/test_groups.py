@@ -93,6 +93,16 @@ def test_repeated_name_is_rejected(tmp_path):
         (2, "error: name 'a' given to elements 0 and 1\n")
 
 
+def test_wrong_names_count_is_rejected(tmp_path):
+    # the CLI reads a names line through group_from_table's own check
+    with pytest.raises(FormatError, match="3 names for 2 elements"):
+        group_from_table([[0, 1], [1, 0]], ["a", "b", "c"])
+    path = tmp_path / "names.prs"
+    path.write_text("presentation 1\ngroup 2\n0 1\n1 0\nnames: a b c\n"
+                    "orbit 0: H = 0 ; z = 0 ; r = 0 ; kappa = 0\n")
+    assert run(["build", str(path)]) == (2, "error: 3 names for 2 elements\n")
+
+
 def test_subgroup_closure_quaternion(quat):
     H1 = subgroup_closure(quat, {A})
     assert H1.elements == (E, A, A2, A3)
