@@ -574,7 +574,7 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
                 f"translation {perm.cycle_string(t)} is not a symmetric "
                 "automorphism")
     chain = _Chain(S.order, span)
-    gens = list(dict.fromkeys(S.quandle.translations()))
+    gens = list(dict.fromkeys(S.quandle.columns))
     for t in gens:
         if t not in chain:
             raise InternalVerificationFailed(

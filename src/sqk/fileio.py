@@ -272,15 +272,25 @@ def group_to_table(G: GroupLike) -> FiniteGroup:
     column along a breadth-first spanning tree from the identity. With
     R_g[x] = x g, column y g holds x (y g) = (x y) g = R_g[x y]: column y
     gathered through R_g. That costs one product per element and generator,
-    plus one gather per column. The table is then validated by
-    group_from_table like any other."""
+    plus one gather per column.
+
+    The table needs no second validation. Each column is x -> x w for the
+    product w of the generators along its tree path, gathered through the
+    right multiplications of G, and G is a group: its permutation products
+    are associative and its chain holds every element. So the table is
+    that of a group as soon as each column sits at the index of its w. Its
+    identity row reads e w = w, so one look at each column, that column y
+    holds y in the identity row, proves it; a column at the wrong index
+    raises InternalVerificationFailed. The identity and the names are G's,
+    and the inverses are read off the rows. A reader of the written file
+    proves it again (parse_prs, parse_grp)."""
     if isinstance(G, FiniteGroup):
         return G
-    n = G.order
+    n, e = G.order, G.identity
     right = [[G.mul(x, g) for x in range(n)] for g in G.generators]
     cols: list[tuple[int, ...] | None] = [None] * n
-    cols[G.identity] = tuple(range(n))
-    reached = [G.identity]
+    cols[e] = tuple(range(n))
+    reached = [e]
     for y in reached:
         for R in right:
             yg = R[y]
@@ -290,8 +300,14 @@ def group_to_table(G: GroupLike) -> FiniteGroup:
     if len(reached) != n:
         raise InternalVerificationFailed(
             f"the generators reach {len(reached)} of {n} group elements")
-    names = [G.name_of(x) for x in range(n)]
-    return group_from_table(list(zip(*cols)), names)
+    for y, col in enumerate(cols):
+        if col[e] != y:
+            raise InternalVerificationFailed(
+                f"the table column of element {col[e]} is written at {y}")
+    product = tuple(zip(*cols))
+    return FiniteGroup(order=n, product=product, identity=e,
+                       inverse=tuple(row.index(e) for row in product),
+                       names=tuple(G.name_of(x) for x in range(n)))
 
 
 def format_prs(P: CosetPresentation) -> str:

@@ -25,31 +25,43 @@ Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Quandle:
-    """A rack or quandle given by its operation table. The dual is not
-    stored: it is the only dual there is, derived from op on first read,
-    so whatever proof accepts op accepts it too."""
+    """A rack or quandle given by its operation table. The columns, their
+    spanning points and the dual are not stored: each is a function of op,
+    derived on first read and kept, so every proof of the quandle reads
+    the same ones, and whatever proof accepts op accepts them too."""
     order: int
     op: Table
     rack_only: bool = False
 
     @cached_property
+    def columns(self) -> tuple[perm.Perm, ...]:
+        """The translations s_b: a -> a*b, column b of op."""
+        return tuple(zip(*self.op))
+
+    @cached_property
+    def spanning_points(self) -> list[int]:
+        """perm.spanning_points of the columns: points whose closure under
+        their own translations is every point, so a set of points that
+        holds them and is closed under b -> b*c for each of them c is
+        every point. The proofs of Q3 (q3_violation), of a kei (is_kei)
+        and of a good involution (symmetric.attach_involution) check
+        their condition at these points only."""
+        return perm.spanning_points(self.columns)
+
+    @cached_property
     def dual(self) -> Table:
-        """The table of a/b = s_b^-1(a): column b inverted. When every
-        column is an involution (a kei), s_b^-1 = s_b and the dual is op
-        itself."""
-        cols = self.translations()
-        ident = perm.identity(self.order)
-        compose = perm.compose
-        if all(compose(col, col) == ident for col in cols):
+        """The table of a/b = s_b^-1(a): column b inverted. On a kei,
+        s_b^-1 = s_b and the dual is op itself."""
+        if is_kei(self):
             return self.op
-        return tuple(zip(*map(perm.inverse, cols)))
+        return tuple(zip(*map(perm.inverse, self.columns)))
 
     def column(self, b: int) -> perm.Perm:
         """The translation map a -> a*b."""
-        return tuple(self.op[a][b] for a in range(self.order))
+        return self.columns[b]
 
     def translations(self) -> tuple[perm.Perm, ...]:
-        return tuple(zip(*self.op))
+        return self.columns
 
 
 @dataclass(frozen=True)
@@ -91,17 +103,19 @@ def q3_violation(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """
     cols = list(zip(*table))
     bijective = len(cols) == len(table) and _first_non_bijection(cols) is None
-    return _q3_violation(table, cols, bijective)
+    return _q3_violation(table, cols,
+                         perm.spanning_points(cols) if bijective else ())
 
 
-def _q3_violation(table: Sequence[Sequence[int]], cols: list[perm.Perm],
-                  bijective: bool) -> tuple[int, int, int] | None:
-    """q3_violation on the columns of table, with Q2 already decided."""
+def _q3_violation(table: Sequence[Sequence[int]], cols: Sequence[perm.Perm],
+                  span: Sequence[int]) -> tuple[int, int, int] | None:
+    """q3_violation on the columns of table and their spanning points;
+    span is empty when the columns are not all bijections."""
     n = len(table)
-    if bijective:
+    if span:
         compose = perm.compose
         if all(compose(cols[b], cols[c]) == compose(cols[c], cols[table[b][c]])
-               for c in perm.spanning_points(cols) for b in range(n)):
+               for c in span for b in range(n)):
             return None
     for a in range(n):
         for b in range(n):
@@ -127,9 +141,10 @@ def quandle_from_table(table: Sequence[Sequence[int]],
     Checks the entries (perm.square_rows: each row whole, by its length,
     the types of its entries and their min and max), then bijectivity of
     the translations, then self-distributivity, then idempotence. The
-    columns are built once: column b is a bijection iff its set of entries
-    is every point. Self-distributivity is proved on a generating set of
-    the table from those columns (see q3_violation), which covers every
+    proofs read the columns and spanning points of the returned Quandle,
+    so they are made once for every proof of it: column b is a bijection
+    iff its set of entries is every point, and self-distributivity is
+    proved at the spanning points (see q3_violation), which covers every
     triple. The dual is not made here: Quandle.dual derives it from op
     when it is first read.
 
@@ -144,25 +159,30 @@ def quandle_from_table(table: Sequence[Sequence[int]],
     if n == 0:
         raise FormatError("empty operation table")
     op = perm.square_rows(table)
-    cols = list(zip(*op))
-    b = _first_non_bijection(cols)
+    a = q1_violation(op)
+    Q = Quandle(order=n, op=op, rack_only=a is not None)
+    b = _first_non_bijection(Q.columns)
     if b is not None:
         raise AxiomQ2Violated(b)
-    abc = _q3_violation(op, cols, True)
+    abc = _q3_violation(op, Q.columns, Q.spanning_points)
     if abc is not None:
         raise AxiomQ3Violated(*abc)
-    a = q1_violation(op)
-    rack_only = False
-    if a is not None:
-        if not allow_rack:
-            raise AxiomQ1Violated(a)
-        rack_only = True
-    return Quandle(order=n, op=op, rack_only=rack_only)
+    if a is not None and not allow_rack:
+        raise AxiomQ1Violated(a)
+    return Q
 
 
 def is_kei(Q: Quandle) -> bool:
-    """True iff every translation is an involution, i.e. dual == op."""
-    return Q.dual == Q.op
+    """True iff every translation is an involution, i.e. dual == op.
+
+    Decided at Q.spanning_points, on a rack (Q2 and Q3, as
+    quandle_from_table proves them). By Q3, s_{b*d} = s_d^-1 s_b s_d
+    (apply left, then right), so s_{b*d}^2 = s_d^-1 s_b^2 s_d: the b with
+    s_b^2 = id are closed under b -> b*d for every d. They hold the
+    spanning points, so they are every point.
+    """
+    cols, ident = Q.columns, perm.identity(Q.order)
+    return all(perm.compose(cols[c], cols[c]) == ident for c in Q.spanning_points)
 
 
 def first_mismatch(lhs_rows: list[tuple[int, ...]],

@@ -51,19 +51,22 @@ def equivariance_violation(op: Table, rho: Sequence[int]) -> tuple[int, int] | N
 
 
 def _spanning_translations(Q: Quandle) -> list[perm.Perm]:
-    """The distinct non-identity translations s_b at perm.spanning_points.
+    """The distinct non-identity translations s_c at Q.spanning_points.
 
-    rho(a*b) = rho(a)*b for every a exactly when rho commutes with s_b.
-    On a rack the b with that property are closed under *, because
+    rho(a*c) = rho(a)*c for every a exactly when rho commutes with s_c.
+    On a rack the c with that property are closed under *, because
     s_{c*d} = s_d^-1 s_c s_d, and the closure of the spanning points
     under their own translations is every point. So a permutation
-    commuting with these translations is equivariant. The list is empty
-    for a trivial quandle.
+    commuting with these translations is equivariant: attach_involution
+    proves equivariance at these points, and the involution enumeration
+    and autgroup.inner_group work with these translations. The identity
+    and a repeated column add nothing, and the list is empty for a
+    trivial quandle.
     """
-    cols = Q.translations()
+    cols = Q.columns
     ident = perm.identity(Q.order)
-    return list(dict.fromkeys(cols[b] for b in perm.spanning_points(cols)
-                              if cols[b] != ident))
+    return list(dict.fromkeys(cols[c] for c in Q.spanning_points
+                              if cols[c] != ident))
 
 
 def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int] | None:
@@ -73,10 +76,22 @@ def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int
 
 
 def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
-    """Validate rho as a good involution on Q and pair them up.
+    """Validate rho as a good involution on the validated quandle Q and
+    pair them up.
 
     The three conditions are checked in order: involutivity, equivariance
-    rho(a*b) = rho(a)*b, and dual compatibility a*rho(b) = dual(a,b).
+    rho(a*b) = rho(a)*b, and dual compatibility a*rho(b) = a/b. The last
+    two are proved at the points c of Q.spanning_points, as the Q3 proof
+    is: equivariance at c is s_c commuting with rho (the argument of
+    _spanning_translations carries it to every point), and dual
+    compatibility at c is s_c followed by s_rho(c) being the identity,
+    s_rho(c) = s_c^-1. Given equivariance everywhere, the b with
+    s_rho(b) = s_b^-1 are closed under b -> b*d for every d:
+    s_rho(b*d) = s_{rho(b)*d} = s_d^-1 s_rho(b) s_d = (s_d^-1 s_b s_d)^-1
+    = s_{b*d}^-1. They hold the spanning points, so they are every point.
+    When a proof fails, the full scan (equivariance_violation,
+    dual_violation) names the first failing pair, as a cell-by-cell scan
+    of the conditions in order would.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -89,12 +104,12 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
     a = involution_violation(rho)
     if a is not None:
         raise NotInvolution(a)
-    ab = equivariance_violation(Q.op, rho)
-    if ab is not None:
-        raise NotEquivariant(*ab)
-    ab = dual_violation(Q.op, Q.dual, rho)
-    if ab is not None:
-        raise NotDualCompatible(*ab)
+    cols, span, compose = Q.columns, Q.spanning_points, perm.compose
+    if any(compose(cols[c], rho) != compose(rho, cols[c]) for c in span):
+        raise NotEquivariant(*equivariance_violation(Q.op, rho))
+    ident = perm.identity(Q.order)
+    if any(compose(cols[c], cols[rho[c]]) != ident for c in span):
+        raise NotDualCompatible(*dual_violation(Q.op, Q.dual, rho))
     return SymmetricQuandle(quandle=Q, rho=rho)
 
 
@@ -134,7 +149,7 @@ def enumerate_good_involutions(Q: Quandle,
     if n > max_n:
         raise SizeBoundExceeded(n, max_n)
     # s_c = s_b^-1 iff kind[c] == dual_kind[b]
-    cols = Q.translations()
+    cols = Q.columns
     kinds: dict[perm.Perm, int] = {}
     kind = [kinds.setdefault(col, len(kinds)) for col in cols]
     dual_kind = [kinds.get(perm.inverse(col), -1) for col in cols]

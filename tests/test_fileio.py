@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
 from sqk import (
     PermGroup,
+    Subgroup,
     antipodal,
     attach_involution,
     build_symmetric_quandle,
@@ -15,6 +18,8 @@ from sqk import (
     symmetric_group,
     validate_presentation,
 )
+from sqk import catalog, cli, fileio, groups, perm
+from sqk.cosets import CosetPresentation
 from sqk.errors import FormatError, InternalVerificationFailed
 from sqk.fileio import (
     format_grp,
@@ -188,6 +193,48 @@ def test_group_to_table_of_a_perm_group_is_its_product_table(G, monkeypatch):
     assert calls[0] == n * len(G.generators)
     # no generators stands for every element
     assert group_to_table(PermGroup(G.degree, G.elements)).product == product
+    # a reader proves the written table and reads back the same group
+    e = G.identity
+    P = CosetPresentation(group=G, subgroups=(Subgroup(G, (e,)),), z=(e,),
+                          r=(e,), kappa=(0,))
+    R = parse_prs(format_prs(P)).group
+    assert (R.product, R.names, R.identity, R.inverse) == \
+        (product, names, e, T.inverse)
+
+
+def test_emit_prs_writes_the_table_unvalidated_and_build_proves_it(tmp_path,
+                                                                  monkeypatch):
+    qnd, prs = str(tmp_path / "r8.qnd"), str(tmp_path / "r8.prs")
+    with open(qnd, "w", encoding="utf-8") as fh:
+        fh.write(format_qnd(antipodal(8)))
+    calls = [0]
+    real = groups.group_from_table
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for module in (groups, fileio, catalog):
+        monkeypatch.setattr(module, "group_from_table", counting)
+    assert cli.run(["decompose", qnd, "--group", "aut", "--emit-prs", prs])[0] == 0
+    assert calls[0] == 0
+    assert cli.run(["build", prs, "-o", str(tmp_path / "r8b.qnd")])[0] == 0
+    assert calls[0] == 1
+
+
+def test_group_to_table_rejects_a_misplaced_column(monkeypatch):
+    # the second column gathered is a copy of the one it is gathered from,
+    # so that column is written at a second index
+    G = inner_group(antipodal(8))
+    calls = [0]
+
+    def misplacing(p, q):
+        calls[0] += 1
+        return p if calls[0] == 2 else perm.compose(p, q)
+
+    monkeypatch.setattr(fileio, "perm", SimpleNamespace(compose=misplacing))
+    with pytest.raises(InternalVerificationFailed, match="written at"):
+        group_to_table(G)
 
 
 def test_group_to_table_rejects_generators_that_miss_elements():

@@ -4,6 +4,7 @@ from conftest import catalog_symmetric_quandles, shallow_stack
 from helpers import (
     all_involutions,
     all_quandle_tables,
+    bf_dual,
     bf_good_involutions,
     compose_then,
 )
@@ -17,6 +18,7 @@ from sqk import (
     enumerate_good_involutions,
     find_symmetric_isomorphism,
     is_good_involution,
+    is_kei,
     paper_example_presentation,
     build_symmetric_quandle,
     quandle_from_table,
@@ -31,8 +33,9 @@ from sqk.errors import (
     SizeBoundExceeded,
     SqkError,
 )
-from sqk import symmetric
+from sqk import perm, symmetric
 from sqk.perm import involution_lines, inverse, perm_line
+from sqk.quandle import Quandle
 
 R4_GOOD = [(0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1)]
 
@@ -246,6 +249,85 @@ def test_dropping_one_spanning_translation_accepts_a_bad_involution(monkeypatch,
             with pytest.raises(NotEquivariant) as exc:
                 attach_involution(Q, rho)
             assert exc.value.pair == _bf_equivariance_witness(Q.op, rho)
+
+
+def _small_tables():
+    """Every labelled quandle of order at most 5, validated."""
+    return [quandle_from_table(t) for n in range(1, 6) for t in all_quandle_tables(n)]
+
+
+def _scan_verdict(op, rho):
+    """The error class and witness of a cell-by-cell scan of involutivity,
+    equivariance and dual compatibility, in that order; None for a good
+    involution."""
+    n = len(op)
+    for a in range(n):
+        if rho[rho[a]] != a:
+            return NotInvolution, a
+    for a in range(n):
+        for b in range(n):
+            if rho[op[a][b]] != op[rho[a]][b]:
+                return NotEquivariant, (a, b)
+    for a in range(n):
+        for b in range(n):
+            if op[a][rho[b]] != bf_dual(op, a, b):
+                return NotDualCompatible, (a, b)
+    return None
+
+
+def _attach_verdict(Q, rho):
+    """What attach_involution raises, as _scan_verdict gives it."""
+    try:
+        attach_involution(Q, rho)
+    except NotInvolution as exc:
+        return NotInvolution, exc.a
+    except (NotEquivariant, NotDualCompatible) as exc:
+        return type(exc), exc.pair
+    return None
+
+
+def _every_column_an_involution(op):
+    n = len(op)
+    return all(op[op[a][b]][b] == a for a in range(n) for b in range(n))
+
+
+def test_spanning_point_proofs_match_a_cell_by_cell_scan():
+    small = _small_tables()
+    for Q in small + _small_corpus():
+        assert is_kei(Q) == _every_column_an_involution(Q.op), Q.op
+    for Q in small + [Q for Q in _small_corpus() if Q.order <= 8]:
+        for rho in all_involutions(Q.order):
+            assert _attach_verdict(Q, rho) == _scan_verdict(Q.op, rho), (Q.op, rho)
+
+
+def test_dropping_one_spanning_point_lets_a_wrong_verdict_through(monkeypatch):
+    # each proof at the spanning points needs all of them: for every
+    # position k, dropping the k-th point lets a wrong verdict of each
+    # proof through on some table of order at most 5
+    wrong = {"equivariance": set(), "dual compatibility": set(), "kei": set()}
+    longest = 0
+    for Q in _small_tables():
+        span = Q.spanning_points
+        longest = max(longest, len(span))
+        for k in range(len(span)):
+            dropped = span[:k] + span[k + 1:]
+            with monkeypatch.context() as m:
+                m.setattr(perm, "spanning_points", lambda cols: dropped)
+                R = Quandle(order=Q.order, op=Q.op)
+                if is_kei(R) and not _every_column_an_involution(Q.op):
+                    wrong["kei"].add(k)
+                for rho in all_involutions(Q.order):
+                    want = _scan_verdict(Q.op, rho)
+                    if want is None:
+                        continue
+                    got = _attach_verdict(R, rho)
+                    if want[0] is NotEquivariant and \
+                            (got is None or got[0] is not NotEquivariant):
+                        wrong["equivariance"].add(k)
+                    if want[0] is NotDualCompatible and got is None:
+                        wrong["dual compatibility"].add(k)
+    assert longest == 5
+    assert wrong == dict.fromkeys(wrong, set(range(longest)))
 
 
 def test_deep_involution_search_needs_no_recursion():
