@@ -4,18 +4,13 @@ orbits, stabilizers, transporters.
 A group is stored by a base and strong generating set on the base
 0..degree-1 (Sims 1970), built by a deterministic Schreier-Sims. The chain
 gives the order, membership by sifting and the orbits without listing any
-element. Stabilizers are a point, an order and generators; the least
-element carrying one point to another, and with it every least coset
-representative, comes from a greedy descent over base images (Butler
-1991); an element index is its lexicographic rank, computed by the same
-descent. The least element outside a subgroup, which decides whether a
-stabilizer lies in a subgroup, comes from one more greedy descent; the
-greedy generators are read off the level orbits, with the same descent
-below each level. The elements are listed, in lexicographic order, only
-where every one is used: a written group table and requests for all the
-indices of a subgroup or coset space.
-The product convention is "apply left, then right", so the action on
-points is a right action a.f = f(a).
+element. Element indices (lexicographic ranks), least transporters and
+coset representatives, the least element outside a subgroup and the
+greedy generators all come from the descent over base images (_Chain).
+The elements are listed, in lexicographic order, only where every one is
+used: a written group table and requests for all the indices of a
+subgroup or coset space. The product convention is "apply left, then
+right", so the action on points is a right action a.f = f(a).
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ from .symmetric import (
 )
 
 
+# kept in sqk because perfbench/tracing.py wraps it by name
 def mulclose(perms: Iterable[perm.Perm]) -> set[perm.Perm]:
     """Closure of a set of permutations under composition. perm.compose is
     looked up per call, so a rebinding of it sees every product."""
@@ -102,6 +98,16 @@ class _Chain:
     (Schreier's lemma), and the order is the product of the orbit lengths.
     perm.compose is looked up per call, so a rebinding of it counts every
     product.
+
+    The descent (Butler 1991): an element is u_{d-1} ... u_1 u_0 (u_0
+    applied last), one transversal element u_w per level. Below the
+    product P of the levels above level j, the subtree of child w is
+    Y u_w P with Y in the group of the levels below; its elements agree
+    with P on the points before the base b_j, send b_j to P[w], and agree
+    with each other up to the next base. So children taken by ascending
+    P[w] give the lexicographic order, and the least element of a union
+    of subtrees takes, at each level, the child of least image whose
+    subtree meets it, with no backtracking.
     """
 
     def __init__(self, degree: int, gens: Iterable[perm.Perm] = ()):
@@ -195,12 +201,8 @@ class _Chain:
                 i = self._add(residue, L.base + 1)
 
     def walk(self) -> Iterator[perm.Perm]:
-        """Every element in lexicographic order, made as it is taken. An
-        element is u_{d-1} ... u_1 u_0 (u_0 applied last), one transversal
-        element per level; below the product P of the levels above, level
-        j contributes base image P[w] for w in its orbit, and every element
-        of the subtree agrees with P on the points before the base. So
-        children taken by ascending P[w] give the sorted order."""
+        """Every element in lexicographic order (the descent, _Chain),
+        made as it is taken."""
         compose, levels = perm.compose, self.levels
         last = len(levels) - 1
 
@@ -225,11 +227,10 @@ class _Chain:
 
     def rank(self, g: perm.Perm) -> int | None:
         """The index of g in the order of walk, or None if g is not a
-        member. Write g = Y P, with P the product of the levels above j and
-        Y in the group of level j; Y sends the base b_j to w = P^-1[g[b_j]],
-        and g[b_j] = P[w]. So g lies below child w, after the children u
-        with P[u] < g[b_j], each a subtree of the order of the levels below.
-        g is a member iff the product of the children taken is g."""
+        member. Below P, g lies in the subtree of the child w with
+        P[w] = g[b_j], after the children u with P[u] < g[b_j], each a
+        subtree of the order of the levels below (_Chain). g is a member
+        iff the product of the children taken is g."""
         compose = perm.compose
         x, below = 0, self.order
         P = Pinv = self.identity
@@ -257,16 +258,11 @@ class _Chain:
         """For each p in targets, the lexicographically least element g
         with g[q] = p, with g^-1; None when p is not in the orbit of q.
 
-        A greedy descent over the children of walk (Butler 1991): below the
-        product P of the levels above j, the subtree of child w is
-        Y u_w P with Y in the group of the levels below, and it holds an
+        The descent (_Chain): the subtree Y u_w P of child w holds an
         element carrying q to p iff u_w^-1[P^-1[p]] lies in the orbit of q
-        under that group. Its elements agree on every point up to the next
-        base, so the least element takes, at each level, the feasible child
-        of least image P[w]. At the first level P is the identity, and one
-        table settles every target: the least w with p in u_w[orbit of q].
-        The orbits of q below each level are made per call, not kept with
-        the chain. Each result is checked to carry q to p."""
+        under the levels below. At the first level P is the identity, and
+        one table settles every target: the least w with p in u_w[orbit of
+        q]. Each result is checked to carry q to p."""
         compose, levels = perm.compose, self.levels
         if not levels:
             return [(self.identity, self.identity) if p == q else None
@@ -297,9 +293,8 @@ class _Chain:
         return out
 
     def _least_below(self, P: perm.Perm, j: int) -> perm.Perm:
-        """The least element of the subtree of walk below P, the product
-        of the levels above j: the child of least base image at each level
-        from j on."""
+        """The least element of the subtree below P, the product of the
+        levels above j (_Chain): the child of least image at each level."""
         compose = perm.compose
         for L in self.levels[j:]:
             P = compose(L.trans[min(L.orbit, key=P.__getitem__)], P)
@@ -312,19 +307,13 @@ class _Chain:
         with ok true must form a subgroup K.
 
         G_j, the group of levels j and below, is generated by G_{j+1} and
-        the strong generators that move its base b_j, which are all in
-        level j. So, from the bottom up, G_j <= K iff G_{j+1} <= K and each
-        of those passes ok. The elements of G_j fix every point before
-        b_j, and each of G_start outside G_j moves one of them up, so the
-        least g lies in G_j for the deepest j with G_j not in K. There
-        G_{j+1} <= K: the subtree G_{j+1} u_w of child w (P is the identity
-        at the top) lies inside K when u_w does and outside it otherwise.
-        g is the least element of the least child outside, reached by
-        taking the child of least base image at each level below, with no
-        backtracking (Butler 1991). The result is checked to fail ok.
-        It decides C1 and C3 (cosets.validate_presentation); the greedy
-        generators take the same descent below each level without a
-        membership test (greedy_generators)."""
+        the strong generators that move b_j, so, from the bottom up,
+        G_j <= K iff G_{j+1} <= K and each of those passes ok. Each element
+        of G_start outside G_j moves a point before b_j up, so the least g
+        lies in the deepest G_j not in K. There G_{j+1} <= K, so the
+        subtree G_{j+1} u_w of each child lies wholly inside K or outside,
+        and g is the least element of the least child outside (_Chain).
+        The result is checked to fail ok."""
         levels = self.levels
         for j in reversed(range(start, len(levels))):
             L = levels[j]
@@ -346,16 +335,12 @@ class _Chain:
         until K is everything. They are read off the level orbits, from the
         deepest level up; no chain is built for K and nothing is sifted.
 
-        At level j, K holds G_{j+1}, the stabilizer of the base b_j in G_j,
-        and lies in G_j, so K is the x in G_j with x[b_j] in D, the orbit of
-        b_j under the kept generators. Each element outside G_j moves a
-        point before b_j up, and the elements of G_j are ordered first by
-        their image of b_j, so the least element outside K is the least
-        element of the subtree G_{j+1} u_w for w the least orbit point
-        outside D: the child of least base image at each level below, as in
-        least_outside. When D is the whole orbit, K = G_j (orbit-stabilizer)
-        and the next level up starts with D = {its base}. Each kept element
-        is checked to carry b_j out of D."""
+        At level j, K holds G_{j+1} and lies in G_j, so K is the x in G_j
+        with x[b_j] in D, the orbit of b_j under the kept generators. As in
+        least_outside, the least element outside K is the least element of
+        the subtree of w, the least orbit point outside D (_Chain). When D
+        is the whole orbit, K = G_j and the next level up starts. Each kept
+        element is checked to carry b_j out of D."""
         levels = self.levels
         kept: list[perm.Perm] = []
         for j in reversed(range(len(levels))):
@@ -376,15 +361,12 @@ class _Chain:
 
 class PermGroup(GroupLike):
     """A group of permutations of 0..degree-1, stored by its stabilizer
-    chain; order and membership come from the chain.
+    chain, built from a list of elements, which must form a group, or from
+    a chain. The printed generators, generator_perms, generate the group;
+    with none given, every element is one. The index of an element is its
+    lexicographic rank (the identity is 0). The elements, which mul, inv
+    and name_of read, are listed on first use by the chain's walk."""
 
-    Built either from a list of elements, which must form a group, or from
-    a chain. The printed generators, generator_perms, generate the group
-    (every constructor in this module makes sure of it); with none given,
-    every element is one. The index of an element is its lexicographic rank
-    (the identity is 0), and element and index_of go between the two on the
-    chain. The elements themselves, and mul, inv and name_of, which read
-    them, are listed on first use by the chain's walk (iter_elements)."""
 
     def __init__(self, degree: int, elements: Iterable[perm.Perm] = (),
                  generator_perms: Iterable[perm.Perm] = (),
@@ -463,7 +445,18 @@ class OrbitDecomposition:
 def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
     """The automorphisms of op (commuting with rho, when given), found along
     the pointwise stabilizer chain G = G_0 >= G_1 >= ... >= G_n = 1, where
-    G_k fixes 0..k-1; see aut_group for why the result is exact."""
+    G_k fixes 0..k-1, from k = n-1 down.
+
+    An automorphism fixing 0..k-1 fixes the subquandle they generate, so
+    only op's generating points k are searched: each candidate image v not
+    yet in the orbit of k gets one find-first search with f(i) = i for
+    i < k and f(k) = v, in one shared _MapSearch (the map-search argument
+    there). A hit is a generator, accepted after the complete-map check;
+    a miss proves v is not in the orbit of k under G_k. So each orbit is
+    exact, and the generators generate G. Schreier-Sims on them must give
+    the product of the orbit lengths as the order: a missed orbit point or
+    a lost generator changes one side and not the other. The printed
+    generators are the chain's greedy ones, independent of those found."""
     n = len(op)
     search = _MapSearch(op, op, rho, rho)
     order = search.order
@@ -492,44 +485,9 @@ def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
 
 
 def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
-    """All operation-preserving permutations, found along the pointwise
-    stabilizer chain G = G_0 >= G_1 >= ... >= G_n = 1, where G_k fixes
-    0..k-1 (Sims' chain on the base 0, 1, ..., n-1).
-
-    Levels run k = n-1 down to 0, so the generators found so far fix
-    0..k-1 and, by induction, generate G_{k+1}.
-
-    * Forced points: the subquandle generated by 0..k-1 is their closure
-      under their translations s_b (see quandle._generation_order), and an
-      automorphism f fixing each b in 0..k-1 has f(a*b) = f(a)*b, so it
-      fixes every point of that closure. A k in it has the trivial orbit
-      {k}, and no search is made for it.
-    * One search per coset: for every other k, each candidate image v (same
-      translation cycle type) not yet in the orbit of k under the
-      generators gets one find-first search for an automorphism with
-      f(i) = i for i < k and f(k) = v. The searches share one _MapSearch
-      in its default order, op's generation order: its generating points
-      are the k searched, and the points before each are forced. A search
-      checks only the products a*g with g a generating point; these prove
-      every product inside a generated subquandle before the next
-      generating point is branched on (see _MapSearch). A hit is a new
-      generator; it is accepted only after the complete-map check (every
-      product). A miss is an exhaustive proof that v is not in the orbit
-      of k under G_k.
-    * So each orbit is exact, and the generators found generate G_k, since
-      |G_k| is the orbit length times |G_{k+1}| (Schreier-Sims). Each
-      generator passed the full check, so the group they generate is G and
-      holds only automorphisms.
-    * Cross-check: Schreier-Sims on the generators found (_Chain) must give
-      a group whose order is the product of the orbit lengths, or
-      InternalVerificationFailed is raised. A missed orbit point or a lost
-      generator changes one side and not the other.
-
-    The result is kept as that chain; no element is listed. The printed
-    generators are the greedy ones over the lexicographic order, read off
-    the chain's level orbits (_Chain.greedy_generators) with no second
-    chain, so they do not depend on the generators found.
-    """
+    """All operation-preserving permutations, kept as the stabilizer chain
+    on the base 0, 1, ..., n-1 that _chain_group finds by map searches
+    (the map-search argument of _MapSearch); no element is listed."""
     if Q.order > max_n:
         raise SizeBoundExceeded(Q.order, max_n)
     return _chain_group(Q.op)
@@ -537,15 +495,9 @@ def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
 
 def symmetric_aut_group(S: SymmetricQuandle,
                         max_n: int = DEFAULT_MAX_N) -> PermGroup:
-    """The automorphisms commuting with rho, along the same stabilizer chain
-    as aut_group, with rho as a search constraint: candidate images keep
-    rho fixed-point status, each search checks f(rho(a)) = rho(f(a)), and
-    the forced points are the closure of 0..k-1 under * and rho. The same
-    argument applies: misses are exhaustive, forced points have trivial
-    orbits, the generators found pass the full check (products and rho)
-    and generate the group, and its order is cross-checked against the
-    product of the orbit lengths.
-    """
+    """The automorphisms commuting with rho, found as in aut_group with rho
+    as a search constraint (_chain_group, and the map-search argument of
+    _MapSearch, which covers rho)."""
     if S.order > max_n:
         raise SizeBoundExceeded(S.order, max_n)
     return _chain_group(S.quandle.op, S.rho)
@@ -555,17 +507,13 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
     """The group generated by the translations s_b: a -> a*b, kept as a
     stabilizer chain.
 
-    Only the spanning translations (symmetric._spanning_translations: the
-    distinct non-identity ones at perm.spanning_points of the columns) are
-    checked to be symmetric quandle automorphisms, and the chain is built
-    from them alone. They generate every translation: once s_b is a
-    verified automorphism, s_{a*b} = s_b^-1 s_a s_b (so s_a in the group
-    gives s_{a*b} in it), and every point is reached from the spanning
-    points by their translations; the identity and a repeated column add
-    nothing. A composite of symmetric automorphisms is one, so every
-    element of the group is. The printed generators are still every
-    distinct translation, in column order; each is sifted through the
-    chain as a cross-check, and a miss raises InternalVerificationFailed.
+    The chain is built from the spanning translations
+    (symmetric._spanning_translations) alone, each checked to be a
+    symmetric automorphism. They generate every translation: once s_b is
+    an automorphism, s_{a*b} = s_b^-1 s_a s_b, so the a with s_a in the
+    group are closed under a -> a*b. The printed generators are every
+    distinct translation, in column order, each sifted through the chain
+    as a cross-check.
     """
     span = _spanning_translations(S.quandle)
     for t in span:
@@ -585,10 +533,7 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
 
 def orbits(G: PermGroup) -> OrbitDecomposition:
     """Orbits on 0..degree-1 by the orbit algorithm on the generators G's
-    chain was built from: the orbit of a is the closure of {a} under them
-    (a finite set closed under a permutation is closed under its inverse),
-    which costs O(degree * generators) rather than a scan of every
-    element."""
+    chain was built from, in O(degree * generators)."""
     gens = G.chain.gens
     orbit_index = [-1] * G.degree
     orbs: list[tuple[int, ...]] = []
@@ -607,16 +552,13 @@ class Stabilizer:
     """The elements of a PermGroup fixing point, given by a chain and the
     first of its levels that generate them (_chain).
 
-    The chain is the group's own from its second level when point is the
-    chain's first base point, and from its first when every element fixes
-    point. Otherwise it is a chain of Schreier generators x_v s
-    x_{v.s}^-1 over the group's generators s, with the least transporters
-    x_v (x_v[point] = v) of the coset listing as the transversal; these
-    generate the stabilizer (Schreier's lemma). Each is checked to fix
-    point, and they are taken in order, each one sifted into the chain,
-    until it has the order |G| / |orbit| (orbit-stabilizer), so the ones
-    kept provably generate the stabilizer. The element indices are listed
-    only on request."""
+    The chain is the group's own when point is its first base point or
+    fixed by every element. Otherwise it is a chain of the Schreier
+    generators x_v s x_{v.s}^-1 over the group's generators s, with the
+    least transporters x_v of the coset listing (the descent, _Chain) as
+    the transversal (Schreier's lemma). Each is checked to fix point and
+    sifted in until the chain has the order |G| / |orbit|. The element
+    indices are listed only on request."""
     parent: PermGroup
     point: int
 
@@ -696,13 +638,11 @@ class PointCosets:
     """H\\G for the stabilizer H of a point q, listed by the point q.x of
     each coset, with the least element x of each coset and its inverse.
 
-    Orbit-stabilizer: (h x)[q] = x[h[q]] = x[q] for h fixing q, and
-    x[q] = y[q] iff x y^-1 fixes q, so H x <-> q.x is a bijection from H\\G
-    onto the orbit of q, and the least element of the coset at p is the
-    least transporter from q to p. The cosets are ordered by it, as
-    right_cosets orders them by least element. The indices of a
-    CosetSpace (representatives, cosets, coset_index) are made on
-    request."""
+    Orbit-stabilizer: x[q] = y[q] iff x y^-1 fixes q, so H x <-> q.x is a
+    bijection from H\\G onto the orbit of q, and the least element of the
+    coset at p is the least transporter from q to p (the descent, _Chain).
+    The cosets are ordered by it, as right_cosets orders them by least
+    element. The indices of a CosetSpace are made on request."""
 
     def __init__(self, subgroup: Stabilizer):
         G, q = subgroup.parent, subgroup.point

@@ -9,16 +9,21 @@ union of the right coset spaces H_i\\G with
 
 Six side conditions make this well defined and a good involution. They are
 decided in one place, validate_presentation, once per build, before any
-table is assembled. Its verdict covers every choice of representatives:
-the twisting element y^-1 z_j y is the same for every member of H_j y
-exactly when C1 holds, and rho(H_i x) is the same for every member of
-H_i x exactly when C3 holds. Independence from the choice of x in the
-product holds in any group by associativity. The dual operation
-H_i x *^-1 H_j y = H_i (x y^-1 z_j^-1 y) is the column inverse of *, so
-it is not assembled: Quandle.dual derives it from op on first read.
-assemble checks the tables as tables; the builders prove the axioms on
-them, and decompose proves them through an isomorphism onto its
-validated input (see assemble). Either proof covers the derived dual.
+table is assembled.
+
+Representative independence: for y1 = h y with h in H_j, the twisting
+element y1^-1 z_j y1 is y^-1 z_j y iff h commutes with z_j, so the product
+does not depend on the representative of H_j y exactly when C1 holds, and
+changing x within H_i x cannot change H_i (x w), by associativity. r_i h x
+and r_i x lie in one coset of H_kappa(i) iff r_i h r_i^-1 lies in
+H_kappa(i), so rho does not depend on the representative of H_i x exactly
+when C3 holds. So the tables are read at one representative per coset.
+
+The dual H_i x *^-1 H_j y = H_i (x y^-1 z_j^-1 y) is the column inverse of
+*, so it is not assembled: Quandle.dual derives it from op on first read.
+The builders prove the axioms on the assembled tables, and decompose
+through an isomorphism onto its validated input (see assemble); either
+proof covers the derived dual.
 """
 
 from __future__ import annotations
@@ -88,19 +93,17 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
     rack: C1 (z_i centralizes H_i). quandle: adds C2 (z_i in H_i).
     symmetric: adds C3 (r_i H_i r_i^-1 in H_kappa(i)), C4 (r_kappa(i) r_i
     in H_i), C5 (z_i^-1 = r_i^-1 z_kappa(i) r_i), C6 (kappa involutive).
-    Each condition is one test of a single orbit i, which returns the
-    failure detail or None. The table lists them in paper order, a level
-    takes a prefix of it, and each check reports the first failing orbit.
+    C1 and C3 make the tables independent of the representatives (see the
+    module docstring). Each condition is one test of a single orbit i,
+    which returns the failure detail or None; a level takes a prefix of
+    the table, and each check reports the first failing orbit.
 
-    When every H_i is the stabilizer of q_i in a permutation group, the
-    tests read permutations. C1 asks whether H_i lies in the centralizer
-    of z_i, and C3 whether it lies in the stabilizer of s =
-    r_i[q_kappa(i)] (r_i h r_i^-1 fixes q_kappa(i) iff h fixes s). Both are
-    subgroups, so one greedy descent on H_i's chain (least_outside)
-    decides each and names the same witness h as the element scan, the
-    least in index order (an index is the lexicographic rank in G),
-    without listing G. C2 and C4 are point tests, and C5 reads
-    z_kappa(i) r_i z_i = r_i, with no inverse.
+    When every H_i is the stabilizer of q_i in a permutation group, C1
+    asks whether H_i lies in the centralizer of z_i, and C3 whether it
+    lies in the stabilizer of s = r_i[q_kappa(i)]. Both are subgroups, so
+    least_outside on H_i's chain decides each and names the witness of
+    the element scan, the least h in index order, without listing G. C2
+    and C4 are point tests, and C5 reads z_kappa(i) r_i z_i = r_i.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
@@ -202,22 +205,15 @@ class LabeledQuandle:
 
 
 def _assemble(P: CosetPresentation):
-    """Coset spaces, the offset of each orbit and the operation table.
+    """Coset spaces, the offset of each orbit and the operation table
+    H_i x * H_j y = H_i (x w), w = y^-1 z_j y, read at one representative
+    per coset (C1, see the module docstring).
 
-    H_i x * H_j y = H_i (x w) with the twisting element w = y^-1 z_j y.
-    The caller has decided C1, which makes this independent of the
-    representatives: for y1 = h y with h in H_j, y1^-1 z_j y1 = w iff h
-    commutes with z_j. For x1 = h x with h in H_i, H_i (x1 w) = H_i (x w)
-    holds in any group by associativity.
-
-    Each orbit gives the position of each coset and the element index at
-    each position. When every H_i is the stabilizer of a point q_i
-    (_by_points), H_i x <-> q_i.x, and H_i (x w) is the coset at the point
-    w[q_i.x], so w moves the points by its permutation. The twisting
-    elements are permutations made from each least representative y and
-    the y^-1 its descent returned. Otherwise the position of H_i x is its
-    least member x itself, moved by one product. Column b is the element
-    index at every moved position, orbit by orbit."""
+    When every H_i is the stabilizer of a point q_i (_by_points),
+    H_i x <-> q_i.x, and H_i (x w) is the coset at the point w[q_i.x], so
+    a column moves the points by the permutation w, made from each least
+    representative y and the y^-1 its descent returned. Otherwise a
+    column moves each least member x by one product x w."""
     G, compose = P.group, perm.compose
     by_points = _by_points(P)
     if by_points:
@@ -258,9 +254,9 @@ def _assemble(P: CosetPresentation):
 
 
 def _involution(P: CosetPresentation, spaces, offsets) -> list[int]:
-    """rho(H_i x) = H_kappa(i) (r_i x) at the least member x of each coset.
-    On points, the coset of r_i x is the one at (r_i x)[q_kappa(i)] =
-    x[r_i[q_kappa(i)]]."""
+    """rho(H_i x) = H_kappa(i) (r_i x) at the least member x of each coset
+    (C3, see the module docstring). On points, the coset of r_i x is the
+    one at (r_i x)[q_kappa(i)] = x[r_i[q_kappa(i)]]."""
     G, kappa = P.group, P.kappa
     rho: list[int] = []
     for i, sp in enumerate(spaces):
@@ -276,10 +272,10 @@ def _involution(P: CosetPresentation, spaces, offsets) -> list[int]:
 
 def assemble(P: CosetPresentation, level: str) -> LabeledQuandle:
     """The step every build shares; it proves no axiom. It decides the
-    level's conditions, assembles the table, checks op's entries
-    (perm.square_rows) and, at the symmetric level, that rho, read at the
-    coset representatives (C3 makes that choice immaterial), is a
-    permutation. The builders close the proof with the axioms (_build).
+    level's conditions, assembles the tables at one representative per
+    coset (see the module docstring), checks op's entries and, at the
+    symmetric level, that rho is a permutation. The builders close the
+    proof with the axioms (_build).
     decompose and conj_presentation close it with a bijection psi onto a
     validated S with psi(a*b) = psi(a)*psi(b) and psi rho = rho psi: then
     s_b = psi^-1 s_psi(b) psi, so op is a quandle, its dual (the column

@@ -5,13 +5,12 @@ re-verified isomorphism.
 The recipe: take the orbit decomposition of the group action, fix the
 minimal representative q_i of each orbit, and put H_i = stabilizer(q_i),
 z_i = the translation by q_i, kappa(i) = the orbit of rho(q_i), and r_i =
-the least group element carrying q_kappa(i) to rho(q_i). The map
-psi(H_i x) = q_i . x is then checked to be a symmetric quandle isomorphism
-from the built coset object back to the input, which also proves the built
-tables a symmetric quandle (cosets.assemble). Since H_i is the stabilizer
-of q_i, H_i x <-> q_i . x is the orbit-stabilizer bijection, and coset
-assembly lists and fills the cosets by that point action. Everything is
-read off the group's stabilizer chain; no element of the group is listed.
+the least group element carrying q_kappa(i) to rho(q_i). The cosets are
+listed by the orbit-stabilizer bijection H_i x <-> q_i . x and read at one
+representative each (see the cosets module). psi(H_i x) = q_i . x is then
+checked to be a symmetric quandle isomorphism onto the input, which also
+proves the built tables a symmetric quandle (cosets.assemble). No element
+of the group is listed.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
     kappa = tuple(dec.orbit_index[S.rho[qi]] for qi in q)
     z = []
     for qi in q:
-        zi = G.index_of(S.quandle.column(qi))     # sifts the translation
+        zi = G.index_of(S.quandle.columns[qi])    # sifts the translation
         if zi is None:
             raise InternalVerificationFailed(
                 f"translation by {qi} is missing from the chosen group")

@@ -96,36 +96,23 @@ class CosetSpace:
 def group_from_table(table: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None) -> FiniteGroup:
     """Validate a multiplication table and return the group it defines.
-    Names, when given, must be n distinct tokens: a repeated one is a
-    FormatError that names both elements.
+    Names, when given, must be n distinct tokens that a .grp file can hold:
+    not empty, with no whitespace and no "#".
 
-    The verdict is the first of these that fails, in order: the entries
-    (perm.square_rows: each row whole), Latin square (rows then columns),
-    existence of a two-sided identity, associativity. Inverses are then
-    read off the table. Each check looks at whole rows and columns: a row
-    or column is a permutation iff its set of entries is every element,
-    and e is the identity iff row e and column e both equal (0, ..., n-1).
-    Rows, then columns, then e = 0, 1, ... are scanned in order, so the
-    witness is the one a cell-by-cell scan in that order names.
+    The verdict is the first of these that fails, in order, with the
+    witness a cell-by-cell scan names: the entries (perm.square_rows),
+    Latin rows, Latin columns, a two-sided identity (row e and column e
+    are 0..n-1), associativity. The columns are scanned only when the
+    identity or associativity fails: otherwise each x has a right
+    inverse, so the monoid is a group, its columns are Latin, and the
+    right inverse read off row x is two-sided.
 
-    The columns are scanned only when the identity or associativity
-    fails, before either is reported. Otherwise they are proved Latin:
-    with Latin rows, each x has a y with xy = e, and a monoid in which
-    every element has a right inverse is a group, whose columns are
-    Latin.
-
-    Associativity is proved by Light's test on a generating set. The set A
-    of a with (xa)z = x(az) for all x, z is closed under products: for a, b
-    in A, (x(ab))z = ((xa)b)z = (xa)(bz) = x(a(bz)) = x((ab)z). With rows
-    as maps z -> xz, a lies in A iff row(xa) = compose(row(a), row(x)) for
-    every x. That is checked for the points s of perm.spanning_points over
-    the columns x -> xs, whose closure under right multiplication by
-    themselves is every element, so A is everything. The identity is in A
-    and is skipped. A greedy generating set of a group has at most
-    1 + log2 |G| elements (the first may be the identity, and each later
-    one at least doubles the subgroup reached). When the proof fails, the
-    triple loop runs to report the lexicographically first witness, the
-    one a full scan would report.
+    Associativity is Light's test: row(xs) = compose(row(s), row(x)) for
+    every x says (xs)z = x(sz) for all x, z, and the s where that holds
+    are closed under products, as (x(ab))z = ((xa)b)z = (xa)(bz) =
+    x(a(bz)) = x((ab)z). So it is checked at perm.spanning_points of the
+    columns x -> xs, at most 1 + log2 |G| of them, the identity skipped.
+    When it fails, the triple loop names the first witness.
     """
     n = len(table)
     if n == 0:
@@ -137,6 +124,10 @@ def group_from_table(table: Sequence[Sequence[int]],
             raise FormatError(f"{len(names)} names for {n} elements")
         first: dict[str, int] = {}
         for x, name in enumerate(names):
+            if (not isinstance(name, str) or "#" in name
+                    or name.split() != [name]):
+                raise FormatError(f"name {name!r} of element {x} is not a "
+                                  "token: empty, or with whitespace or '#'")
             y = first.setdefault(name, x)
             if y != x:
                 raise FormatError(
@@ -168,14 +159,9 @@ def group_from_table(table: Sequence[Sequence[int]],
                     if product[xy][z] != product[x][product[y][z]]:
                         raise NotAssociative(x, y, z)
 
-    inverse = [0] * n
-    for x in range(n):
-        y = product[x].index(identity)
-        assert product[y][x] == identity
-        inverse[x] = y
-
     return FiniteGroup(order=n, product=product, identity=identity,
-                       inverse=tuple(inverse), names=names)
+                       inverse=tuple(row.index(identity) for row in product),
+                       names=names)
 
 
 def subgroup_closure(G: GroupLike, gens: Iterable[int]) -> Subgroup:

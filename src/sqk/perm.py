@@ -65,11 +65,9 @@ def _grow(reached: list, seen: set, i: int, gens, act) -> None:
 
 def closure(start: Iterable, gens: Sequence, act: Callable) -> list:
     """The orbit algorithm (Holt, Eick and O'Brien 2005): start, then
-    everything reached by act(x, g) for g in gens, in the order reached.
+    everything reached by act(x, g) for g in gens, in the order reached,
+    which is closed under every x -> act(x, g)."""
 
-    The result is closed under every x -> act(x, g). When each of those is
-    a permutation of a finite set, it is closed under their inverses too.
-    """
     reached = list(dict.fromkeys(start))
     _grow(reached, set(reached), 0, gens, act)
     return reached
@@ -81,14 +79,12 @@ def greedy_span(candidates: Sequence, maps: Sequence, act: Callable,
     """Greedy generators: scan candidates in order and keep each one not
     reached yet.
 
-    The reached list starts as reached, which must be closed under gens.
-    Keeping candidates[c] appends it to the list and maps[c] to the
-    generators, and closes the list again, so the list is always the
-    closure of reached and the kept candidates under gens and the kept
-    maps. The points reached before are closed under the old generators,
-    so only the new map is applied to them; new points get every
-    generator. Returns the kept positions and the reached list, in the
-    order reached.
+    The reached list starts as reached, which must be closed under gens,
+    and stays the closure of reached and the kept candidates under gens
+    and the kept maps. Points reached before a candidate is kept are
+    closed under the old generators, so only the new map is applied to
+    them. Returns the kept positions and the reached list, in the order
+    reached.
     """
     reached = list(reached)
     seen = set(reached)
@@ -116,10 +112,13 @@ def spanning_points(maps: list[Perm]) -> list[int]:
 
     maps[c] is the permutation attached to point c. Scanning c = 0, 1, ...,
     c is kept when the closure of the kept points under their maps does not
-    contain it (greedy_span under the point action). The kept points S
-    reach every point under {maps[s] : s in S}, and also under the inverse
-    maps, since a finite set closed under a permutation is closed under
-    its inverse.
+    contain it (greedy_span under the point action), so that closure is
+    every point. The closure lemma, which every proof at these points
+    rests on: a set that holds the kept points s and is closed under each
+    maps[s] holds their closure, so it is every point. A finite set closed
+    under a permutation is closed under its inverse too. A proof checks
+    its condition at the kept points and shows the set where the condition
+    holds closed under those maps.
     """
     return greedy_span(range(len(maps)), maps, image)[0]
 
@@ -128,9 +127,8 @@ def square_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The rows of a square table of points 0..n-1 (n = len(table)), as
     tuples.
 
-    Each row is checked whole: its length, then that its entries are all
-    of type int (set(map(type, row)) == {int}) and all points of 0..n-1
-    (a subset of them). A row failing that runs the per-entry loop, which
+    Each row is checked whole, by its length, the types of its entries
+    and their set. A row failing that runs the per-entry loop, which
     names the first bad entry and accepts what isinstance(v, int) accepts
     (bool).
     """
@@ -168,12 +166,9 @@ def cycles(p: Perm) -> list[list[int]]:
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
-    """The cycle lengths, 1-cycles included, in increasing order.
-
-    Counted by the walk rule of _cycle_parts: 2-cycles are counted where
-    they are met, only cycles of length 3 or more are walked, and the
-    points in no cycle counted are fixed. No cycle is built as a list.
-    """
+    """The cycle lengths, 1-cycles included, in increasing order, counted
+    by the walk rule of _cycle_parts without building any cycle; the
+    points in no cycle counted are fixed."""
     pairs = 0
     longer = []
     seen = None
@@ -275,12 +270,9 @@ def involution_lines(invs: Iterable[Perm], n: int) -> list[str]:
 
     The cycles of an involution are its pairs (a b) with b = p[a] > a, so
     its cycle string joins rows[a][p[a]] over the points a, gathered in C:
-    the text "(a b)" when b > a, and "" otherwise. Each text is made the
-    first time a line needs it and kept in plain dicts for the rest of
-    the call, so only the pairs that occur are made; a line with a text
-    not made yet makes those of its points and is gathered again. The
-    array is gathered as row_string gathers it. Degrees 0 and 1 take
-    perm_line.
+    "(a b)" when b > a, and "" otherwise. Each text is made when a line
+    first needs it and kept for the call, so only the pairs that occur
+    are made. Degrees 0 and 1 take perm_line.
     """
     if n < 2:
         return list(map(perm_line, invs))

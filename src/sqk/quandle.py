@@ -1,9 +1,7 @@
 """Finite racks and quandles as operation tables.
 
 Rows index the left argument, columns the right: op[a][b] = a*b, so the
-translation s_b is column b. The dual table is a function of op, derived
-on first read by inverting each column; a kei (every s_b an involution)
-is its own dual.
+translation s_b is column b.
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ Table = tuple[tuple[int, ...], ...]
 @dataclass(frozen=True)
 class Quandle:
     """A rack or quandle given by its operation table. The columns, their
-    spanning points and the dual are not stored: each is a function of op,
-    derived on first read and kept, so every proof of the quandle reads
-    the same ones, and whatever proof accepts op accepts them too."""
+    spanning points and the dual are functions of op, derived on first
+    read and kept, so whatever proof accepts op accepts them too."""
     order: int
     op: Table
     rack_only: bool = False
@@ -40,12 +37,8 @@ class Quandle:
 
     @cached_property
     def spanning_points(self) -> list[int]:
-        """perm.spanning_points of the columns: points whose closure under
-        their own translations is every point, so a set of points that
-        holds them and is closed under b -> b*c for each of them c is
-        every point. The proofs of Q3 (q3_violation), of a kei (is_kei)
-        and of a good involution (symmetric.attach_involution) check
-        their condition at these points only."""
+        """perm.spanning_points of the columns, where the proofs of Q3, of
+        a kei and of a good involution check their condition."""
         return perm.spanning_points(self.columns)
 
     @cached_property
@@ -55,13 +48,6 @@ class Quandle:
         if is_kei(self):
             return self.op
         return tuple(zip(*map(perm.inverse, self.columns)))
-
-    def column(self, b: int) -> perm.Perm:
-        """The translation map a -> a*b."""
-        return self.columns[b]
-
-    def translations(self) -> tuple[perm.Perm, ...]:
-        return self.columns
 
 
 @dataclass(frozen=True)
@@ -87,19 +73,12 @@ def q2_violation(table: Sequence[Sequence[int]]) -> int | None:
 def q3_violation(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """First (a,b,c) with (a*b)*c != (a*c)*(b*c), or None.
 
-    Self-distributivity is proved on a generating set. Q3 at c says that
-    the translation s_c: a -> a*c is an endomorphism, i.e. for every b the
-    column maps satisfy s_b s_c = s_c s_{b*c} (apply left, then right).
-    Let Sigma be the set of c whose s_c is an endomorphism; for bijective
-    columns these are automorphisms. For c, d in Sigma,
-    s_{c*d} = s_d^-1 s_c s_d and s_{c/d} = s_d s_c s_d^-1 are automorphisms
-    too, so Sigma is closed under * and its inverse. The columns are
-    checked at the points of perm.spanning_points, whose closure under
-    their own column maps is every point, so Sigma is everything.
-
-    The proof needs bijective columns (Q2); without them, and whenever the
-    proof fails, the triple loop runs to report the lexicographically first
-    witness, so the answer is the one of a full scan.
+    Q3 at c says that s_c: a -> a*c is an endomorphism: s_b s_c =
+    s_c s_{b*c} for every b (apply left, then right). With bijective
+    columns (Q2), Q3 at c and d makes s_{c*d} = s_d^-1 s_c s_d an
+    automorphism, so Q3 is checked at perm.spanning_points. Without Q2,
+    and whenever the proof fails, the triple loop names the
+    lexicographically first witness, as a full scan would.
     """
     cols = list(zip(*table))
     bijective = len(cols) == len(table) and _first_non_bijection(cols) is None
@@ -138,21 +117,13 @@ def quandle_from_table(table: Sequence[Sequence[int]],
                        allow_rack: bool = False) -> Quandle:
     """Validate an operation table and return the quandle (or rack) it defines.
 
-    Checks the entries (perm.square_rows: each row whole, by its length,
-    the types of its entries and their min and max), then bijectivity of
-    the translations, then self-distributivity, then idempotence. The
-    proofs read the columns and spanning points of the returned Quandle,
-    so they are made once for every proof of it: column b is a bijection
-    iff its set of entries is every point, and self-distributivity is
-    proved at the spanning points (see q3_violation), which covers every
-    triple. The dual is not made here: Quandle.dual derives it from op
-    when it is first read.
-
-    The whole-row and whole-column checks only decide. When one fails, a
-    per-entry, per-column or triple loop names the witness a cell-by-cell
-    scan would: the first bad entry, the first column that is not a
-    bijection, the lexicographically first failing triple. A table
-    failing only idempotence is accepted with rack_only=True when
+    Checks the entries (perm.square_rows), then that each column is a
+    bijection (its set of entries is every point), then
+    self-distributivity at the spanning points (q3_violation), then
+    idempotence, on the columns and spanning points of the returned
+    Quandle. A failing whole-column or spanning check runs the per-column
+    or triple loop, which names the witness a cell-by-cell scan would. A
+    table failing only idempotence is accepted with rack_only=True when
     allow_rack is set.
     """
     n = len(table)
@@ -175,11 +146,9 @@ def quandle_from_table(table: Sequence[Sequence[int]],
 def is_kei(Q: Quandle) -> bool:
     """True iff every translation is an involution, i.e. dual == op.
 
-    Decided at Q.spanning_points, on a rack (Q2 and Q3, as
-    quandle_from_table proves them). By Q3, s_{b*d} = s_d^-1 s_b s_d
-    (apply left, then right), so s_{b*d}^2 = s_d^-1 s_b^2 s_d: the b with
-    s_b^2 = id are closed under b -> b*d for every d. They hold the
-    spanning points, so they are every point.
+    Decided at Q.spanning_points of a rack: by Q3,
+    s_{b*d}^2 = s_d^-1 s_b^2 s_d, so the b with s_b^2 = id are closed
+    under b -> b*d.
     """
     cols, ident = Q.columns, perm.identity(Q.order)
     return all(perm.compose(cols[c], cols[c]) == ident for c in Q.spanning_points)
@@ -187,12 +156,10 @@ def is_kei(Q: Quandle) -> bool:
 
 def first_mismatch(lhs_rows: list[tuple[int, ...]],
                    rhs_rows: list[tuple[int, ...]]) -> tuple[int, int] | None:
-    """First (a,b) with lhs_rows[a][b] != rhs_rows[a][b], or None.
+    """First (a,b) with lhs_rows[a][b] != rhs_rows[a][b], or None. The
+    tables are compared whole, and scanned row by row, then cell by cell,
+    only when they differ."""
 
-    The tables are compared whole, as lists of tuples; only when that
-    comparison fails are they scanned for the first row that differs, and
-    that row cell by cell.
-    """
     if lhs_rows == rhs_rows:
         return None
     a = next(a for a, (lhs, rhs) in enumerate(zip(lhs_rows, rhs_rows)) if lhs != rhs)
@@ -215,17 +182,13 @@ def _generation_order(op: Table,
     subquandle generated by 0..k-1.
 
     The subquandle generated by S (closed under *, the dual and rho, when
-    given) is the closure T of S under the translations s_b: a -> a*b for
-    b in S (and rho). Let B be the b in T with T closed under s_b; B holds
-    S. A finite set closed under s_b is closed under s_b^-1. For a, b in
-    B, s_{a*b} = s_b^-1 s_a s_b, and for a good involution
-    s_{rho(b)} = s_b^-1, so a*b and rho(b), both in T, lie in B. So B
-    holds S and is closed under the maps that generate T: B = T, and T is
-    closed under *, the dual and rho. This is perm.greedy_span over the
-    columns with rho as a generator from the start; the points before a
-    generating point k are exactly the subquandle generated by 0..k-1.
-    Every other point is reached as a*g or rho(a) from points before it,
-    g a generating point.
+    given) is the closure T of S under s_b for b in S (and rho), so
+    perm.greedy_span over the columns, with rho as a generator, lists it.
+    The b in T with T closed under s_b hold S and are closed under
+    b -> b*c, as s_{b*c} = s_c^-1 s_b s_c, and under rho, as
+    s_rho(b) = s_b^-1; by the closure lemma (perm.spanning_points) they
+    are all of T. Every other point is reached as a*g or rho(a) from
+    points before it, g a generating point.
     """
     gens, order = perm.greedy_span(range(len(op)), list(zip(*op)), perm.image,
                                    gens=[rho] if rho is not None else [])
@@ -235,33 +198,27 @@ def _generation_order(op: Table,
 class _MapSearch:
     """Backtracking search for operation-preserving bijections op1 -> op2.
 
-    The set-up is done once and shared by every run: the keys of each
-    element (the cycle type of its translation, which an isomorphism must
-    match, and, when rho constraints are present, its rho fixed-point
-    status), the candidate images that share its key (one ascending list
-    per key), the search order, the points gens whose products are
-    recorded, and the checks of each position.
+    The set-up is shared by every run: the key of each element, which an
+    isomorphism must match (its translation's cycle type and, with rho,
+    whether rho fixes it), and the candidate images of each key,
+    ascending, or None when the keys do not match up.
 
-    The products a*b = c with b in gens are recorded, and each pair
-    (a, rho1(a)); each is checked at the position where the last of its
-    elements is assigned. The order is op1's generation order
-    (_generation_order, with rho1), and gens its generating points: the
-    points not in the subquandle generated, with rho1, by the points
-    before them. That proves every product inside each generated
-    subquandle T before the next generating point is branched on: the b
-    in T with f(a*b) = f(a)*f(b) for every a in T include the generating
-    points of T and are closed under *, the dual and rho (the argument of
-    q3_violation, with f(a/c) = f(a)/f(c) since s_c permutes T), so they
-    are all of T. So the search reaches the same branch nodes as when
-    every product is checked.
+    The map-search argument: the order is op1's generation order
+    (_generation_order, with rho1), and gens its generating points. Only
+    the products a*b = c with b in gens, and the pairs (a, rho1(a)), are
+    checked, each at the position where the last of its elements is
+    assigned. That proves every product inside each generated subquandle
+    T before the next generating point is branched on: the b in T with
+    f(a*b) = f(a)*f(b) for every a in T hold the generating points of T
+    and are closed under *, the dual and rho (f(a/c) = f(a)/f(c) since s_c
+    permutes T), so by the closure lemma (perm.spanning_points) they are
+    all of T. So the search reaches the same branch nodes as one that
+    checks every product.
 
-    When the last element of a check is c, with a and b earlier, the check
-    admits only f(c) = f(a)*f(b) (or rho2(f(a))); derived[i] records the
-    first such (a, b) (or (a, -1)) of position i, and None when there is
-    none. Every position but the generating points is derived. candidates
-    is None when the keys do not match up, so no bijection exists. The
-    keys are computed once when op2 is op1 and rho2 is rho1, as for
-    automorphisms.
+    A check whose last element c has a and b earlier admits only
+    f(c) = f(a)*f(b) (or rho2(f(a))); derived[i] is the first such (a, b)
+    (or (a, -1)) of position i, or None. Every position but the
+    generating points is derived.
     """
 
     def __init__(self, op1: Table, op2: Table,
@@ -319,26 +276,17 @@ class _MapSearch:
         """The maps sending the first len(prefix) elements of the order to
         the entries of prefix.
 
-        The remaining elements are assigned in order. A branch position
-        (past the prefix and not derived) tries its candidates in ascending
-        order. A derived position tries only the image its recorded product
-        (or rho pair) dictates, if that image has the element's key: every
-        other candidate fails the same check, so the maps found and their
-        order do not change. The stack holds only the branch positions;
-        each run of prefix or derived positions after one is filled in one
-        loop and undone as a whole.
-
-        Each recorded check is made once all its elements are assigned;
-        complete maps are re-checked in full (product_violation, and rho)
-        before being accepted. Results come out least first in the order;
-        without find_all the search stops at the first. That is the
-        lexicographic order: two maps first differ at a generating point
-        g, since every other image is derived from earlier ones, and every
-        label below g lies in the subquandle generated before g, where they
-        agree. In a search of a table against itself, the leading prefix
-        positions that map their element to itself need no check: every
-        product (and rho pair) recorded there has all its elements among
-        them, all fixed, so it holds.
+        The rest are assigned in order. A branch position tries its
+        candidates in ascending order; a derived position tries only the
+        image its check dictates, as every other candidate fails that
+        check. Complete maps are checked in full (product_violation, and
+        rho). Results come out least first, and without find_all the
+        search stops at the first. That is the lexicographic order: two
+        maps first differ at a generating point g, and every label below g
+        lies in the subquandle generated before g, where they agree. In a
+        search of a table against itself, the leading prefix positions
+        that map their element to itself need no check: every check
+        recorded there has all its elements among them, all fixed.
         """
         if self.candidates is None:
             return []
@@ -439,6 +387,7 @@ class _MapSearch:
         return results
 
 
+# perfbench/tracing.py counts the searches by this name
 def _search_maps(op1: Table, op2: Table,
                  rho1: perm.Perm | None = None,
                  rho2: perm.Perm | None = None,
@@ -457,6 +406,7 @@ def find_quandle_isomorphism(Q1: Quandle, Q2: Quandle) -> Isomorphism | None:
     return Isomorphism(source=Q1, target=Q2, map=maps[0])
 
 
+# kept in sqk because perfbench/tracing.py wraps it by name
 def all_automorphism_maps(Q: Quandle) -> list[perm.Perm]:
     """Every permutation preserving the operation, lexicographically sorted."""
     return _search_maps(Q.op, Q.op, find_all=True)

@@ -53,15 +53,11 @@ def equivariance_violation(op: Table, rho: Sequence[int]) -> tuple[int, int] | N
 def _spanning_translations(Q: Quandle) -> list[perm.Perm]:
     """The distinct non-identity translations s_c at Q.spanning_points.
 
-    rho(a*c) = rho(a)*c for every a exactly when rho commutes with s_c.
-    On a rack the c with that property are closed under *, because
-    s_{c*d} = s_d^-1 s_c s_d, and the closure of the spanning points
-    under their own translations is every point. So a permutation
-    commuting with these translations is equivariant: attach_involution
-    proves equivariance at these points, and the involution enumeration
-    and autgroup.inner_group work with these translations. The identity
-    and a repeated column add nothing, and the list is empty for a
-    trivial quandle.
+    rho(a*c) = rho(a)*c for every a exactly when rho commutes with s_c,
+    and on a rack the c where it does are closed under c -> c*d, as
+    s_{c*d} = s_d^-1 s_c s_d. So a permutation commuting with these
+    translations is equivariant, and they generate every translation
+    (autgroup.inner_group).
     """
     cols = Q.columns
     ident = perm.identity(Q.order)
@@ -81,17 +77,12 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
 
     The three conditions are checked in order: involutivity, equivariance
     rho(a*b) = rho(a)*b, and dual compatibility a*rho(b) = a/b. The last
-    two are proved at the points c of Q.spanning_points, as the Q3 proof
-    is: equivariance at c is s_c commuting with rho (the argument of
-    _spanning_translations carries it to every point), and dual
-    compatibility at c is s_c followed by s_rho(c) being the identity,
-    s_rho(c) = s_c^-1. Given equivariance everywhere, the b with
-    s_rho(b) = s_b^-1 are closed under b -> b*d for every d:
-    s_rho(b*d) = s_{rho(b)*d} = s_d^-1 s_rho(b) s_d = (s_d^-1 s_b s_d)^-1
-    = s_{b*d}^-1. They hold the spanning points, so they are every point.
-    When a proof fails, the full scan (equivariance_violation,
-    dual_violation) names the first failing pair, as a cell-by-cell scan
-    of the conditions in order would.
+    two are proved at Q.spanning_points. Equivariance at c is s_c
+    commuting with rho (see _spanning_translations). Dual compatibility
+    at c is s_rho(c) = s_c^-1, and given equivariance the b where it holds
+    are closed under b -> b*d, as s_rho(b*d) = s_d^-1 s_rho(b) s_d. When a
+    proof fails, the full scan names the first failing pair, as a
+    cell-by-cell scan of the conditions in order would.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
@@ -125,23 +116,17 @@ def enumerate_good_involutions(Q: Quandle,
                                max_n: int = DEFAULT_MAX_N) -> list[perm.Perm]:
     """All good involutions of Q, in lexicographic order of the array.
 
-    A good involution commutes with every spanning translation t (see
-    _spanning_translations), so on an orbit of theirs it is the orbit map
-    m fixed by its value y at the least point x, m(t[a]) = t[m(a)], built
-    once along a Schreier tree. Dual compatibility s_y = s_x^-1 checked
-    at x carries along the orbit: t is an automorphism, so
-    s_{t[a]} = t^-1 s_a t. Each y >= x with s_y = s_x^-1 is tried once,
-    and m is kept when it is injective and commutes with every spanning
-    translation on the orbit, so it maps the orbit onto the orbit of y;
-    when y lies in the same orbit, also when m(y) = x, as m^2 commutes
-    and fixes x, so it is the identity there. Then rho is m on the orbit
-    and m^-1 on the orbit of y, and commuting with the spanning
-    translations is equivariance. The search pairs the least unpaired
-    orbit with the orbit of each kept y while that is unpaired, with an
-    explicit stack. That orbit's x is the least point not yet assigned,
-    and y increases, so the completions come in lexicographic order; each
-    has written every point, so nothing is undone. A trivial quandle's
-    orbits are its points. A rack has none, as attach_involution rules.
+    A good involution commutes with every spanning translation t
+    (_spanning_translations), so on an orbit of theirs it is the orbit map
+    m with m(t[a]) = t[m(a)], fixed by its value y at the least point x
+    and built along a Schreier tree. Dual compatibility s_y = s_x^-1 at x
+    carries along the orbit, as s_{t[a]} = t^-1 s_a t. m is kept when it
+    is injective and commutes with every t on the orbit; when y lies in
+    the same orbit, also when m(y) = x, as m^2 commutes and fixes x. Then
+    rho is m on the orbit and m^-1 on the orbit of y. The search pairs the
+    least unpaired orbit with the orbit of each kept y in turn; its x is
+    the least point not yet assigned and y increases, so the involutions
+    come in lexicographic order.
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)

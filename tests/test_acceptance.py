@@ -131,7 +131,7 @@ def test_criterion_6_translation_identities():
     from conftest import catalog_symmetric_quandles
 
     for name, S in catalog_symmetric_quandles(12):
-        cols = S.quandle.translations()
+        cols = S.quandle.columns
         # part (2): s_rho(a) = s_a^-1
         for a in range(S.order):
             assert cols[S.rho[a]] == inverse(cols[a]), name

@@ -105,7 +105,7 @@ def test_inner_subgroup_of_symmetric_aut():
         inn = set(inner_group(S).elements)
         aut = set(symmetric_aut_group(S).elements)
         assert inn <= aut, name
-        for t in S.quandle.translations():
+        for t in S.quandle.columns:
             assert t in inn, name
 
 
@@ -178,7 +178,7 @@ def test_rho_maps_orbits_to_orbits():
 def test_translation_conjugation_identity():
     # s_{a.f} = f^-1 s_a f for every symmetric automorphism f
     for name, S in catalog_symmetric_quandles(8):
-        cols = S.quandle.translations()
+        cols = S.quandle.columns
         G = symmetric_aut_group(S)
         for f in G.elements:
             fi = inverse(f)
@@ -491,7 +491,7 @@ def _subquandle(S, points, rho):
 @pytest.mark.parametrize("S", [pytest.param(S, id=name)
                                for name, S in _differential_cases()])
 def test_generation_order_prefixes_are_the_generated_subquandles(S):
-    cols = list(S.quandle.translations())
+    cols = list(S.quandle.columns)
     for rho in (None, S.rho):
         order, bases = quandle._generation_order(S.quandle.op, rho)
         assert sorted(order) == list(range(S.order))
@@ -561,7 +561,7 @@ def _chain_cases():
                                for name, S in _chain_cases()])
 def test_chain_matches_brute_force(S):
     n = S.order
-    translations = list(dict.fromkeys(S.quandle.translations()))
+    translations = list(dict.fromkeys(S.quandle.columns))
     for kind, G, gens in (
             ("aut", aut_group(S.quandle, n), None),
             ("symmetric aut", symmetric_aut_group(S, n), None),

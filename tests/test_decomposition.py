@@ -317,7 +317,7 @@ def test_orbits_from_generators_match_an_element_scan(S, choice, max_n):
 def test_subgroup_smaller_than_the_stabilizer_takes_the_product_path():
     S = transposition_quandle(5)
     G = inner_group(S)
-    z = G.index_of(S.quandle.column(0))
+    z = G.index_of(S.quandle.columns[0])
     small = subgroup_closure(G, [z])
     assert small.order < stabilizer(G, 0).order
     assert all(G.elements[h][0] == 0 for h in small.elements)
@@ -337,7 +337,7 @@ def test_stabilizer_elements_without_their_point_take_the_product_path():
     S = transposition_quandle(4)
     G = inner_group(S)
     H = stabilizer(G, 0)
-    z = G.index_of(S.quandle.column(0))
+    z = G.index_of(S.quandle.columns[0])
     by_point = single_orbit_presentation(G, H, z)
     by_product = single_orbit_presentation(G, Subgroup(G, H.elements), z)
     assert cosets._by_points(by_point) and not cosets._by_points(by_product)

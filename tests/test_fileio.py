@@ -172,6 +172,20 @@ def _perm_groups():
             symmetric_aut_group(antipodal(24), 24)]
 
 
+_CATALOG_GROUPS = [["quaternion"], ["cyclic", "1"], ["cyclic", "5"],
+                   ["dihedral-group", "1"], ["dihedral-group", "6"],
+                   *(["sym", str(n)] for n in range(1, 5))]
+
+
+@pytest.mark.parametrize("G", [
+    *(pytest.param(catalog.build_entry(spec[0], spec[1:])[1], id=" ".join(spec))
+      for spec in _CATALOG_GROUPS),
+    *(pytest.param(group_to_table(G), id=f"perm group {i}")
+      for i, G in enumerate(_perm_groups()))])
+def test_grp_round_trip_keeps_the_names(G):
+    assert parse_grp(format_grp(G)).names == G.names
+
+
 @pytest.mark.parametrize("G", _perm_groups())
 def test_group_to_table_of_a_perm_group_is_its_product_table(G, monkeypatch):
     n = G.order

@@ -103,6 +103,14 @@ def test_wrong_names_count_is_rejected(tmp_path):
     assert run(["build", str(path)]) == (2, "error: 3 names for 2 elements\n")
 
 
+@pytest.mark.parametrize("bad", ["a#b", "a b", ""])
+def test_name_a_grp_file_cannot_hold_is_rejected(bad):
+    # written as "names: e a#b", the file read back as ('e', 'a'); "a b"
+    # and "" wrote files that failed to parse
+    with pytest.raises(FormatError, match=f"name {bad!r} of element 1"):
+        group_from_table([[0, 1], [1, 0]], ["e", bad])
+
+
 def test_subgroup_closure_quaternion(quat):
     H1 = subgroup_closure(quat, {A})
     assert H1.elements == (E, A, A2, A3)

@@ -82,11 +82,11 @@ def test_dual_equals_op_on_kei(r4):
 
 
 def test_translation(r4):
-    assert r4.column(0) == (0, 3, 2, 1)
-    assert r4.column(1) == (2, 1, 0, 3)
+    assert r4.columns[0] == (0, 3, 2, 1)
+    assert r4.columns[1] == (2, 1, 0, 3)
     T = trivial_quandle(5)
     for b in range(5):
-        assert T.column(b) == (0, 1, 2, 3, 4)
+        assert T.columns[b] == (0, 1, 2, 3, 4)
 
 
 def test_is_kei(r4, conj_s3):
@@ -147,7 +147,7 @@ def test_dihedral_quandles_validate(n):
     Q = dihedral_quandle(n)
     assert is_kei(Q)
     for b in range(n):
-        assert sorted(Q.column(b)) == list(range(n))
+        assert sorted(Q.columns[b]) == list(range(n))
 
 
 def test_deep_isomorphism_search_needs_no_recursion():

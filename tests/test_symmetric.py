@@ -378,7 +378,7 @@ def test_symmetric_iso_implies_quandle_iso(anti4):
 def test_translation_of_rho_is_inverse_translation():
     # s_rho(a) = s_a^-1 on every catalog symmetric quandle
     for name, S in catalog_symmetric_quandles(12):
-        cols = S.quandle.translations()
+        cols = S.quandle.columns
         for a in range(S.order):
             assert cols[S.rho[a]] == inverse(cols[a]), name
 
