@@ -34,7 +34,7 @@ from itertools import accumulate
 
 from . import perm
 from .autgroup import PointCosets, Stabilizer
-from .errors import InternalVerificationFailed, PresentationInvalid
+from .errors import FormatError, InternalVerificationFailed, PresentationInvalid
 from .groups import CosetSpace, GroupLike, Subgroup, centralizes, right_cosets
 from .quandle import Quandle, quandle_from_table
 from .report import Check, Report
@@ -274,8 +274,9 @@ def assemble(P: CosetPresentation, level: str) -> LabeledQuandle:
     """The step every build shares; it proves no axiom. It decides the
     level's conditions, assembles the tables at one representative per
     coset (see the module docstring), checks op's entries and, at the
-    symmetric level, that rho is a permutation. The builders close the
-    proof with the axioms (_build).
+    symmetric level, that rho is a permutation; either failing is a bug
+    (InternalVerificationFailed), not malformed input. The builders close
+    the proof with the axioms (_build).
     decompose and conj_presentation close it with a bijection psi onto a
     validated S with psi(a*b) = psi(a)*psi(b) and psi rho = rho psi: then
     s_b = psi^-1 s_psi(b) psi, so op is a quandle, its dual (the column
@@ -286,7 +287,10 @@ def assemble(P: CosetPresentation, level: str) -> LabeledQuandle:
         bad = report.failures[0]
         raise PresentationInvalid(bad.name, bad.detail, report)
     spaces, offsets, op = _assemble(P)
-    op = perm.square_rows(op)
+    try:
+        op = perm.square_rows(op)
+    except FormatError as exc:
+        raise InternalVerificationFailed(f"built table {exc}")
     n = len(op)
     Q, sq = Quandle(order=n, op=op), None
     if level == "symmetric":

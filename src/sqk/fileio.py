@@ -5,7 +5,8 @@
 .qnd   line 1: "quandle <n>" or "rack <n>"; then n rows (row a, column b is
        a*b); optional "rho: <n integers>".
 .prs   line 1: "presentation <k>"; then either "group <path.grp>" or an
-       inline group block (the .grp content); then k lines
+       inline group block (the .grp content), inline exactly when int()
+       reads the token after "group"; then k lines
        "orbit i: H = <indices> ; z = <index> ; r = <index> ; kappa = <j>".
 
 "#" starts a comment anywhere; blank lines are ignored.
@@ -16,11 +17,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
-from operator import itemgetter
 
 from . import perm
 from .cosets import CosetPresentation, LabeledQuandle
-from .errors import FormatError, InternalVerificationFailed
+from .errors import FormatError, IndexOutOfRange, InternalVerificationFailed
 from .groups import FiniteGroup, GroupLike, group_from_table, subgroup_from_elements
 from .quandle import Quandle
 from .symmetric import SymmetricQuandle
@@ -62,27 +62,44 @@ def _index(n: int) -> dict[str, int]:
 
 def _named_row(line: str, n: int) -> tuple[int, ...] | None:
     """The points of a table row whose tokens are exactly n decimal names
-    of points 0..n-1, gathered from the name table in C; else None.
-
-    None sends the caller to _sized_ints (and its range check), which
-    accepts every spelling int() accepts, such as +3, 007 or 1_0, and
-    names the bad token, count or entry. itemgetter returns a bare item
-    for one key, so n <= 1 always takes that path.
-    """
+    of points 0..n-1, gathered from the name table by perm.compose; else
+    None, and _rows reads the row with int(), which also reads spellings
+    such as +3, 007 or 1_0. The lookup is parsing: the entries are still
+    checked by perm.square_rows, like those of any other row."""
     tokens = line.split()
-    if n > 1 and len(tokens) == n:
+    if len(tokens) == n:
         try:
-            return itemgetter(*tokens)(_index(n))
+            return perm.compose(tokens, _index(n))
         except KeyError:
             pass
     return None
 
 
-def _sized_ints(line: str, n: int, what: str) -> list[int]:
-    row = _ints(line, what)
-    if len(row) != n:
-        raise FormatError(f"{what} has {len(row)} entries, expected {n}")
-    return row
+def _rows(lines: list[str], pos: int, n: int, kind: str,
+          what: str) -> tuple[tuple[int, ...], ...]:
+    """The n table rows at lines[pos:], read for their shape only: a row
+    in named form by _named_row, any other token by token with int(),
+    naming the first bad token or count. The entries are checked by
+    perm.square_rows in quandle_from_table or group_from_table."""
+    if pos + n > len(lines):
+        raise FormatError(f"{kind} table needs {n} rows, file ends early")
+    rows = []
+    for a, line in enumerate(lines[pos:pos + n]):
+        row = _named_row(line, n)
+        if row is None:
+            row = tuple(_ints(line, f"{what} {a}"))
+            if len(row) != n:
+                raise FormatError(f"{what} {a} has {len(row)} entries, expected {n}")
+        rows.append(row)
+    return tuple(rows)
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _read_header(line: str, keywords: tuple[str, ...]) -> tuple[str, int]:
@@ -105,12 +122,8 @@ def _parse_group_block(lines: list[str], pos: int) -> tuple[FiniteGroup, int]:
     """Parse a group block starting at lines[pos]; return (group, next pos).
     Validation of the table and the names happens in group_from_table."""
     _, n = _read_header(lines[pos], ("group",))
-    pos += 1
-    if pos + n > len(lines):
-        raise FormatError(f"group table needs {n} rows, file ends early")
-    table = [_named_row(line, n) or _sized_ints(line, n, f"group row {x}")
-             for x, line in enumerate(lines[pos:pos + n])]
-    pos += n
+    table = _rows(lines, pos + 1, n, "group", "group row")
+    pos += 1 + n
     names = None
     if pos < len(lines) and lines[pos].startswith("names:"):
         names = lines[pos][len("names:"):].split()
@@ -146,29 +159,13 @@ class QndFile:
 
 
 def parse_qnd(text: str) -> QndFile:
-    """Read a .qnd file; the table is checked for shape and range only.
-
-    A row of exactly n decimal names of 0..n-1 is gathered from a name
-    table (_named_row) and needs no range check; any other row is read
-    token by token with int(), and its count and range checked entry by
-    entry, so the first bad token, count or entry is named. The axioms
-    are left to quandle_from_table.
-    """
+    """Read a .qnd file: its rows (_rows) and rho line, for their shape
+    only. The entries and the axioms are left to quandle_from_table."""
     lines = significant_lines(text)
     if not lines:
         raise FormatError("empty quandle file")
     kind, n = _read_header(lines[0], ("quandle", "rack"))
-    if len(lines) < 1 + n:
-        raise FormatError(f"operation table needs {n} rows, file ends early")
-    table = []
-    for a in range(n):
-        row = _named_row(lines[1 + a], n)
-        if row is None:
-            row = tuple(_sized_ints(lines[1 + a], n, f"table row {a}"))
-            for v in row:
-                if not 0 <= v < n:
-                    raise FormatError(f"table entry {v} in row {a} not in 0..{n - 1}")
-        table.append(row)
+    table = _rows(lines, 1, n, "operation", "table row")
     pos = 1 + n
     rho = None
     if pos < len(lines) and lines[pos].startswith("rho:"):
@@ -180,7 +177,7 @@ def parse_qnd(text: str) -> QndFile:
         pos += 1
     if pos != len(lines):
         raise FormatError(f"trailing content: {lines[pos]!r}")
-    return QndFile(kind=kind, table=tuple(table), rho=tuple(rho) if rho else None)
+    return QndFile(kind=kind, table=table, rho=tuple(rho) if rho else None)
 
 
 def format_qnd(obj: Quandle | SymmetricQuandle | LabeledQuandle) -> str:
@@ -216,7 +213,7 @@ def parse_prs(text: str, base_dir: str = ".") -> CosetPresentation:
     parts = lines[1].split()
     if not parts or parts[0] != "group":
         raise FormatError(f"expected a group line, got {lines[1]!r}")
-    if len(parts) == 2 and not parts[1].isdigit():
+    if len(parts) == 2 and not _is_int(parts[1]):
         G = parse_grp(read_text(os.path.join(base_dir, parts[1]), "group file "))
         pos = 2
     else:
@@ -243,11 +240,10 @@ def parse_prs(text: str, base_dir: str = ".") -> CosetPresentation:
             raise FormatError(
                 f"orbit {i}: fields must be H, z, r, kappa; got {sorted(fields)}")
         H = _ints(fields["H"], "H")
-        for h in H:
-            if not 0 <= h < G.order:
-                raise FormatError(f"orbit {i} H: element index {h} not in "
-                                  f"0..{G.order - 1}")
-        subgroups.append(subgroup_from_elements(G, H))
+        try:
+            subgroups.append(subgroup_from_elements(G, H))
+        except IndexOutOfRange as exc:
+            raise FormatError(f"orbit {i} H: {exc}")
         zs.append(_one_index(fields["z"], f"orbit {i} z", "element", G.order))
         rs.append(_one_index(fields["r"], f"orbit {i} r", "element", G.order))
         kappas.append(_one_index(fields["kappa"], f"orbit {i} kappa", "orbit", k))

@@ -23,9 +23,9 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p then q, as a tuple: compose(p, q)[a] = q[p[a]].
 
     Any maps given as index sequences compose this way; q may be longer
-    than p. The gather runs in C through itemgetter, which returns a bare
-    item rather than a tuple for one index, so degrees 0 and 1 take the
-    Python path.
+    than p, or a mapping from p's entries. The gather runs in C through
+    itemgetter, which returns a bare item rather than a tuple for one
+    index, so degrees 0 and 1 take the Python path.
     """
     if len(p) > 1:
         return itemgetter(*p)(q)
@@ -246,13 +246,9 @@ def cycle_token(p: Perm) -> str:
 def row_string(row: Sequence[int]) -> str:
     """The entries of row, each a point of 0..len(row)-1, as decimal
     names separated by spaces: a table row or a permutation as written.
-    The names are gathered from the name table in C, as compose gathers,
-    so degrees 0 and 1 take the Python path; an entry True or False is
+    The names are gathered by compose, so an entry True or False is
     printed as 1 or 0, the point it indexes."""
-    names = _names(len(row))
-    if len(row) > 1:
-        return " ".join(itemgetter(*row)(names))
-    return " ".join([names[a] for a in row])
+    return " ".join(compose(row, _names(len(row))))
 
 
 def array_string(p: Perm) -> str:

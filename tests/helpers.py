@@ -256,9 +256,9 @@ def ref_group_from_table(table):
     return t, identity, inverse
 
 
-def _ref_rows(text, keyword, in_range):
+def ref_rows(text, keyword):
     """The table rows of a .qnd or .grp text, row by row: one int() per
-    token, then the count and, with in_range, the range of every entry."""
+    token, then the count."""
     lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
     lines = [line for line in lines if line]
     n = int(lines[0].split()[1])
@@ -274,21 +274,18 @@ def _ref_rows(text, keyword, in_range):
             raise FormatError(f"{what}: expected integers, got {line!r}")
         if len(row) != n:
             raise FormatError(f"{what} has {len(row)} entries, expected {n}")
-        for v in row if in_range else ():
-            if not 0 <= v < n:
-                raise FormatError(f"table entry {v} in row {a} not in 0..{n - 1}")
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def ref_parse_qnd_table(text):
-    """The table of a .qnd text with no rho line."""
-    return _ref_rows(text, "table", True)
+def ref_parse_qnd_table(text, allow_rack=False):
+    """A .qnd text with no rho line: its rows, then ref_quandle_from_table."""
+    return ref_quandle_from_table(ref_rows(text, "table"), allow_rack)
 
 
 def ref_parse_grp(text):
     """A .grp text with no names line: its rows, then ref_group_from_table."""
-    return ref_group_from_table(_ref_rows(text, "group", False))
+    return ref_group_from_table(ref_rows(text, "group"))
 
 
 def ref_presentation_lines(P, level):

@@ -290,6 +290,32 @@ def test_build_out_of_range_kappa_is_malformed(tmp_path):
     assert text == "error: orbit 0 kappa: orbit index 1 not in 0..0\n"
 
 
+def test_build_out_of_range_group_entry_is_malformed(tmp_path):
+    prs = tmp_path / "bad.prs"
+    prs.write_text("presentation 1\ngroup 2\n0 2\n1 0\n"
+                   "orbit 0: H = 0 ; z = 0 ; r = 0 ; kappa = 0\n")
+    assert run(["build", str(prs), "--level", "rack"]) == \
+        (2, "error: entry 2 in row 0 not in 0..1\n")
+
+
+BAD_ENTRY_QND = "quandle 2\n0 3\n1 1\n"
+
+
+def test_check_out_of_range_entry_is_malformed(tmp_path):
+    p = tmp_path / "bad.qnd"
+    p.write_text(BAD_ENTRY_QND)
+    assert run(["check", str(p)]) == \
+        (2, "error: entry 3 in row 0 not in 0..1\n")
+
+
+def test_iso_with_an_out_of_range_entry_second_is_malformed(tmp_path):
+    good, bad = tmp_path / "good.qnd", tmp_path / "bad.qnd"
+    good.write_text("quandle 2\n0 0\n1 1\n")
+    bad.write_text(BAD_ENTRY_QND)
+    assert run(["iso", str(good), str(bad)]) == \
+        (2, "error: entry 3 in row 0 not in 0..1\n")
+
+
 def test_build_repeated_orbit_field_is_malformed(tmp_path):
     prs = tmp_path / "bad.prs"
     prs.write_text(Z4_PRS.format("H = 0 2 ; z = 1 ; z = 3 ; r = 0 ; kappa = 0"))

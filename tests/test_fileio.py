@@ -99,8 +99,9 @@ def test_qnd_label_comments_ignored():
     "ring 2\n0 0\n1 1\n",                  # bad keyword
 ])
 def test_qnd_malformed(bad):
+    # parse_qnd checks the shape, quandle_from_table the entries
     with pytest.raises(FormatError):
-        parse_qnd(bad)
+        quandle_from_table(parse_qnd(bad).table, allow_rack=True)
 
 
 def test_prs_round_trip_inline():
@@ -123,6 +124,13 @@ def test_prs_group_by_path(tmp_path):
     assert P.group == G
     assert P.subgroups[0].elements == (0, 1, 2, 3)
     assert validate_presentation(P, "symmetric").ok
+
+
+def test_prs_inline_group_header_is_the_one_parse_grp_reads():
+    # the group line is inline exactly when int() reads its size token
+    text = ("presentation 1\ngroup +1\n0\n"
+            "orbit 0: H = 0 ; z = 0 ; r = 0 ; kappa = 0\n")
+    assert parse_prs(text).group == parse_grp("group +1\n0\n")
 
 
 def test_prs_missing_group_file(tmp_path):

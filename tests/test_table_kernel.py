@@ -14,6 +14,7 @@ from helpers import (
     ref_parse_grp,
     ref_parse_qnd_table,
     ref_quandle_from_table,
+    ref_rows,
     relabel,
 )
 from sqk import (
@@ -161,12 +162,13 @@ def test_qnd_parse_matches_the_per_token_loop(name):
     texts = text_mutants(table, random.Random(name))
     for body in texts:
         text = header + body + "\n"
-        ref = outcome(ref_parse_qnd_table, text)
-        assert outcome(lambda: parse_qnd(text).table) == ref, text
-        if isinstance(ref, tuple) and ref and isinstance(ref[0], tuple):
-            for allow_rack in (False, True):
-                assert outcome(_quandle_parts, ref, allow_rack) == \
-                    outcome(ref_quandle_from_table, ref, allow_rack), text
+        # parse_qnd reads the shape; the entries are quandle_from_table's
+        assert outcome(lambda: parse_qnd(text).table) == \
+            outcome(ref_rows, text, "table"), text
+        for allow_rack in (False, True):
+            assert outcome(lambda: _quandle_parts(parse_qnd(text).table,
+                                                  allow_rack)) == \
+                outcome(ref_parse_qnd_table, text, allow_rack), text
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -153,6 +153,24 @@ def test_flipped_table_cell_is_rejected(name, P, monkeypatch):
                     build_rack(P)
 
 
+@pytest.mark.parametrize("value", ["n", -1])
+def test_built_entry_out_of_range_is_an_internal_failure(value, monkeypatch):
+    # a bad entry of a built table is a fault of the build, not malformed
+    # input, so it is not a FormatError
+    real = cosets._assemble
+
+    def corrupted(P):
+        spaces, offsets, op = real(P)
+        op[0][0] = len(op) if value == "n" else value
+        return spaces, offsets, op
+
+    monkeypatch.setattr(cosets, "_assemble", corrupted)
+    with pytest.raises(InternalVerificationFailed, match="built table entry"):
+        decompose(antipodal(8), "inn")
+    with pytest.raises(InternalVerificationFailed, match="built table entry"):
+        build_symmetric_quandle(paper_example_presentation())
+
+
 @pytest.mark.parametrize("name,P", presentations())
 def test_flipped_rho_entry_is_rejected(name, P):
     sq = build_symmetric_quandle(P).sq
