@@ -28,7 +28,7 @@ from .errors import (
     SizeBoundExceeded,
     SqkError,
 )
-from .perm import involution_lines, perm_line
+from .perm import perm_line
 from .quandle import (
     Quandle,
     find_quandle_isomorphism,
@@ -40,8 +40,8 @@ from .symmetric import (
     DEFAULT_MAX_N,
     SymmetricQuandle,
     attach_involution,
-    enumerate_good_involutions,
     find_symmetric_isomorphism,
+    good_involution_walk,
 )
 
 
@@ -149,10 +149,18 @@ def cmd_check(args, out: list[str]) -> int:
 
 def cmd_involutions(args, out: list[str]) -> int:
     Q = _quandle(_load_qnd(args.file))
-    invs = enumerate_good_involutions(Q, args.max_n)
-    out.append(f"order: {Q.order}")
-    out.append(f"count: {len(invs)}")
-    out += involution_lines(invs, Q.order)
+    # each line is perm_line(rho): pairs[a] is the text (a b) when
+    # b = rho(a) > a, empty otherwise, and images[a] is the name of b
+    names = list(map(str, range(Q.order)))
+    pairs, images = [""] * Q.order, [""] * Q.order
+
+    def write(a: int, b: int):
+        return ((pairs, a, f"({names[a]} {names[b]})" if b > a else ""),
+                (images, a, names[b]))
+
+    lines = [f"{''.join(pairs) or '()'}  [{' '.join(images)}]"
+             for _ in good_involution_walk(Q, args.max_n, write)]
+    out += [f"order: {Q.order}", f"count: {len(lines)}"] + lines
     return 0
 
 
@@ -375,6 +383,11 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def main() -> None:
     code, text = run(sys.argv[1:])
-    if text:
-        sys.stdout.write(text)
+    # in slices, so a long listing is not encoded whole a second time
+    for i in range(0, len(text), 1 << 16):
+        sys.stdout.write(text[i:i + (1 << 16)])
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

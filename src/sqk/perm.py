@@ -7,7 +7,7 @@ compose(p, q)[a] = q[p[a]].
 from __future__ import annotations
 
 from functools import cache
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import FormatError
@@ -260,27 +260,3 @@ def perm_line(p: Perm) -> str:
     """Cycle notation followed by array notation, as used in reports."""
     return f"{cycle_string(p)}  {array_string(p)}"
 
-
-def involution_lines(invs: Iterable[Perm], n: int) -> list[str]:
-    """[perm_line(p) for p in invs], for involutions p of degree n.
-
-    The cycles of an involution are its pairs (a b) with b = p[a] > a, so
-    its cycle string joins rows[a][p[a]] over the points a, gathered in C:
-    "(a b)" when b > a, and "" otherwise. Each text is made when a line
-    first needs it and kept for the call, so only the pairs that occur
-    are made. Degrees 0 and 1 take perm_line.
-    """
-    if n < 2:
-        return list(map(perm_line, invs))
-    names = _names(n)
-    rows: list[dict[int, str]] = [{} for _ in range(n)]
-    lines = []
-    for p in invs:
-        try:
-            pairs = "".join(map(getitem, rows, p))
-        except KeyError:
-            for a, b in enumerate(p):
-                rows[a][b] = f"({names[a]} {names[b]})" if b > a else ""
-            pairs = "".join(map(getitem, rows, p))
-        lines.append(f"{pairs or '()'}  [{' '.join(itemgetter(*p)(names))}]")
-    return lines

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import perm
 from .errors import (
+    FormatError,
     NotDualCompatible,
     NotEquivariant,
     NotInvolution,
@@ -88,10 +89,10 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
     rho = tuple(rho)
     if len(rho) != Q.order:
-        raise SqkError(f"rho has length {len(rho)}, expected {Q.order}")
+        raise FormatError(f"rho has length {len(rho)}, expected {Q.order}")
     for v in rho:
         if not isinstance(v, int) or not 0 <= v < Q.order:
-            raise SqkError(f"entry {v!r} of rho not in 0..{Q.order - 1}")
+            raise FormatError(f"entry {v!r} of rho not in 0..{Q.order - 1}")
     a = involution_violation(rho)
     if a is not None:
         raise NotInvolution(a)
@@ -114,7 +115,18 @@ def is_good_involution(Q: Quandle, rho: Sequence[int]) -> bool:
 
 def enumerate_good_involutions(Q: Quandle,
                                max_n: int = DEFAULT_MAX_N) -> list[perm.Perm]:
-    """All good involutions of Q, in lexicographic order of the array.
+    """All good involutions of Q, in lexicographic order of the array:
+    rho as good_involution_walk writes it, at each of its steps."""
+    rho = [-1] * Q.order
+    return [tuple(rho) for _ in good_involution_walk(
+        Q, max_n, lambda a, b: ((rho, a, b),))]
+
+
+def good_involution_walk(Q: Quandle, max_n: int,
+                         write: Callable) -> Iterator[None]:
+    """Steps once per good involution rho of Q, in lexicographic order of
+    the array, after the writes t[a] = v that write(a, b) returned, once
+    per choice, for each b = rho[a]. Rack and size errors come first.
 
     A good involution commutes with every spanning translation t
     (_spanning_translations), so on an orbit of theirs it is the orbit map
@@ -123,7 +135,7 @@ def enumerate_good_involutions(Q: Quandle,
     carries along the orbit, as s_{t[a]} = t^-1 s_a t. m is kept when it
     is injective and commutes with every t on the orbit; when y lies in
     the same orbit, also when m(y) = x, as m^2 commutes and fixes x. Then
-    rho is m on the orbit and m^-1 on the orbit of y. The search pairs the
+    rho is m on the orbit and m^-1 on the orbit of y. The walk pairs the
     least unpaired orbit with the orbit of each kept y in turn; its x is
     the least point not yet assigned and y increases, so the involutions
     come in lexicographic order.
@@ -150,7 +162,7 @@ def enumerate_good_involutions(Q: Quandle,
                     if orbit[t[a]] < 0:
                         orbit[t[a]] = orbit[x]
                         trees[-1].append((t[a], a, t))
-    choices = []        # per orbit, each (orbit paired with it, rho's pairs)
+    choices = []        # per orbit, each (orbit paired with it, its writes)
     for i, tree in enumerate(trees):
         x, points = tree[0][0], [a for a, _, _ in tree]
         choices.append([])
@@ -163,11 +175,10 @@ def enumerate_good_involutions(Q: Quandle,
             images = list(m.values())
             if len(set(images)) == len(points) and (orbit[y] > i or m[y] == x) \
                     and all(m[t[a]] == t[m[a]] for t in gens for a in points):
-                choices[i].append(
-                    (orbit[y], tuple(zip(points + images, images + points))))
+                # each point once: zip lists an orbit paired with itself twice
+                pairs = dict(zip(points + images, images + points)).items()
+                choices[i].append((orbit[y], [w for p in pairs for w in write(*p)]))
 
-    found: list[perm.Perm] = []
-    rho = [-1] * n
     k = len(trees)
     partner = [-1] * k  # the orbit paired with each, or -1
     stack = [(0, iter(choices[0]))]     # per open orbit, its choices left
@@ -176,7 +187,7 @@ def enumerate_good_involutions(Q: Quandle,
         j = partner[i]
         if j >= 0:
             partner[i] = partner[j] = -1
-        for j, pairs in options:
+        for j, writes in options:
             if partner[j] < 0:
                 break
         else:
@@ -184,15 +195,14 @@ def enumerate_good_involutions(Q: Quandle,
             continue
         partner[i] = j
         partner[j] = i
-        for a, b in pairs:
-            rho[a] = b
+        for t, a, v in writes:
+            t[a] = v
         while i < k and partner[i] >= 0:
             i += 1
         if i == k:
-            found.append(tuple(rho))
+            yield
         else:
             stack.append((i, iter(choices[i])))
-    return found
 
 
 def find_symmetric_isomorphism(S1: SymmetricQuandle,

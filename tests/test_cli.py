@@ -1,13 +1,21 @@
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import all_involutions, bf_good_involutions
+import sqk
+from helpers import all_involutions, all_quandle_tables, bf_good_involutions
 from sqk import cosets
 from sqk.catalog import conj_symmetric_quandle, dihedral_group, trivial_quandle
 from sqk.cli import run
+from sqk.errors import SizeBoundExceeded
 from sqk.fileio import format_qnd
+from sqk.perm import perm_line
+from sqk.quandle import quandle_from_table
+from sqk.symmetric import enumerate_good_involutions, good_involution_walk
 from test_perm import _old_array_string, _old_cycle_string
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -18,6 +26,18 @@ def _catalog_file(tmp_path, name, *spec):
     code, text = run(["catalog", *spec, "-o", str(path)])
     assert code == 0, text
     return str(path)
+
+
+def cli_involution_lines(tmp_path, Q):
+    """The lines `involutions` prints for Q after its order and count."""
+    p = tmp_path / "q.qnd"
+    p.write_text(format_qnd(Q))
+    code, text = run(["involutions", str(p), "--max-n", str(Q.order)])
+    assert code == 0, text
+    lines = text.splitlines()
+    assert lines[0] == f"order: {Q.order}"
+    assert lines[1] == f"count: {len(lines) - 2}"
+    return lines[2:]
 
 
 def test_check_dihedral(tmp_path):
@@ -128,10 +148,37 @@ def test_involutions_of_a_rack_exit_1(tmp_path):
     assert run(["aut", str(p), "--symmetric"]) == (code, text)
 
 
-def test_involutions_size_bound(tmp_path):
+def test_involutions_size_bound(tmp_path, r4):
     p = _catalog_file(tmp_path, "r4.qnd", "dihedral-quandle", "4")
-    code, text = run(["involutions", p, "--max-n", "2"])
-    assert code == 3
+    assert run(["involutions", p, "--max-n", "2"]) == \
+        (3, "error: order 4 exceeds the exhaustive-search bound 2\n")
+    # the walk raises at its first step, before it makes any write
+    writes = []
+    walk = good_involution_walk(r4, 2, lambda a, b: writes.append((a, b)) or ())
+    with pytest.raises(SizeBoundExceeded):
+        next(walk)
+    assert writes == []
+
+
+def test_involutions_lines_are_perm_lines(tmp_path):
+    # every labelled quandle of order at most 5, the trivial one of
+    # order 1 among them
+    for n in range(1, 6):
+        for table in all_quandle_tables(n):
+            Q = quandle_from_table(table)
+            assert cli_involution_lines(tmp_path, Q) == \
+                list(map(perm_line, enumerate_good_involutions(Q, n))), table
+    assert cli_involution_lines(tmp_path, trivial_quandle(1)) == ["()  [0]"]
+
+
+def test_python_m_sqk_cli_runs_the_verb(tmp_path):
+    (tmp_path / "bad.qnd").write_text(BAD_ENTRY_QND)
+    src = str(Path(sqk.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "sqk.cli", "check", "bad.qnd"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "error: entry 3 in row 0 not in 0..1\n", "")
 
 
 def test_aut_and_inn(tmp_path):

@@ -187,23 +187,3 @@ def test_printed_forms_keep_their_bytes():
     assert perm.array_string(()) == "[]"
     assert perm.cycle_string(()) == "()"
     assert perm.cycle_token((0,)) == "id"
-
-
-def test_involution_lines_are_perm_lines():
-    # the pinned involutions of each degree, twice over, so that a line
-    # reuses pair texts an earlier line made
-    by_degree = {}
-    for p in _pinned_perms():
-        if all(p[p[a]] == a for a in range(len(p))):
-            by_degree.setdefault(len(p), []).append(p)
-    assert {0, 1, 2, 10, 37} <= set(by_degree)
-    for n, invs in by_degree.items():
-        invs += invs[::-1]
-        assert perm.involution_lines(invs, n) == list(map(perm.perm_line, invs))
-    # the identities: "()" from a gather of empty texts, and degree 1,
-    # whose array is one name
-    assert perm.involution_lines([(0,)], 1) == ["()  [0]"]
-    assert perm.involution_lines([(0, 1), (1, 0), (0, 1)], 2) == \
-        ["()  [0 1]", "(0 1)  [1 0]", "()  [0 1]"]
-    assert perm.involution_lines([()], 0) == ["()  []"]
-    assert perm.involution_lines([], 3) == []

@@ -8,6 +8,7 @@ from helpers import (
     bf_good_involutions,
     compose_then,
 )
+from test_cli import cli_involution_lines
 from sqk import (
     antipodal,
     attach_involution,
@@ -27,6 +28,7 @@ from sqk import (
     trivial_quandle,
 )
 from sqk.errors import (
+    FormatError,
     NotDualCompatible,
     NotEquivariant,
     NotInvolution,
@@ -34,7 +36,7 @@ from sqk.errors import (
     SqkError,
 )
 from sqk import perm, symmetric
-from sqk.perm import involution_lines, inverse, perm_line
+from sqk.perm import inverse, perm_line
 from sqk.quandle import Quandle
 
 R4_GOOD = [(0, 1, 2, 3), (0, 3, 2, 1), (2, 1, 0, 3), (2, 3, 0, 1)]
@@ -63,10 +65,13 @@ def test_not_involution(r4):
 
 
 def test_malformed_rho_entry_is_named(r4):
-    with pytest.raises(SqkError, match=r"^entry 4 of rho not in 0\.\.3$"):
+    # malformed input, as a bad table entry is (perm.square_rows)
+    with pytest.raises(FormatError, match=r"^entry 4 of rho not in 0\.\.3$"):
         attach_involution(r4, (4, 1, 2, 3))
-    with pytest.raises(SqkError, match=r"^entry 1\.0 of rho not in 0\.\.3$"):
+    with pytest.raises(FormatError, match=r"^entry 1\.0 of rho not in 0\.\.3$"):
         attach_involution(r4, (2, 3, 0, 1.0))
+    with pytest.raises(FormatError, match=r"^rho has length 3, expected 4$"):
+        attach_involution(r4, (0, 1, 2))
     assert not is_good_involution(r4, (9, 1, 2, 3))
 
 
@@ -163,10 +168,11 @@ def test_quandle_table_helper_filters_every_column_choice():
                    for a in range(n) for b in range(n) for c in range(n))]
 
 
-def test_involution_lines_are_perm_lines_on_the_corpus():
+def test_involution_lines_are_perm_lines_on_the_corpus(tmp_path):
+    # the lines `involutions` writes from the walk's pairs
     for Q in _small_corpus() + [conj_symmetric_quandle(dihedral_group(12)).quandle]:
         invs = enumerate_good_involutions(Q, max_n=Q.order)
-        assert involution_lines(invs, Q.order) == list(map(perm_line, invs))
+        assert cli_involution_lines(tmp_path, Q) == list(map(perm_line, invs))
 
 
 def test_brute_force_involution_helpers_filter_all_permutations():
