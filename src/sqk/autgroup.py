@@ -20,14 +20,18 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import perm
-from .errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
+from .errors import (
+    AxiomQ2Violated,
+    IndexOutOfRange,
+    InternalVerificationFailed,
+    SizeBoundExceeded,
+)
 from .groups import GroupLike
 from .quandle import Quandle, Table, _MapSearch
 from .symmetric import (
     DEFAULT_MAX_N,
     SymmetricQuandle,
     _spanning_translations,
-    is_symmetric_isomorphism_map,
 )
 
 
@@ -507,17 +511,24 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
     """The group generated by the translations s_b: a -> a*b, kept as a
     stabilizer chain.
 
-    The chain is built from the spanning translations
-    (symmetric._spanning_translations) alone, each checked to be a
-    symmetric automorphism. They generate every translation: once s_b is
-    an automorphism, s_{a*b} = s_b^-1 s_a s_b, so the a with s_a in the
-    group are closed under a -> a*b. The printed generators are every
-    distinct translation, in column order, each sifted through the chain
-    as a cross-check.
+    Every translation is an automorphism exactly when op is a rack (Q2
+    and Q3), which is read from S.quandle.rack_violation: the verdict
+    quandle_from_table reached, or proved here on a Quandle built without
+    it. The chain is built from the spanning translations
+    (symmetric._spanning_translations) alone, each checked to commute
+    with rho. They generate every translation: s_{a*b} = s_b^-1 s_a s_b,
+    so the a with s_a in the group are closed under a -> a*b. The printed
+    generators are every distinct translation, in column order, each
+    sifted through the chain as a cross-check.
     """
+    bad = S.quandle.rack_violation
+    if bad is not None:
+        b = bad.b if isinstance(bad, AxiomQ2Violated) else bad.triple[2]
+        raise InternalVerificationFailed(
+            f"translation s_{b} is not an automorphism: {bad}") from bad
     span = _spanning_translations(S.quandle)
     for t in span:
-        if not is_symmetric_isomorphism_map(S, S, t):
+        if perm.compose(S.rho, t) != perm.compose(t, S.rho):
             raise InternalVerificationFailed(
                 f"translation {perm.cycle_string(t)} is not a symmetric "
                 "automorphism")

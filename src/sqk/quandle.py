@@ -24,8 +24,9 @@ Table = tuple[tuple[int, ...], ...]
 @dataclass(frozen=True)
 class Quandle:
     """A rack or quandle given by its operation table. The columns, their
-    spanning points and the dual are functions of op, derived on first
-    read and kept, so whatever proof accepts op accepts them too."""
+    spanning points, the dual and the verdict on the rack axioms are
+    functions of op, derived on first read and kept, so whatever proof
+    accepts op accepts them too."""
     order: int
     op: Table
     rack_only: bool = False
@@ -48,6 +49,18 @@ class Quandle:
         if is_kei(self):
             return self.op
         return tuple(zip(*map(perm.inverse, self.columns)))
+
+    @cached_property
+    def rack_violation(self) -> AxiomQ2Violated | AxiomQ3Violated | None:
+        """The first rack axiom op fails, with its witness: Q2 (the first
+        column that is not a bijection), then Q3 (_q3_violation at the
+        spanning points), or None for a rack. quandle_from_table raises
+        it and autgroup.inner_group reads it."""
+        b = _first_non_bijection(self.columns)
+        if b is not None:
+            return AxiomQ2Violated(b)
+        abc = _q3_violation(self.op, self.columns, self.spanning_points)
+        return None if abc is None else AxiomQ3Violated(*abc)
 
 
 @dataclass(frozen=True)
@@ -117,13 +130,12 @@ def quandle_from_table(table: Sequence[Sequence[int]],
                        allow_rack: bool = False) -> Quandle:
     """Validate an operation table and return the quandle (or rack) it defines.
 
-    Checks the entries (perm.square_rows), then that each column is a
-    bijection (its set of entries is every point), then
-    self-distributivity at the spanning points (q3_violation), then
-    idempotence, on the columns and spanning points of the returned
-    Quandle. A failing whole-column or spanning check runs the per-column
-    or triple loop, which names the witness a cell-by-cell scan would. A
-    table failing only idempotence is accepted with rack_only=True when
+    Checks the entries (perm.square_rows), then Q2 and Q3 by the
+    returned Quandle's rack_violation, then idempotence. The verdict is
+    kept on the Quandle, so no later reader proves Q2 or Q3 again. A
+    failing whole-column or spanning check runs the per-column or triple
+    loop, which names the witness a cell-by-cell scan would. A table
+    failing only idempotence is accepted with rack_only=True when
     allow_rack is set.
     """
     n = len(table)
@@ -132,12 +144,8 @@ def quandle_from_table(table: Sequence[Sequence[int]],
     op = perm.square_rows(table)
     a = q1_violation(op)
     Q = Quandle(order=n, op=op, rack_only=a is not None)
-    b = _first_non_bijection(Q.columns)
-    if b is not None:
-        raise AxiomQ2Violated(b)
-    abc = _q3_violation(op, Q.columns, Q.spanning_points)
-    if abc is not None:
-        raise AxiomQ3Violated(*abc)
+    if Q.rack_violation is not None:
+        raise Q.rack_violation
     if a is not None and not allow_rack:
         raise AxiomQ1Violated(a)
     return Q

@@ -31,9 +31,14 @@ from sqk import (
     validate_presentation,
     verify_decomposition,
 )
-from sqk import cosets, decomposition, fileio, perm
+from sqk import cosets, decomposition, fileio, perm, quandle, symmetric
 from sqk.autgroup import mulclose
-from sqk.errors import InternalVerificationFailed, PresentationInvalid, SqkError
+from sqk.errors import (
+    AxiomQ2Violated,
+    InternalVerificationFailed,
+    PresentationInvalid,
+    SqkError,
+)
 from sqk.perm import identity
 from sqk.quandle import Isomorphism
 
@@ -436,20 +441,44 @@ def test_each_condition_is_decided_once(monkeypatch):
     assert (validations[0], centralizing[0], descents[0]) == (1, 5, 0)
 
 
-def test_inner_group_checks_only_spanning_translations(monkeypatch):
-    # R_64 has 32 distinct translations; two of them span
-    checks = [0]
-    real = autgroup.is_symmetric_isomorphism_map
+@pytest.mark.parametrize("S", [antipodal(64),
+                               conj_symmetric_quandle(symmetric_group(4)),
+                               transposition_quandle(5)],
+                         ids=["R_64", "Conj(S4)", "T_5"])
+def test_inner_group_does_not_prove_a_validated_table_again(monkeypatch, S):
+    # quandle_from_table proved Q3 on S's table; inner_group made one
+    # product check per spanning translation, proving it a second time
+    q3 = _count_calls(monkeypatch, "_q3_violation", quandle)
+    products = _count_calls(monkeypatch, "product_violation", quandle, symmetric)
+    G = inner_group(S)
+    assert (q3[0], products[0]) == (0, 0)
+    # every distinct translation is sifted (R_64 has 32; two of them span)
+    assert len(G.generators) == len(set(S.quandle.columns))
+    assert G.elements == inner_group(_unchecked(S.quandle.op, S.rho)).elements
+    assert q3[0] == 1
+    q3[0] = 0
+    decompose(S, "inn")
+    assert q3[0] == 0
 
-    def counting(*args):
-        checks[0] += 1
-        return real(*args)
 
-    monkeypatch.setattr(autgroup, "is_symmetric_isomorphism_map", counting)
-    G = inner_group(antipodal(64))
-    assert G.order == 64
-    assert len(G.generators) == 32
-    assert checks[0] <= 2
+def test_the_rack_verdict_is_derived_once_and_covers_q2(monkeypatch):
+    R = antipodal(8)
+    q3 = _count_calls(monkeypatch, "_q3_violation", quandle)
+    S = attach_involution(quandle_from_table(R.quandle.op), R.rho)
+    assert "rack_violation" in vars(S.quandle)
+    assert S.quandle.rack_violation is None
+    inner_group(S)
+    assert q3[0] == 1
+    # an unchecked table whose column 1 repeats an entry: Q2 fails there,
+    # not Q3, and inner_group proves it on first read
+    C = conj_symmetric_quandle(symmetric_group(3))
+    op = [list(row) for row in C.quandle.op]
+    op[0][1] = op[1][1]
+    U = _unchecked(op, C.rho)
+    assert "rack_violation" not in vars(U.quandle)
+    with pytest.raises(InternalVerificationFailed, match="column 1 is not a bijection"):
+        inner_group(U)
+    assert isinstance(vars(U.quandle)["rack_violation"], AxiomQ2Violated)
 
 
 def _inner_cases():
