@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import perm
 from .errors import (
-    AxiomQ2Violated,
     IndexOutOfRange,
     InternalVerificationFailed,
     SizeBoundExceeded,
@@ -511,27 +510,18 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
     """The group generated by the translations s_b: a -> a*b, kept as a
     stabilizer chain.
 
-    Every translation is an automorphism exactly when op is a rack (Q2
-    and Q3), which is read from S.quandle.rack_violation: the verdict
-    quandle_from_table reached, or proved here on a Quandle built without
-    it. The chain is built from the spanning translations
-    (symmetric._spanning_translations) alone, each checked to commute
-    with rho. They generate every translation: s_{a*b} = s_b^-1 s_a s_b,
-    so the a with s_a in the group are closed under a -> a*b. The printed
+    Every translation is a symmetric automorphism when S.violation is
+    None (read, or proved here when S skipped validation). The chain is
+    built from the spanning translations (symmetric._spanning_translations)
+    alone. They generate every translation: s_{a*b} = s_b^-1 s_a s_b, so
+    the a with s_a in the group are closed under a -> a*b. The printed
     generators are every distinct translation, in column order, each
     sifted through the chain as a cross-check.
     """
-    bad = S.quandle.rack_violation
+    bad = S.violation
     if bad is not None:
-        b = bad.b if isinstance(bad, AxiomQ2Violated) else bad.triple[2]
-        raise InternalVerificationFailed(
-            f"translation s_{b} is not an automorphism: {bad}") from bad
+        raise InternalVerificationFailed(str(bad)) from bad
     span = _spanning_translations(S.quandle)
-    for t in span:
-        if perm.compose(S.rho, t) != perm.compose(t, S.rho):
-            raise InternalVerificationFailed(
-                f"translation {perm.cycle_string(t)} is not a symmetric "
-                "automorphism")
     chain = _Chain(S.order, span)
     gens = list(dict.fromkeys(S.quandle.columns))
     for t in gens:

@@ -58,10 +58,14 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
 
     group_choice "inn" uses the closure of the translations and needs no
     search bound; "aut" uses the full symmetric automorphism group and is
-    subject to max_n.
+    subject to max_n. Before either is built, S.violation names a fault of
+    the input, which is raised as InternalVerificationFailed.
     """
     if group_choice not in GROUP_CHOICES:
         raise ValueError(f"group_choice must be one of {GROUP_CHOICES}")
+    bad = S.violation
+    if bad is not None:
+        raise InternalVerificationFailed(str(bad)) from bad
     G: PermGroup = (inner_group(S) if group_choice == "inn"
                     else symmetric_aut_group(S, max_n))
     dec = orbits(G)

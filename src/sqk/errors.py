@@ -99,10 +99,6 @@ class OddOrder(ParameterOutOfRange):
         self.n = n
 
 
-class GoodInvolutionCheckFailed(SqkError):
-    pass
-
-
 # coset presentations and decomposition
 
 class PresentationInvalid(SqkError):

@@ -55,7 +55,7 @@ class Quandle:
         """The first rack axiom op fails, with its witness: Q2 (the first
         column that is not a bijection), then Q3 (_q3_violation at the
         spanning points), or None for a rack. quandle_from_table raises
-        it and autgroup.inner_group reads it."""
+        it and SymmetricQuandle.violation reads it."""
         b = _first_non_bijection(self.columns)
         if b is not None:
             return AxiomQ2Violated(b)

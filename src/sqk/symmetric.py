@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from . import perm
@@ -35,6 +36,37 @@ class SymmetricQuandle:
     @property
     def order(self) -> int:
         return self.quandle.order
+
+    @cached_property
+    def violation(self) -> SqkError | None:
+        """The first fact the pair fails, with its witness, or None: the
+        rack axioms (Quandle.rack_violation), then involutivity,
+        equivariance rho(a*b) = rho(a)*b and dual compatibility
+        a*rho(b) = a/b. Derived on first read and kept, as the rack verdict
+        is: attach_involution raises it, and autgroup.inner_group and
+        decomposition.decompose read it.
+
+        On a rack the last two are proved at Q.spanning_points.
+        Equivariance at c is s_c commuting with rho (see
+        _spanning_translations). Dual compatibility at c is
+        s_rho(c) = s_c^-1, and given equivariance the b where it holds are
+        closed under b -> b*d, as s_rho(b*d) = s_d^-1 s_rho(b) s_d. When a
+        proof fails, the full scan names the first failing pair, as a
+        cell-by-cell scan of the conditions in order would.
+        """
+        Q, rho = self.quandle, self.rho
+        if Q.rack_violation is not None:
+            return Q.rack_violation
+        a = involution_violation(rho)
+        if a is not None:
+            return NotInvolution(a)
+        cols, span, compose = Q.columns, Q.spanning_points, perm.compose
+        if any(compose(cols[c], rho) != compose(rho, cols[c]) for c in span):
+            return NotEquivariant(*equivariance_violation(Q.op, rho))
+        ident = perm.identity(Q.order)
+        if any(compose(cols[c], cols[rho[c]]) != ident for c in span):
+            return NotDualCompatible(*dual_violation(Q.op, Q.dual, rho))
+        return None
 
 
 def involution_violation(rho: Sequence[int]) -> int | None:
@@ -73,18 +105,8 @@ def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int
 
 
 def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
-    """Validate rho as a good involution on the validated quandle Q and
-    pair them up.
-
-    The three conditions are checked in order: involutivity, equivariance
-    rho(a*b) = rho(a)*b, and dual compatibility a*rho(b) = a/b. The last
-    two are proved at Q.spanning_points. Equivariance at c is s_c
-    commuting with rho (see _spanning_translations). Dual compatibility
-    at c is s_rho(c) = s_c^-1, and given equivariance the b where it holds
-    are closed under b -> b*d, as s_rho(b*d) = s_d^-1 s_rho(b) s_d. When a
-    proof fails, the full scan names the first failing pair, as a
-    cell-by-cell scan of the conditions in order would.
-    """
+    """Pair the quandle Q with rho after checking rho's length and
+    entries, and raise the pair's violation if it has one."""
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
     rho = tuple(rho)
@@ -93,16 +115,10 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
     for v in rho:
         if not isinstance(v, int) or not 0 <= v < Q.order:
             raise FormatError(f"entry {v!r} of rho not in 0..{Q.order - 1}")
-    a = involution_violation(rho)
-    if a is not None:
-        raise NotInvolution(a)
-    cols, span, compose = Q.columns, Q.spanning_points, perm.compose
-    if any(compose(cols[c], rho) != compose(rho, cols[c]) for c in span):
-        raise NotEquivariant(*equivariance_violation(Q.op, rho))
-    ident = perm.identity(Q.order)
-    if any(compose(cols[c], cols[rho[c]]) != ident for c in span):
-        raise NotDualCompatible(*dual_violation(Q.op, Q.dual, rho))
-    return SymmetricQuandle(quandle=Q, rho=rho)
+    S = SymmetricQuandle(quandle=Q, rho=rho)
+    if S.violation is not None:
+        raise S.violation
+    return S
 
 
 def is_good_involution(Q: Quandle, rho: Sequence[int]) -> bool:

@@ -4,6 +4,7 @@ a product budget that a cell-by-cell re-check would exceed."""
 
 import copy
 import dataclasses
+import re
 from itertools import combinations
 
 import pytest
@@ -36,6 +37,8 @@ from sqk.autgroup import mulclose
 from sqk.errors import (
     AxiomQ2Violated,
     InternalVerificationFailed,
+    NotDualCompatible,
+    NotInvolution,
     PresentationInvalid,
     SqkError,
 )
@@ -446,12 +449,21 @@ def test_each_condition_is_decided_once(monkeypatch):
                                transposition_quandle(5)],
                          ids=["R_64", "Conj(S4)", "T_5"])
 def test_inner_group_does_not_prove_a_validated_table_again(monkeypatch, S):
-    # quandle_from_table proved Q3 on S's table; inner_group made one
-    # product check per spanning translation, proving it a second time
+    # quandle_from_table proved Q3 on S's table and attach_involution the
+    # good involution; inner_group made one product check per spanning
+    # translation and composed each with rho, proving both a second time
     q3 = _count_calls(monkeypatch, "_q3_violation", quandle)
     products = _count_calls(monkeypatch, "product_violation", quandle, symmetric)
+    with_rho = [0]
+    real_compose = perm.compose
+
+    def compose(p, q):
+        with_rho[0] += p is S.rho or q is S.rho
+        return real_compose(p, q)
+
+    monkeypatch.setattr(perm, "compose", compose)
     G = inner_group(S)
-    assert (q3[0], products[0]) == (0, 0)
+    assert (q3[0], products[0], with_rho[0]) == (0, 0, 0)
     # every distinct translation is sifted (R_64 has 32; two of them span)
     assert len(G.generators) == len(set(S.quandle.columns))
     assert G.elements == inner_group(_unchecked(S.quandle.op, S.rho)).elements
@@ -479,6 +491,37 @@ def test_the_rack_verdict_is_derived_once_and_covers_q2(monkeypatch):
     with pytest.raises(InternalVerificationFailed, match="column 1 is not a bijection"):
         inner_group(U)
     assert isinstance(vars(U.quandle)["rack_violation"], AxiomQ2Violated)
+
+
+def test_the_good_involution_verdict_is_derived_once(monkeypatch):
+    R = antipodal(8)
+    involutions = _count_calls(monkeypatch, "involution_violation", symmetric)
+    S = attach_involution(quandle_from_table(R.quandle.op), R.rho)
+    assert "violation" in vars(S)
+    assert S.violation is None
+    inner_group(S)
+    decompose(S, "inn")
+    decompose(S, "aut")
+    assert involutions[0] == 1
+
+
+@pytest.mark.parametrize("op,rho,error,text", [
+    (conj_symmetric_quandle(symmetric_group(3)).quandle.op, range(6),
+     NotDualCompatible, "1*rho(3) differs from the dual product at (1,3)"),
+    ([[a] * 3 for a in range(3)], (1, 2, 0), NotInvolution, "rho(rho(0)) != 0"),
+], ids=["Conj(S3) rho=id", "trivial 3 rho=(0 1 2)"])
+def test_an_unchecked_involution_is_proved_before_any_group(op, rho, error, text):
+    # inner_group checked only that rho commutes with the translations, and
+    # decompose blamed the presentation it built: C5 on Conj(S3), C6 and C4
+    # on the trivial quandle
+    U = _unchecked(op, rho)
+    assert "violation" not in vars(U)
+    with pytest.raises(InternalVerificationFailed, match=re.escape(text)):
+        inner_group(U)
+    assert isinstance(vars(U)["violation"], error)
+    for choice in ("inn", "aut"):
+        with pytest.raises(InternalVerificationFailed, match=re.escape(text)):
+            decompose(_unchecked(op, rho), choice)
 
 
 def _inner_cases():
