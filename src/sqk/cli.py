@@ -33,7 +33,6 @@ from .quandle import (
     Quandle,
     find_quandle_isomorphism,
     is_kei,
-    q1_violation,
     quandle_from_table,
 )
 from .symmetric import (
@@ -113,11 +112,11 @@ def cmd_check(args, out: list[str]) -> int:
     else:
         out.append("rack: yes")
     rack_ok = Q is not None
-    quandle_ok = rack_ok and not Q.rack_only
+    quandle_ok = rack_ok and Q.violation is None
     if quandle_ok:
         out.append("quandle: yes")
     elif rack_ok:
-        out.append(f"quandle: no (idempotence fails at {q1_violation(Q.op)})")
+        out.append(f"quandle: no (idempotence fails at {Q.violation.a})")
     else:
         out.append("quandle: no")
     out.append(f"kei: {'yes' if quandle_ok and is_kei(Q) else 'no'}")

@@ -21,14 +21,15 @@ when C3 holds. So the tables are read at one representative per coset.
 
 The dual H_i x *^-1 H_j y = H_i (x y^-1 z_j^-1 y) is the column inverse of
 *, so it is not assembled: Quandle.dual derives it from op on first read.
-The builders prove the axioms on the assembled tables, and decompose
-through an isomorphism onto its validated input (see assemble); either
-proof covers the derived dual.
+assemble makes the Quandle (and the SymmetricQuandle) once. The builders
+raise its verdict (Quandle.violation, or SymmetricQuandle.violation at the
+symmetric level), and decompose proves it through an isomorphism onto its
+validated input (see assemble); either proof covers the derived dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -36,9 +37,9 @@ from . import perm
 from .autgroup import PointCosets, Stabilizer
 from .errors import FormatError, InternalVerificationFailed, PresentationInvalid
 from .groups import CosetSpace, GroupLike, Subgroup, centralizes, right_cosets
-from .quandle import Quandle, quandle_from_table
+from .quandle import Quandle
 from .report import Check, Report
-from .symmetric import SymmetricQuandle, attach_involution
+from .symmetric import SymmetricQuandle
 
 LEVELS = ("rack", "quandle", "symmetric")
 
@@ -291,11 +292,10 @@ def assemble(P: CosetPresentation, level: str) -> LabeledQuandle:
         op = perm.square_rows(op)
     except FormatError as exc:
         raise InternalVerificationFailed(f"built table {exc}")
-    n = len(op)
-    Q, sq = Quandle(order=n, op=op), None
+    Q, sq = Quandle(op), None
     if level == "symmetric":
         rho = tuple(_involution(P, spaces, offsets))
-        if sorted(rho) != list(range(n)):
+        if sorted(rho) != list(range(Q.order)):
             raise InternalVerificationFailed("rho is not a permutation of the cosets")
         sq = SymmetricQuandle(quandle=Q, rho=rho)
     return LabeledQuandle(quandle=Q, presentation=P, cosets=spaces,
@@ -303,12 +303,15 @@ def assemble(P: CosetPresentation, level: str) -> LabeledQuandle:
 
 
 def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
-    """The object of P at the given level: assemble, closed by the quandle
-    (or rack) axioms and, at the symmetric level, the good involution."""
+    """The object of P at the given level: assemble, closed by the verdict
+    of the objects it made, the symmetric quandle's at the symmetric level
+    and the quandle's otherwise. At the rack level a failing Q1 is
+    accepted (rack_only)."""
     built = assemble(P, level)
-    Q = quandle_from_table(built.quandle.op, allow_rack=(level == "rack"))
-    sq = None if built.sq is None else attach_involution(Q, built.sq.rho)
-    return replace(built, quandle=Q, sq=sq)
+    bad = (built.quandle if built.sq is None else built.sq).violation
+    if bad is not None and not (level == "rack" and built.quandle.rack_only):
+        raise bad
+    return built
 
 
 def build_rack(P: CosetPresentation) -> LabeledQuandle:

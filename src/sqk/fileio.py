@@ -277,9 +277,9 @@ def group_to_table(G: GroupLike) -> FiniteGroup:
     that of a group as soon as each column sits at the index of its w. Its
     identity row reads e w = w, so one look at each column, that column y
     holds y in the identity row, proves it; a column at the wrong index
-    raises InternalVerificationFailed. The identity and the names are G's,
-    and the inverses are read off the rows. A reader of the written file
-    proves it again (parse_prs, parse_grp)."""
+    raises InternalVerificationFailed. The identity and the names are G's;
+    FiniteGroup derives the order and the inverses from the table. A reader
+    of the written file proves it again (parse_prs, parse_grp)."""
     if isinstance(G, FiniteGroup):
         return G
     n, e = G.order, G.identity
@@ -300,9 +300,7 @@ def group_to_table(G: GroupLike) -> FiniteGroup:
         if col[e] != y:
             raise InternalVerificationFailed(
                 f"the table column of element {col[e]} is written at {y}")
-    product = tuple(zip(*cols))
-    return FiniteGroup(order=n, product=product, identity=e,
-                       inverse=tuple(row.index(e) for row in product),
+    return FiniteGroup(product=tuple(zip(*cols)), identity=e,
                        names=tuple(G.name_of(x) for x in range(n)))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import perm
@@ -46,11 +47,21 @@ class GroupLike:
 
 @dataclass(frozen=True)
 class FiniteGroup(GroupLike):
-    order: int
+    """A group given by its product table, its identity and, optionally,
+    the names of its elements. The order and the inverses are functions of
+    the table, derived on first read and kept."""
     product: tuple[tuple[int, ...], ...]
     identity: int
-    inverse: tuple[int, ...]
     names: tuple[str, ...] | None = None
+
+    @cached_property
+    def order(self) -> int:
+        return len(self.product)
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """x^-1 for each x: the y with x y = e, read off row x."""
+        return tuple(row.index(self.identity) for row in self.product)
 
     def mul(self, x: int, y: int) -> int:
         return self.product[x][y]
@@ -105,7 +116,7 @@ def group_from_table(table: Sequence[Sequence[int]],
     are 0..n-1), associativity. The columns are scanned only when the
     identity or associativity fails: otherwise each x has a right
     inverse, so the monoid is a group, its columns are Latin, and the
-    right inverse read off row x is two-sided.
+    right inverse that FiniteGroup.inverse reads off row x is two-sided.
 
     Associativity is Light's test: row(xs) = compose(row(s), row(x)) for
     every x says (xs)z = x(sz) for all x, z, and the s where that holds
@@ -159,9 +170,7 @@ def group_from_table(table: Sequence[Sequence[int]],
                     if product[xy][z] != product[x][product[y][z]]:
                         raise NotAssociative(x, y, z)
 
-    return FiniteGroup(order=n, product=product, identity=identity,
-                       inverse=tuple(row.index(identity) for row in product),
-                       names=names)
+    return FiniteGroup(product=product, identity=identity, names=names)
 
 
 def subgroup_closure(G: GroupLike, gens: Iterable[int]) -> Subgroup:

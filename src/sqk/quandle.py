@@ -23,13 +23,15 @@ Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class Quandle:
-    """A rack or quandle given by its operation table. The columns, their
-    spanning points, the dual and the verdict on the rack axioms are
-    functions of op, derived on first read and kept, so whatever proof
-    accepts op accepts them too."""
-    order: int
+    """A rack or quandle given by its operation table, its one field. The
+    order, the columns, their spanning points, the dual and the verdict on
+    the axioms are functions of op, derived on first read and kept, so
+    whatever proof accepts op accepts them too."""
     op: Table
-    rack_only: bool = False
+
+    @cached_property
+    def order(self) -> int:
+        return len(self.op)
 
     @cached_property
     def columns(self) -> tuple[perm.Perm, ...]:
@@ -51,16 +53,25 @@ class Quandle:
         return tuple(zip(*map(perm.inverse, self.columns)))
 
     @cached_property
-    def rack_violation(self) -> AxiomQ2Violated | AxiomQ3Violated | None:
-        """The first rack axiom op fails, with its witness: Q2 (the first
-        column that is not a bijection), then Q3 (_q3_violation at the
-        spanning points), or None for a rack. quandle_from_table raises
-        it and SymmetricQuandle.violation reads it."""
+    def violation(self) -> AxiomQ1Violated | AxiomQ2Violated | AxiomQ3Violated | None:
+        """The first axiom op fails, with its witness: Q2 (the first column
+        that is not a bijection), then Q3 (_q3_violation at the spanning
+        points), then Q1 (the first a with a*a != a), or None for a
+        quandle. quandle_from_table raises it and
+        SymmetricQuandle.violation reads it."""
         b = _first_non_bijection(self.columns)
         if b is not None:
             return AxiomQ2Violated(b)
         abc = _q3_violation(self.op, self.columns, self.spanning_points)
-        return None if abc is None else AxiomQ3Violated(*abc)
+        if abc is not None:
+            return AxiomQ3Violated(*abc)
+        a = q1_violation(self.op)
+        return None if a is None else AxiomQ1Violated(a)
+
+    @property
+    def rack_only(self) -> bool:
+        """A rack that is not a quandle: Q1 is the axiom op fails."""
+        return isinstance(self.violation, AxiomQ1Violated)
 
 
 @dataclass(frozen=True)
@@ -120,34 +131,25 @@ def _q3_violation(table: Sequence[Sequence[int]], cols: Sequence[perm.Perm],
 
 def q1_violation(table: Sequence[Sequence[int]]) -> int | None:
     """First a with a*a != a, or None."""
-    for a in range(len(table)):
-        if table[a][a] != a:
-            return a
-    return None
+    return next((a for a, row in enumerate(table) if row[a] != a), None)
 
 
 def quandle_from_table(table: Sequence[Sequence[int]],
                        allow_rack: bool = False) -> Quandle:
     """Validate an operation table and return the quandle (or rack) it defines.
 
-    Checks the entries (perm.square_rows), then Q2 and Q3 by the
-    returned Quandle's rack_violation, then idempotence. The verdict is
-    kept on the Quandle, so no later reader proves Q2 or Q3 again. A
-    failing whole-column or spanning check runs the per-column or triple
-    loop, which names the witness a cell-by-cell scan would. A table
-    failing only idempotence is accepted with rack_only=True when
-    allow_rack is set.
+    Checks the entries (perm.square_rows), then raises the returned
+    Quandle's violation, unless allow_rack is set and the table fails
+    only idempotence (a rack, rack_only). The verdict is kept on the
+    Quandle, so no later reader proves an axiom again. A failing
+    whole-column or spanning check runs the per-column or triple loop,
+    which names the witness a cell-by-cell scan would.
     """
-    n = len(table)
-    if n == 0:
+    if len(table) == 0:
         raise FormatError("empty operation table")
-    op = perm.square_rows(table)
-    a = q1_violation(op)
-    Q = Quandle(order=n, op=op, rack_only=a is not None)
-    if Q.rack_violation is not None:
-        raise Q.rack_violation
-    if a is not None and not allow_rack:
-        raise AxiomQ1Violated(a)
+    Q = Quandle(perm.square_rows(table))
+    if Q.violation is not None and not (allow_rack and Q.rack_only):
+        raise Q.violation
     return Q
 
 

@@ -40,10 +40,11 @@ class SymmetricQuandle:
     @cached_property
     def violation(self) -> SqkError | None:
         """The first fact the pair fails, with its witness, or None: the
-        rack axioms (Quandle.rack_violation), then involutivity,
-        equivariance rho(a*b) = rho(a)*b and dual compatibility
-        a*rho(b) = a/b. Derived on first read and kept, as the rack verdict
-        is: attach_involution raises it, and autgroup.inner_group and
+        quandle axioms (RACK_HAS_NO_INVOLUTION on a rack, else
+        Quandle.violation), then involutivity, equivariance
+        rho(a*b) = rho(a)*b and dual compatibility a*rho(b) = a/b. Derived
+        on first read and kept, as the quandle's verdict is:
+        attach_involution raises it, and autgroup.inner_group and
         decomposition.decompose read it.
 
         On a rack the last two are proved at Q.spanning_points.
@@ -55,8 +56,8 @@ class SymmetricQuandle:
         cell-by-cell scan of the conditions in order would.
         """
         Q, rho = self.quandle, self.rho
-        if Q.rack_violation is not None:
-            return Q.rack_violation
+        if Q.violation is not None:
+            return SqkError(RACK_HAS_NO_INVOLUTION) if Q.rack_only else Q.violation
         a = involution_violation(rho)
         if a is not None:
             return NotInvolution(a)
@@ -70,10 +71,8 @@ class SymmetricQuandle:
 
 
 def involution_violation(rho: Sequence[int]) -> int | None:
-    for a in range(len(rho)):
-        if rho[rho[a]] != a:
-            return a
-    return None
+    """First a with rho(rho(a)) != a, or None."""
+    return next((a for a, b in enumerate(rho) if rho[b] != a), None)
 
 
 def equivariance_violation(op: Table, rho: Sequence[int]) -> tuple[int, int] | None:
@@ -107,8 +106,6 @@ def dual_violation(op: Table, dual: Table, rho: Sequence[int]) -> tuple[int, int
 def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
     """Pair the quandle Q with rho after checking rho's length and
     entries, and raise the pair's violation if it has one."""
-    if Q.rack_only:
-        raise SqkError(RACK_HAS_NO_INVOLUTION)
     rho = tuple(rho)
     if len(rho) != Q.order:
         raise FormatError(f"rho has length {len(rho)}, expected {Q.order}")

@@ -9,7 +9,12 @@ import pytest
 import sqk
 from helpers import all_involutions, all_quandle_tables, bf_good_involutions
 from sqk import cosets
-from sqk.catalog import conj_symmetric_quandle, dihedral_group, trivial_quandle
+from sqk.catalog import (
+    build_entry,
+    conj_symmetric_quandle,
+    dihedral_group,
+    trivial_quandle,
+)
 from sqk.cli import run
 from sqk.errors import SizeBoundExceeded
 from sqk.fileio import format_qnd
@@ -86,6 +91,25 @@ def test_check_rack_header(tmp_path):
     code, text = run(["check", str(p)])
     assert code == 0
     assert "rack: yes" in text
+
+
+@pytest.mark.parametrize("text,verdicts", [
+    ("quandle 3\n0 2 1\n1 1 0\n2 0 2\n",
+     ["rack: no (self-distributivity fails at (0, 1, 2))", "quandle: no",
+      "kei: no", "rho: absent"]),
+    ("quandle 3\n0 2 1\n2 1 0\n1 0 2\nrho: 1 2 0\n",
+     ["rack: yes", "quandle: yes", "kei: yes", "rho: present",
+      "good involution: no (not an involution at 0)"]),
+    (format_qnd(build_entry("conj", ["sym", "3"])[1].quandle)
+     + "rho: 0 1 2 3 4 5\n",
+     ["rack: yes", "quandle: yes", "kei: no", "rho: present",
+      "good involution: no (dual compatibility fails at (1, 3))"]),
+], ids=["Q3 fails", "rho not an involution", "Conj(S3) rho=id"])
+def test_check_names_the_failing_verdict(tmp_path, text, verdicts):
+    p = tmp_path / "q.qnd"
+    p.write_text(text)
+    assert run(["check", str(p)]) == \
+        (1, "\n".join([f"order: {text.split()[1]}"] + verdicts) + "\n")
 
 
 def test_check_malformed(tmp_path):

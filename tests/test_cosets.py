@@ -22,6 +22,7 @@ from sqk import (
     symmetric_group,
     validate_presentation,
 )
+from sqk import cosets, perm
 from sqk.cosets import CosetPresentation
 from sqk.errors import PresentationInvalid
 from sqk.fileio import format_prs, parse_prs
@@ -95,6 +96,34 @@ def test_rack_but_not_quandle():
     assert exc.value.condition == "C2"
 
 
+@pytest.mark.parametrize("build", [build_rack, build_quandle,
+                                   build_symmetric_quandle])
+def test_a_build_checks_its_table_once_and_keeps_what_assemble_made(
+        build, monkeypatch):
+    # the builders validated the assembled table again in a second Quandle
+    # (quandle_from_table), running perm.square_rows twice
+    P = paper_example_presentation()
+    rows = [0]
+    made = []
+    real_rows, real_assemble = perm.square_rows, cosets.assemble
+
+    def square_rows(table):
+        rows[0] += 1
+        return real_rows(table)
+
+    def assemble(P, level):
+        made.append(real_assemble(P, level))
+        return made[-1]
+
+    monkeypatch.setattr(perm, "square_rows", square_rows)
+    monkeypatch.setattr(cosets, "assemble", assemble)
+    built = build(P)
+    assert rows[0] == 1
+    assert len(made) == 1
+    assert built.quandle is made[0].quandle
+    assert built.sq is made[0].sq
+
+
 def test_trivial_subgroup_gives_trivial_quandle():
     # H = {e}, z = e: a*b = a b^-1 e b = a
     G = cyclic_group(5)
@@ -166,6 +195,28 @@ def test_structurally_bad_presentation(quat):
     with pytest.raises(PresentationInvalid) as exc:
         validate_presentation(P, "symmetric")
     assert exc.value.condition == "structure"
+
+
+@pytest.mark.parametrize("change,detail", [
+    ({"subgroups": (subgroup_closure(cyclic_group(8), {1}),)},
+     "subgroup 0 does not live in the presentation group"),
+    ({"z": (8,)}, "z_0 out of range"),
+    ({"z": (-1,)}, "z_0 out of range"),
+    ({"r": (8,)}, "r_0 out of range"),
+    ({"kappa": (1,)}, "kappa(0) out of range"),
+], ids=["foreign subgroup", "z high", "z negative", "r high", "kappa high"])
+def test_structural_problems_of_a_presentation_built_in_python(quat, change,
+                                                               detail):
+    # parse_prs rejects each of these in a file (FormatError, exit 2); a
+    # presentation made in Python meets this check instead
+    P = replace(single_orbit_presentation(quat, subgroup_closure(quat, {1}), 1),
+                **change)
+    for build in (build_rack, build_quandle, build_symmetric_quandle):
+        with pytest.raises(PresentationInvalid) as exc:
+            build(P)
+        assert exc.value.condition == "structure"
+        assert str(exc.value) == ("presentation condition structure fails: "
+                                  + detail)
 
 
 def _report_cases():

@@ -151,6 +151,28 @@ def test_prs_malformed(bad):
         parse_prs(bad)
 
 
+_PRS_HEAD = "presentation 1\ngroup 2\n0 1\n1 0\n"
+
+
+@pytest.mark.parametrize("read,arg,message", [
+    (quandle_from_table, [], "empty operation table"),
+    (groups.group_from_table, [], "empty product table"),
+    (parse_qnd, "quandle 0\n", "header size must be positive, got 0"),
+    (parse_grp, "# no group here\n", "empty group file"),
+    (parse_grp, "group 1\n0\nextra\n",
+     "trailing content after group block: 'extra'"),
+    (parse_prs, _PRS_HEAD + "orbit 0: H = 0 ; z 0 ; r = 0 ; kappa = 0\n",
+     "orbit 0: bad field 'z 0'"),
+    (parse_prs, _PRS_HEAD + "orbit 0: H = 0 ; z = 1 2 ; r = 0 ; kappa = 0\n",
+     "orbit 0 z: expected one integer"),
+], ids=["empty operation table", "empty product table", "header size 0",
+        "empty grp", "trailing content", "field without =", "two z"])
+def test_format_error_messages(read, arg, message):
+    with pytest.raises(FormatError) as exc:
+        read(arg)
+    assert str(exc.value) == message
+
+
 def test_group_to_table_preserves_indices(anti4):
     from sqk import inner_group
 

@@ -95,6 +95,17 @@ def test_rack_rejected():
         attach_involution(R, [0, 1])
 
 
+def test_a_malformed_rho_on_a_rack_is_named_before_the_rack():
+    # rho's length and entries are checked before the pair's verdict, whose
+    # first fact is that a rack has no good involution
+    R = quandle_from_table([[1, 1], [0, 0]], allow_rack=True)
+    with pytest.raises(FormatError, match=r"^rho has length 1, expected 2$"):
+        attach_involution(R, [0])
+    with pytest.raises(SqkError, match="^good involutions require a quandle; "
+                       "this table is a rack$"):
+        attach_involution(R, [1, 0])
+
+
 def test_enumerate_r4(r4):
     assert enumerate_good_involutions(r4) == R4_GOOD
     assert bf_good_involutions(r4.op) == R4_GOOD
@@ -319,7 +330,7 @@ def test_dropping_one_spanning_point_lets_a_wrong_verdict_through(monkeypatch):
             dropped = span[:k] + span[k + 1:]
             with monkeypatch.context() as m:
                 m.setattr(perm, "spanning_points", lambda cols: dropped)
-                R = Quandle(order=Q.order, op=Q.op)
+                R = Quandle(op=Q.op)
                 if is_kei(R) and not _every_column_an_involution(Q.op):
                     wrong["kei"].add(k)
                 for rho in all_involutions(Q.order):

@@ -325,7 +325,7 @@ def test_corrupted_psi_is_reported():
 
 def _unchecked(op, rho):
     """A SymmetricQuandle that skipped validation."""
-    Q = Quandle(order=len(op), op=tuple(map(tuple, op)))
+    Q = Quandle(op=tuple(map(tuple, op)))
     return SymmetricQuandle(quandle=Q, rho=tuple(rho))
 
 
@@ -477,8 +477,8 @@ def test_the_rack_verdict_is_derived_once_and_covers_q2(monkeypatch):
     R = antipodal(8)
     q3 = _count_calls(monkeypatch, "_q3_violation", quandle)
     S = attach_involution(quandle_from_table(R.quandle.op), R.rho)
-    assert "rack_violation" in vars(S.quandle)
-    assert S.quandle.rack_violation is None
+    assert "violation" in vars(S.quandle)
+    assert S.quandle.violation is None
     inner_group(S)
     assert q3[0] == 1
     # an unchecked table whose column 1 repeats an entry: Q2 fails there,
@@ -487,10 +487,10 @@ def test_the_rack_verdict_is_derived_once_and_covers_q2(monkeypatch):
     op = [list(row) for row in C.quandle.op]
     op[0][1] = op[1][1]
     U = _unchecked(op, C.rho)
-    assert "rack_violation" not in vars(U.quandle)
+    assert "violation" not in vars(U.quandle)
     with pytest.raises(InternalVerificationFailed, match="column 1 is not a bijection"):
         inner_group(U)
-    assert isinstance(vars(U.quandle)["rack_violation"], AxiomQ2Violated)
+    assert isinstance(vars(U.quandle)["violation"], AxiomQ2Violated)
 
 
 def test_the_good_involution_verdict_is_derived_once(monkeypatch):
@@ -522,6 +522,20 @@ def test_an_unchecked_involution_is_proved_before_any_group(op, rho, error, text
     for choice in ("inn", "aut"):
         with pytest.raises(InternalVerificationFailed, match=re.escape(text)):
             decompose(_unchecked(op, rho), choice)
+
+
+def test_an_unchecked_rack_is_refused_before_any_group():
+    # with order and rack_only stored beside op, this rack passed as a
+    # quandle: inner_group returned a group of order 2, and decompose blamed
+    # C2 of the presentation it built
+    S = SymmetricQuandle(quandle=Quandle(op=((1, 1), (0, 0))), rho=(0, 1))
+    assert S.violation is not None
+    text = "^good involutions require a quandle; this table is a rack$"
+    with pytest.raises(InternalVerificationFailed, match=text):
+        inner_group(S)
+    for choice in ("inn", "aut"):
+        with pytest.raises(InternalVerificationFailed, match=text):
+            decompose(S, choice)
 
 
 def _inner_cases():
