@@ -26,7 +26,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .groups import GroupLike
-from .quandle import Quandle, Table, _MapSearch
+from .quandle import Quandle, Table, _MapSearch, refuse_unproved
 from .symmetric import (
     DEFAULT_MAX_N,
     SymmetricQuandle,
@@ -424,6 +424,12 @@ class PermGroup(GroupLike):
             self._perms[x] = p
         return x
 
+    def times(self, g: perm.Perm, h: perm.Perm) -> perm.Perm:
+        return perm.compose(g, h)
+
+    def invert(self, g: perm.Perm) -> perm.Perm:
+        return perm.inverse(g)
+
     def mul(self, x: int, y: int) -> int:
         return self._index[perm.compose(self.elements[x], self.elements[y])]
 
@@ -490,7 +496,9 @@ def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
 def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
     """All operation-preserving permutations, kept as the stabilizer chain
     on the base 0, 1, ..., n-1 that _chain_group finds by map searches
-    (the map-search argument of _MapSearch); no element is listed."""
+    (the map-search argument of _MapSearch); no element is listed. Racks
+    are accepted (refuse_unproved)."""
+    refuse_unproved(Q)
     if Q.order > max_n:
         raise SizeBoundExceeded(Q.order, max_n)
     return _chain_group(Q.op)
@@ -501,6 +509,7 @@ def symmetric_aut_group(S: SymmetricQuandle,
     """The automorphisms commuting with rho, found as in aut_group with rho
     as a search constraint (_chain_group, and the map-search argument of
     _MapSearch, which covers rho)."""
+    refuse_unproved(S)
     if S.order > max_n:
         raise SizeBoundExceeded(S.order, max_n)
     return _chain_group(S.quandle.op, S.rho)
@@ -518,9 +527,7 @@ def inner_group(S: SymmetricQuandle) -> PermGroup:
     generators are every distinct translation, in column order, each
     sifted through the chain as a cross-check.
     """
-    bad = S.violation
-    if bad is not None:
-        raise InternalVerificationFailed(str(bad)) from bad
+    refuse_unproved(S)
     span = _spanning_translations(S.quandle)
     chain = _Chain(S.order, span)
     gens = list(dict.fromkeys(S.quandle.columns))
@@ -610,10 +617,15 @@ class Stabilizer:
             return tuple(chain.gens)
         return tuple(chain.levels[1].gens) if len(chain.levels) > 1 else ()
 
+    def holds(self, g: perm.Perm) -> bool:
+        """Whether the permutation g lies in the stabilizer: g fixes point."""
+        return g[self.point] == self.point
+
     def least_outside(self, ok: Callable[[perm.Perm], bool]) -> perm.Perm | None:
         """The lexicographically least element h, which is the least in the
         parent's index order, with ok(h) false, or None; the elements with
-        ok true must form a subgroup (_Chain.least_outside)."""
+        ok true must form a subgroup (_Chain.least_outside). So one descent
+        names the element Subgroup.least_outside's scan would."""
         chain, start = self._chain
         return chain.least_outside(ok, start)
 
@@ -625,7 +637,7 @@ class Stabilizer:
         return tuple(x for x, g in enumerate(self.parent.elements) if g[q] == q)
 
     def __contains__(self, x: int) -> bool:
-        return self.parent.element(x)[self.point] == self.point
+        return self.holds(self.parent.element(x))
 
 
 def stabilizer(G: PermGroup, q: int) -> Stabilizer:

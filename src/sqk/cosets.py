@@ -36,7 +36,7 @@ from itertools import accumulate
 from . import perm
 from .autgroup import PointCosets, Stabilizer
 from .errors import FormatError, InternalVerificationFailed, PresentationInvalid
-from .groups import CosetSpace, GroupLike, Subgroup, centralizes, right_cosets
+from .groups import CosetSpace, GroupLike, Subgroup, right_cosets
 from .quandle import Quandle
 from .report import Check, Report
 from .symmetric import SymmetricQuandle
@@ -83,8 +83,7 @@ def _structural_problems(P: CosetPresentation) -> str | None:
 
 def _by_points(P: CosetPresentation) -> bool:
     """Every H_i is the stabilizer of a point q_i in the permutation group G
-    (autgroup.Stabilizer), so the conditions are decided on generators and
-    points, and the cosets are listed by point."""
+    (autgroup.Stabilizer), so the cosets are listed by point (_assemble)."""
     return all(isinstance(H, Stabilizer) for H in P.subgroups)
 
 
@@ -93,81 +92,52 @@ def validate_presentation(P: CosetPresentation, level: str = "symmetric") -> Rep
 
     rack: C1 (z_i centralizes H_i). quandle: adds C2 (z_i in H_i).
     symmetric: adds C3 (r_i H_i r_i^-1 in H_kappa(i)), C4 (r_kappa(i) r_i
-    in H_i), C5 (z_i^-1 = r_i^-1 z_kappa(i) r_i), C6 (kappa involutive).
-    C1 and C3 make the tables independent of the representatives (see the
-    module docstring). Each condition is one test of a single orbit i,
-    which returns the failure detail or None; a level takes a prefix of
-    the table, and each check reports the first failing orbit.
+    in H_i), C5 (z_i^-1 = r_i^-1 z_kappa(i) r_i, read as z_kappa(i) r_i z_i
+    = r_i), C6 (kappa involutive). C1 and C3 make the tables independent
+    of the representatives (see the module docstring). Each condition is
+    one test of a single orbit i, which returns the failure detail or
+    None; a level takes a prefix of the table, and each check reports the
+    first failing orbit.
 
-    When every H_i is the stabilizer of q_i in a permutation group, C1
-    asks whether H_i lies in the centralizer of z_i, and C3 whether it
-    lies in the stabilizer of s = r_i[q_kappa(i)]. Both are subgroups, so
-    least_outside on H_i's chain decides each and names the witness of
-    the element scan, the least h in index order, without listing G. C2
-    and C4 are point tests, and C5 reads z_kappa(i) r_i z_i = r_i.
+    The conditions are written once, on elements in the group's own
+    representation (GroupLike.element, times and invert), and each H_i
+    answers two questions: holds(g), whether g lies in H_i (C2, C4 and the
+    test inside C3), and least_outside(ok), the least h of H_i in index
+    order with ok(h) false (C1 and C3). The h with ok(h) true form a
+    subgroup, the centralizer of z_i and r_i^-1 H_kappa(i) r_i, so a point
+    stabilizer (autgroup.Stabilizer) decides each by one descent on its
+    chain without listing G, and a subgroup of a table (groups.Subgroup)
+    by a scan of its elements; both name the same witness.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     problem = _structural_problems(P)
     if problem is not None:
         raise PresentationInvalid("structure", problem)
-    G, H, z, r, kappa = P.group, P.subgroups, P.z, P.r, P.kappa
+    G, H, kappa, times = P.group, P.subgroups, P.kappa, P.group.times
+    z, r = list(map(G.element, P.z)), list(map(G.element, P.r))
 
-    c1_detail = "z_{0} does not centralize h={1}".format
-    c2_detail = "z_{0} not in H_{0}".format
-    c3_detail = "r_{0} h r_{0}^-1 escapes H_{1} at h={2}".format
-    c4_detail = "r_kappa({0}) r_{0} not in H_{0}".format
-    c5_detail = "z_{0}^-1 != r_{0}^-1 z_kappa({0}) r_{0}".format
+    def c1(i: int) -> str | None:
+        h = H[i].least_outside(lambda h: times(h, z[i]) == times(z[i], h))
+        return None if h is None else f"z_{i} does not centralize h={G.index_of(h)}"
 
-    def c1_scan(i: int) -> str | None:
-        h = next((h for h in H[i].elements if G.mul(h, z[i]) != G.mul(z[i], h)),
-                 None)
-        return None if h is None else c1_detail(i, h)
+    def c3(i: int) -> str | None:
+        k, r_inv = kappa[i], G.invert(r[i])
+        h = H[i].least_outside(lambda h: H[k].holds(times(times(r[i], h), r_inv)))
+        return (None if h is None else
+                f"r_{i} h r_{i}^-1 escapes H_{k} at h={G.index_of(h)}")
 
-    def c3_scan(i: int) -> str | None:
-        Hk = set(H[kappa[i]].elements)
-        ri_inv = G.inv(r[i])
-        h = next((h for h in H[i].elements
-                  if G.mul(G.mul(r[i], h), ri_inv) not in Hk), None)
-        return None if h is None else c3_detail(i, kappa[i], h)
-
-    if _by_points(P):
-        compose = perm.compose
-        q = [Hi.point for Hi in H]
-        zp = [G.element(x) for x in z]
-        rp = [G.element(x) for x in r]
-
-        def c1(i: int) -> str | None:
-            zi = zp[i]
-            h = H[i].least_outside(lambda h: compose(h, zi) == compose(zi, h))
-            return None if h is None else c1_detail(i, G.index_of(h))
-
-        def c3(i: int) -> str | None:
-            s = rp[i][q[kappa[i]]]
-            h = H[i].least_outside(lambda h: h[s] == s)
-            return None if h is None else c3_detail(i, kappa[i], G.index_of(h))
-
-        conditions = (
-            ("C1", c1),
-            ("C2", lambda i: None if zp[i][q[i]] == q[i] else c2_detail(i)),
-            ("C3", c3),
-            ("C4", lambda i: None if rp[i][rp[kappa[i]][q[i]]] == q[i]
-             else c4_detail(i)),
-            ("C5", lambda i: None if compose(compose(zp[kappa[i]], rp[i]), zp[i])
-             == rp[i] else c5_detail(i)),
-        )
-    else:
-        conditions = (
-            ("C1", lambda i: None if centralizes(G, z[i], H[i]) else c1_scan(i)),
-            ("C2", lambda i: None if z[i] in H[i] else c2_detail(i)),
-            ("C3", c3_scan),
-            ("C4", lambda i: None if G.mul(r[kappa[i]], r[i]) in H[i]
-             else c4_detail(i)),
-            ("C5", lambda i: None if G.inv(z[i]) == G.conj(z[kappa[i]], r[i])
-             else c5_detail(i)),
-        )
-    conditions += (("C6", lambda i: None if kappa[kappa[i]] == i
-                    else f"kappa^2({i}) = {kappa[kappa[i]]}"),)
+    conditions = (
+        ("C1", c1),
+        ("C2", lambda i: None if H[i].holds(z[i]) else f"z_{i} not in H_{i}"),
+        ("C3", c3),
+        ("C4", lambda i: None if H[i].holds(times(r[kappa[i]], r[i]))
+         else f"r_kappa({i}) r_{i} not in H_{i}"),
+        ("C5", lambda i: None if times(times(z[kappa[i]], r[i]), z[i]) == r[i]
+         else f"z_{i}^-1 != r_{i}^-1 z_kappa({i}) r_{i}"),
+        ("C6", lambda i: None if kappa[kappa[i]] == i
+         else f"kappa^2({i}) = {kappa[kappa[i]]}"),
+    )
     checks = []
     for name, test in conditions[:(1, 2, 6)[LEVELS.index(level)]]:
         detail = next(filter(None, map(test, range(P.orbit_count))), None)
@@ -310,7 +280,7 @@ def _build(P: CosetPresentation, level: str) -> LabeledQuandle:
     built = assemble(P, level)
     bad = (built.quandle if built.sq is None else built.sq).violation
     if bad is not None and not (level == "rack" and built.quandle.rack_only):
-        raise bad
+        raise bad.with_traceback(None)
     return built
 
 

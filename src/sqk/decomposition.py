@@ -27,15 +27,14 @@ from .autgroup import (
     symmetric_aut_group,
 )
 from .catalog import conj_symmetric_quandle
-from .cosets import (
-    CosetPresentation,
-    LabeledQuandle,
-    assemble,
-    validate_presentation,
+from .cosets import CosetPresentation, LabeledQuandle, assemble
+from .errors import (
+    InternalVerificationFailed,
+    NoInversionClosedTransversal,
+    PresentationInvalid,
 )
-from .errors import InternalVerificationFailed, NoInversionClosedTransversal
 from .groups import FiniteGroup, centralizer, conjugacy_classes
-from .quandle import Isomorphism, product_violation
+from .quandle import Isomorphism, product_violation, refuse_unproved
 from .report import Check, Report
 from .symmetric import DEFAULT_MAX_N, SymmetricQuandle
 
@@ -44,12 +43,14 @@ GROUP_CHOICES = ("inn", "aut")
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    presentation: CosetPresentation
     built: LabeledQuandle       # at the symmetric level
     psi: Isomorphism            # built -> input
-    group_choice: str
     verification: Report
     orbits: OrbitDecomposition  # of the group on the input's points
+
+    @property
+    def presentation(self) -> CosetPresentation:
+        return self.built.presentation
 
 
 def decompose(S: SymmetricQuandle, group_choice: str = "inn",
@@ -63,22 +64,18 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
     """
     if group_choice not in GROUP_CHOICES:
         raise ValueError(f"group_choice must be one of {GROUP_CHOICES}")
-    bad = S.violation
-    if bad is not None:
-        raise InternalVerificationFailed(str(bad)) from bad
+    refuse_unproved(S)
     G: PermGroup = (inner_group(S) if group_choice == "inn"
                     else symmetric_aut_group(S, max_n))
     dec = orbits(G)
     q = dec.representatives
     subgroups = tuple(stabilizer(G, qi) for qi in q)
     kappa = tuple(dec.orbit_index[S.rho[qi]] for qi in q)
-    z = []
-    for qi in q:
-        zi = G.index_of(S.quandle.columns[qi])    # sifts the translation
-        if zi is None:
-            raise InternalVerificationFailed(
-                f"translation by {qi} is missing from the chosen group")
-        z.append(zi)
+    # index_of sifts each translation through the chain of G
+    z = tuple(G.index_of(S.quandle.columns[qi]) for qi in q)
+    if None in z:
+        raise InternalVerificationFailed(f"translation by {q[z.index(None)]} "
+                                         "is missing from the chosen group")
     # r_i is the least representative of the coset of H_kappa(i) at rho(q_i)
     r = []
     for i, qi in enumerate(q):
@@ -89,7 +86,7 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
                 f"rho({qi}) not reachable from the orbit representative")
         r.append(G.index_of(listed.reps[c]))
 
-    P = CosetPresentation(group=G, subgroups=subgroups, z=tuple(z), r=tuple(r),
+    P = CosetPresentation(group=G, subgroups=subgroups, z=z, r=tuple(r),
                           kappa=kappa)
     # assemble decided the six conditions; the psi checks prove the rest
     built = assemble(P, "symmetric")
@@ -100,16 +97,16 @@ def decompose(S: SymmetricQuandle, group_choice: str = "inn",
         raise InternalVerificationFailed(
             "; ".join(c.line() for c in report.failures))
     psi = Isomorphism(source=built.sq, target=S, map=psi_map)
-    return DecompositionResult(presentation=P, built=built, psi=psi,
-                               group_choice=group_choice,
-                               verification=report, orbits=dec)
+    return DecompositionResult(built=built, psi=psi, verification=report,
+                               orbits=dec)
 
 
 def _psi_checks(built: LabeledQuandle, target: SymmetricQuandle,
                 f: Sequence[int]) -> tuple[Check, ...]:
     """That f: built.sq -> target is a bijection and then that it is a
     quandle homomorphism intertwining the involutions, with one coset per
-    element of target."""
+    element of target: the proof that built is a symmetric quandle
+    isomorphic to target (cosets.assemble)."""
     source, n = built.sq, target.order
     if not (len(f) == source.order == n and sorted(f) == list(range(n))):
         return (Check("psi bijective", False, "not a bijection onto the input"),)
@@ -126,11 +123,19 @@ def _psi_checks(built: LabeledQuandle, target: SymmetricQuandle,
 
 
 def verify_decomposition(S: SymmetricQuandle, D: DecompositionResult) -> Report:
-    """Re-check everything: the six presentation conditions, validated
-    afresh since D may come from anywhere, and that psi is a bijective
-    quandle homomorphism intertwining the involutions."""
-    conditions = validate_presentation(D.presentation, "symmetric")
-    return Report(conditions.checks + _psi_checks(D.built, S, D.psi.map))
+    """Re-check D as decompose proved it, since D may come from anywhere:
+    assemble D.presentation afresh, which decides the six conditions, and
+    check that D.psi maps those tables onto S as a bijective quandle
+    homomorphism intertwining the involutions. D.built is not read. When
+    a condition fails, the report is the conditions' alone, as there are
+    no tables for psi."""
+    try:
+        built = assemble(D.presentation, "symmetric")
+    except PresentationInvalid as exc:
+        if exc.report is None:      # malformed, not a failing condition
+            raise
+        return exc.report
+    return Report(built.report.checks + _psi_checks(built, S, D.psi.map))
 
 
 def conj_presentation(G: FiniteGroup) -> CosetPresentation:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import perm
 from .errors import (
@@ -24,7 +24,13 @@ from .errors import (
 
 
 class GroupLike:
-    """Minimal group interface shared by table-backed and permutation groups."""
+    """Minimal group interface shared by table-backed and permutation groups.
+
+    mul and inv work on element indices. element, index_of, times and
+    invert work on the elements in the group's own representation, where a
+    condition on elements is decided (cosets.validate_presentation): here
+    an element is its index, and a permutation group (autgroup.PermGroup)
+    composes and inverts permutations instead."""
 
     order: int
     identity: int
@@ -34,6 +40,18 @@ class GroupLike:
 
     def inv(self, x: int) -> int:
         raise NotImplementedError
+
+    def element(self, x: int):
+        return x
+
+    def index_of(self, g) -> int | None:
+        return g
+
+    def times(self, g, h):
+        return self.mul(g, h)
+
+    def invert(self, g):
+        return self.inv(g)
 
     def conj(self, x: int, y: int) -> int:
         """y^-1 x y."""
@@ -85,6 +103,17 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         i = bisect_left(self.elements, x)
         return i < len(self.elements) and self.elements[i] == x
+
+    def holds(self, g) -> bool:
+        """Whether the element g, in the parent's representation, lies in
+        the subgroup."""
+        return self.parent.index_of(g) in self
+
+    def least_outside(self, ok: Callable[[object], bool]) -> object | None:
+        """The first element h, in index order, with ok(h) false, or None:
+        a scan of the elements, in the parent's representation."""
+        return next((h for h in map(self.parent.element, self.elements)
+                     if not ok(h)), None)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from .errors import (
     AxiomQ2Violated,
     AxiomQ3Violated,
     FormatError,
+    InternalVerificationFailed,
 )
 
 Table = tuple[tuple[int, ...], ...]
@@ -149,8 +150,22 @@ def quandle_from_table(table: Sequence[Sequence[int]],
         raise FormatError("empty operation table")
     Q = Quandle(perm.square_rows(table))
     if Q.violation is not None and not (allow_rack and Q.rack_only):
-        raise Q.violation
+        raise Q.violation.with_traceback(None)
     return Q
+
+
+def refuse_unproved(*objects) -> None:
+    """Raise the kept verdict (Quandle.violation or
+    SymmetricQuandle.violation) of each object, which may have skipped
+    validation, as InternalVerificationFailed, unless it is None or
+    AxiomQ1Violated: a rack is accepted wherever a quandle is, and the
+    verdict of a symmetric quandle names a rack itself. Read before every
+    search and group, so a table that is not a rack is named, not
+    searched."""
+    for X in objects:
+        bad = X.violation
+        if bad is not None and not isinstance(bad, AxiomQ1Violated):
+            raise InternalVerificationFailed(str(bad)) from bad
 
 
 def is_kei(Q: Quandle) -> bool:
@@ -409,7 +424,9 @@ def _search_maps(op1: Table, op2: Table,
 
 
 def find_quandle_isomorphism(Q1: Quandle, Q2: Quandle) -> Isomorphism | None:
-    """Lexicographically least operation-preserving bijection, or None."""
+    """Lexicographically least operation-preserving bijection, or None.
+    Racks are accepted (refuse_unproved)."""
+    refuse_unproved(Q1, Q2)
     maps = _search_maps(Q1.op, Q2.op)
     if not maps:
         return None

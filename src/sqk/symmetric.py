@@ -22,6 +22,7 @@ from .quandle import (
     _search_maps,
     first_mismatch,
     product_violation,
+    refuse_unproved,
 )
 
 DEFAULT_MAX_N = 12
@@ -114,7 +115,7 @@ def attach_involution(Q: Quandle, rho: Sequence[int]) -> SymmetricQuandle:
             raise FormatError(f"entry {v!r} of rho not in 0..{Q.order - 1}")
     S = SymmetricQuandle(quandle=Q, rho=rho)
     if S.violation is not None:
-        raise S.violation
+        raise S.violation.with_traceback(None)
     return S
 
 
@@ -139,7 +140,8 @@ def good_involution_walk(Q: Quandle, max_n: int,
                          write: Callable) -> Iterator[None]:
     """Steps once per good involution rho of Q, in lexicographic order of
     the array, after the writes t[a] = v that write(a, b) returned, once
-    per choice, for each b = rho[a]. Rack and size errors come first.
+    per choice, for each b = rho[a]. Rack, verdict (refuse_unproved) and
+    size errors come first.
 
     A good involution commutes with every spanning translation t
     (_spanning_translations), so on an orbit of theirs it is the orbit map
@@ -155,6 +157,7 @@ def good_involution_walk(Q: Quandle, max_n: int,
     """
     if Q.rack_only:
         raise SqkError(RACK_HAS_NO_INVOLUTION)
+    refuse_unproved(Q)
     n = Q.order
     if n > max_n:
         raise SizeBoundExceeded(n, max_n)
@@ -221,6 +224,7 @@ def good_involution_walk(Q: Quandle, max_n: int,
 def find_symmetric_isomorphism(S1: SymmetricQuandle,
                                S2: SymmetricQuandle) -> Isomorphism | None:
     """Least quandle isomorphism f with f o rho1 = rho2 o f, or None."""
+    refuse_unproved(S1, S2)
     maps = _search_maps(S1.quandle.op, S2.quandle.op, S1.rho, S2.rho)
     if not maps:
         return None

@@ -34,7 +34,7 @@ from sqk import (
 )
 from sqk.autgroup import PermGroup, mulclose
 from sqk.cli import run
-from sqk.errors import InternalVerificationFailed, SizeBoundExceeded
+from sqk.errors import IndexOutOfRange, InternalVerificationFailed, SizeBoundExceeded
 from sqk.perm import identity, inverse
 from sqk.quandle import _MapSearch, all_automorphism_maps
 
@@ -163,6 +163,16 @@ def test_transporter(inn_r4):
             i = transporter(inn_r4, frm, to)
             if i is not None:
                 assert inn_r4.elements[i][frm] == to
+
+
+def test_a_point_out_of_range_is_refused(inn_r4):
+    n = inn_r4.degree
+    calls = [lambda: stabilizer(inn_r4, n), lambda: stabilizer(inn_r4, -1),
+             lambda: transporter(inn_r4, n, 0), lambda: transporter(inn_r4, 0, n),
+             lambda: transporter(inn_r4, -1, 0), lambda: transporter(inn_r4, 0, -1)]
+    for call in calls:
+        with pytest.raises(IndexOutOfRange):
+            call()
 
 
 def test_rho_maps_orbits_to_orbits():

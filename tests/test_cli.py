@@ -297,6 +297,46 @@ def test_iso_not_found(tmp_path):
     assert "isomorphism: none" in text
 
 
+def test_iso_of_quandles_of_different_orders_is_none(tmp_path):
+    # the map search stops before any key is made when the orders differ
+    r4 = _catalog_file(tmp_path, "r4.qnd", "antipodal", "4")
+    cs3 = _catalog_file(tmp_path, "cs3.qnd", "conj", "sym", "3")
+    assert run(["iso", r4, cs3]) == (1, "isomorphism: none\n")
+
+
+def test_check_of_a_rho_on_a_table_that_is_not_a_quandle(tmp_path):
+    p = tmp_path / "q3.qnd"
+    p.write_text("quandle 3\n0 2 1\n1 1 0\n2 0 2\nrho: 0 1 2\n")
+    assert run(["check", str(p)]) == (1, (
+        "order: 3\nrack: no (self-distributivity fails at (0, 1, 2))\n"
+        "quandle: no\nkei: no\nrho: present\n"
+        "good involution: no (table is not a quandle)\n"))
+
+
+@pytest.mark.parametrize("args", [["aut", "--symmetric"],
+                                  ["orbits", "--group", "aut"],
+                                  ["decompose", "--group", "aut"]],
+                         ids=["aut", "orbits", "decompose"])
+def test_an_automorphism_search_above_the_bound_exits_3(tmp_path, args):
+    d7 = _catalog_file(tmp_path, "d7.qnd", "conj", "dihedral-group", "7")
+    assert run([args[0], d7, *args[1:]]) == \
+        (3, "error: order 14 exceeds the exhaustive-search bound 12\n")
+
+
+def test_a_header_size_that_is_not_an_integer_is_malformed(tmp_path):
+    p = tmp_path / "x.qnd"
+    p.write_text("quandle x\n0\n")
+    assert run(["check", str(p)]) == \
+        (2, "error: header size 'x' is not an integer\n")
+
+
+def test_build_over_a_set_that_is_not_a_subgroup_exits_1(tmp_path):
+    prs = tmp_path / "h.prs"
+    prs.write_text(Z4_PRS.format("H = 0 1 3 ; z = 0 ; r = 0 ; kappa = 0"))
+    assert run(["build", str(prs)]) == \
+        (1, "error: not a subgroup: product 1*1 escapes the set\n")
+
+
 def test_catalog_unknown():
     code, text = run(["catalog", "nonsense"])
     assert code == 2

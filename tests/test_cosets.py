@@ -28,6 +28,11 @@ from sqk.errors import PresentationInvalid
 from sqk.fileio import format_prs, parse_prs
 
 
+def test_an_unknown_level_is_refused():
+    with pytest.raises(ValueError, match="unknown level 'bogus'"):
+        validate_presentation(paper_example_presentation(), "bogus")
+
+
 def test_paper_example_all_conditions(quat):
     P = paper_example_presentation()
     report = validate_presentation(P, "symmetric")

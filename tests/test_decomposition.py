@@ -32,7 +32,7 @@ from sqk import (
     trivial_quandle,
     verify_decomposition,
 )
-from sqk.errors import NoInversionClosedTransversal
+from sqk.errors import NoInversionClosedTransversal, PresentationInvalid
 from sqk.quandle import Isomorphism
 
 
@@ -155,6 +155,38 @@ def test_verify_rejects_tampered_psi(anti4):
     assert not report.ok
     assert not report["psi homomorphism"].passed or \
         not report["psi intertwines rho"].passed
+
+
+def test_verify_proves_psi_on_the_tables_of_the_presentation(anti4):
+    # verify_decomposition checked psi against D.built, so a result whose
+    # built object is the input itself, with psi the identity, passed
+    d = decompose(anti4, "inn")
+    forged = dataclasses.replace(
+        d, built=dataclasses.replace(d.built, quandle=anti4.quandle, sq=anti4),
+        psi=Isomorphism(anti4, anti4, (0, 1, 2, 3)))
+    report = verify_decomposition(anti4, forged)
+    assert not report.ok
+    assert "psi homomorphism: fail (fails at (0, 1))" in report.lines()
+
+
+def test_verify_reports_failing_conditions_without_psi(anti4):
+    d = decompose(anti4, "inn")
+
+    def presented_by(**change):
+        P = dataclasses.replace(d.presentation, **change)
+        return dataclasses.replace(
+            d, built=dataclasses.replace(d.built, presentation=P))
+
+    report = verify_decomposition(anti4, presented_by(kappa=(1, 0)))
+    assert not report.ok
+    assert [c.name for c in report.checks] == ["C1", "C2", "C3", "C4", "C5", "C6"]
+    with pytest.raises(PresentationInvalid, match="one entry per orbit"):
+        verify_decomposition(anti4, presented_by(z=d.presentation.z[:1]))
+
+
+def test_decompose_refuses_an_unknown_group_choice(anti4):
+    with pytest.raises(ValueError, match="group_choice must be one of"):
+        decompose(anti4, "bogus")
 
 
 def test_verify_stated_psi_against_antipodal(anti4):

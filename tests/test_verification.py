@@ -5,6 +5,7 @@ a product budget that a cell-by-cell re-check would exceed."""
 import copy
 import dataclasses
 import re
+import traceback
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from sqk import (
     SymmetricQuandle,
     antipodal,
     attach_involution,
+    aut_group,
     autgroup,
     build_quandle,
     build_rack,
@@ -25,9 +27,13 @@ from sqk import (
     conj_symmetric_quandle,
     cyclic_group,
     decompose,
+    enumerate_good_involutions,
+    find_quandle_isomorphism,
+    find_symmetric_isomorphism,
     inner_group,
     paper_example_presentation,
     quandle_from_table,
+    symmetric_aut_group,
     symmetric_group,
     validate_presentation,
     verify_decomposition,
@@ -36,6 +42,7 @@ from sqk import cosets, decomposition, fileio, perm, quandle, symmetric
 from sqk.autgroup import mulclose
 from sqk.errors import (
     AxiomQ2Violated,
+    AxiomQ3Violated,
     InternalVerificationFailed,
     NotDualCompatible,
     NotInvolution,
@@ -427,21 +434,20 @@ def test_each_condition_is_decided_once(monkeypatch):
     # decompose of Conj(S_4) validated its presentation twice and made 15
     # centralizes calls; a build of the emitted presentation made 10. C1 and
     # C3 are decided once per orbit: by one descent on each point stabilizer
-    # in decompose, on the elements of each subgroup of the written table
-    validations = _count_calls(monkeypatch, "validate_presentation",
-                               cosets, decomposition)
-    centralizing = _count_calls(monkeypatch, "centralizes", cosets)
+    # in decompose, by one scan of each subgroup of the written table
+    validations = _count_calls(monkeypatch, "validate_presentation", cosets)
+    scans = _count_calls(monkeypatch, "least_outside", Subgroup)
     descents = _count_calls(monkeypatch, "least_outside", autgroup._Chain)
     d = decompose(conj_symmetric_quandle(symmetric_group(4)), "inn")
     assert d.presentation.orbit_count == 5
-    assert (validations[0], centralizing[0], descents[0]) == (1, 0, 10)
+    assert (validations[0], scans[0], descents[0]) == (1, 0, 10)
     descents[0] = 0
     assert validate_presentation(d.presentation, "rack").ok
     assert descents[0] == 5
     P = fileio.parse_prs(fileio.format_prs(d.presentation))
-    validations[0] = centralizing[0] = descents[0] = 0
+    validations[0] = scans[0] = descents[0] = 0
     assert build_symmetric_quandle(P).report.ok
-    assert (validations[0], centralizing[0], descents[0]) == (1, 5, 0)
+    assert (validations[0], scans[0], descents[0]) == (1, 10, 0)
 
 
 @pytest.mark.parametrize("S", [antipodal(64),
@@ -536,6 +542,48 @@ def test_an_unchecked_rack_is_refused_before_any_group():
     for choice in ("inn", "aut"):
         with pytest.raises(InternalVerificationFailed, match=text):
             decompose(S, choice)
+
+
+def test_a_table_that_is_not_a_rack_is_refused_before_any_search():
+    # column 0 is not a bijection: the automorphism and isomorphism searches
+    # looped forever in perm.cycle_type, and the involution walk found none
+    Q = Quandle(op=((1, 0, 0), (2, 1, 1), (2, 2, 2)))
+    S = SymmetricQuandle(quandle=Q, rho=(0, 1, 2))
+    calls = [lambda: aut_group(Q), lambda: symmetric_aut_group(S),
+             lambda: find_quandle_isomorphism(Q, Q),
+             lambda: find_symmetric_isomorphism(S, S),
+             lambda: enumerate_good_involutions(Q)]
+    for call in calls:
+        with pytest.raises(InternalVerificationFailed,
+                           match="^column 0 is not a bijection$"):
+            call()
+
+
+def test_the_searches_accept_an_unchecked_rack():
+    # aut and iso read rack files, so a rack's Q1 verdict is no refusal
+    R = Quandle(op=((1, 1), (0, 0)))
+    assert R.rack_only
+    assert aut_group(R).order == 2
+    assert find_quandle_isomorphism(R, R).map == (0, 1)
+
+
+def _traceback_length(call):
+    try:
+        call()
+    except SqkError as exc:
+        return len(traceback.extract_tb(exc.__traceback__))
+    raise AssertionError("no error raised")
+
+
+def test_a_kept_verdict_is_raised_with_a_fresh_traceback():
+    # each raise of the one kept exception chained its frames onto the
+    # last: 1,000 calls left a traceback of 2,000 frames
+    Q = Quandle(op=((0, 2, 1), (1, 1, 0), (2, 0, 2)))
+    assert isinstance(Q.violation, AxiomQ3Violated)
+    once = _traceback_length(lambda: attach_involution(Q, (0, 1, 2)))
+    for _ in range(999):
+        _traceback_length(lambda: attach_involution(Q, (0, 1, 2)))
+    assert _traceback_length(lambda: attach_involution(Q, (0, 1, 2))) == once
 
 
 def _inner_cases():
