@@ -26,7 +26,7 @@ from .errors import (
     SizeBoundExceeded,
 )
 from .groups import GroupLike
-from .quandle import Quandle, Table, _MapSearch, refuse_unproved
+from .quandle import Quandle, _MapSearch, refuse_unproved
 from .symmetric import (
     DEFAULT_MAX_N,
     SymmetricQuandle,
@@ -451,10 +451,13 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
-    """The automorphisms of op (commuting with rho, when given), found along
-    the pointwise stabilizer chain G = G_0 >= G_1 >= ... >= G_n = 1, where
-    G_k fixes 0..k-1, from k = n-1 down.
+def _chain_group(X: Quandle | SymmetricQuandle, max_n: int) -> PermGroup:
+    """The automorphisms of X.op commuting with X.rho (None on a Quandle,
+    so no constraint), found along the pointwise stabilizer chain
+    G = G_0 >= G_1 >= ... >= G_n = 1, where G_k fixes 0..k-1, from k = n-1
+    down. The gate of every automorphism group search: X's kept verdict is
+    read first (refuse_unproved; racks are accepted), then the order is
+    held to max_n.
 
     An automorphism fixing 0..k-1 fixes the subquandle they generate, so
     only op's generating points k are searched: each candidate image v not
@@ -466,8 +469,11 @@ def _chain_group(op: Table, rho: perm.Perm | None = None) -> PermGroup:
     the product of the orbit lengths as the order: a missed orbit point or
     a lost generator changes one side and not the other. The printed
     generators are the chain's greedy ones, independent of those found."""
-    n = len(op)
-    search = _MapSearch(op, op, rho, rho)
+    refuse_unproved(X)
+    n = X.order
+    if n > max_n:
+        raise SizeBoundExceeded(n, max_n)
+    search = _MapSearch(X.op, X.op, X.rho, X.rho)
     order = search.order
     pos = {a: i for i, a in enumerate(order)}
     gens: list[perm.Perm] = []
@@ -497,22 +503,18 @@ def aut_group(Q: Quandle, max_n: int = DEFAULT_MAX_N) -> PermGroup:
     """All operation-preserving permutations, kept as the stabilizer chain
     on the base 0, 1, ..., n-1 that _chain_group finds by map searches
     (the map-search argument of _MapSearch); no element is listed. Racks
-    are accepted (refuse_unproved)."""
-    refuse_unproved(Q)
-    if Q.order > max_n:
-        raise SizeBoundExceeded(Q.order, max_n)
-    return _chain_group(Q.op)
+    are accepted; other unproved tables, and orders above max_n, are
+    refused (_chain_group)."""
+    return _chain_group(Q, max_n)
 
 
 def symmetric_aut_group(S: SymmetricQuandle,
                         max_n: int = DEFAULT_MAX_N) -> PermGroup:
     """The automorphisms commuting with rho, found as in aut_group with rho
     as a search constraint (_chain_group, and the map-search argument of
-    _MapSearch, which covers rho)."""
-    refuse_unproved(S)
-    if S.order > max_n:
-        raise SizeBoundExceeded(S.order, max_n)
-    return _chain_group(S.quandle.op, S.rho)
+    _MapSearch, which covers rho). Unproved pairs, and orders above
+    max_n, are refused (_chain_group)."""
+    return _chain_group(S, max_n)
 
 
 def inner_group(S: SymmetricQuandle) -> PermGroup:

@@ -29,6 +29,8 @@ class Quandle:
     the axioms are functions of op, derived on first read and kept, so
     whatever proof accepts op accepts them too."""
     op: Table
+    # a quandle alone has no involution; a map search reads rho as data
+    rho = None
 
     @cached_property
     def order(self) -> int:
@@ -159,9 +161,11 @@ def refuse_unproved(*objects) -> None:
     SymmetricQuandle.violation) of each object, which may have skipped
     validation, as InternalVerificationFailed, unless it is None or
     AxiomQ1Violated: a rack is accepted wherever a quandle is, and the
-    verdict of a symmetric quandle names a rack itself. Read before every
-    search and group, so a table that is not a rack is named, not
-    searched."""
+    verdict of a symmetric quandle names a rack itself. Read at one gate
+    per kind of work, so a table that is not a rack is named, not
+    searched: _search_maps and autgroup._chain_group for the map
+    searches, symmetric.good_involution_walk, autgroup.inner_group and
+    decomposition.decompose."""
     for X in objects:
         bad = X.violation
         if bad is not None and not isinstance(bad, AxiomQ1Violated):
@@ -413,27 +417,27 @@ class _MapSearch:
 
 
 # perfbench/tracing.py counts the searches by this name
-def _search_maps(op1: Table, op2: Table,
-                 rho1: perm.Perm | None = None,
-                 rho2: perm.Perm | None = None,
-                 find_all: bool = False) -> list[perm.Perm]:
-    """Operation-preserving bijections op1 -> op2 (commuting with the rho
-    constraints, when given), lexicographically least first: the first
-    one, or every one with find_all. See _MapSearch."""
-    return _MapSearch(op1, op2, rho1, rho2).run(find_all=find_all)
+def _search_maps(X1, X2, find_all: bool = False) -> list[perm.Perm]:
+    """Operation-preserving bijections X1.op -> X2.op commuting with the
+    involutions X1.rho and X2.rho (None on a Quandle, so no constraint),
+    lexicographically least first: the first one, or every one with
+    find_all. The gate of every map search between two objects: their
+    kept verdicts are read first (refuse_unproved), so a table that is not
+    a rack is named, not searched. See _MapSearch."""
+    refuse_unproved(X1, X2)
+    return _MapSearch(X1.op, X2.op, X1.rho, X2.rho).run(find_all=find_all)
 
 
 def find_quandle_isomorphism(Q1: Quandle, Q2: Quandle) -> Isomorphism | None:
     """Lexicographically least operation-preserving bijection, or None.
-    Racks are accepted (refuse_unproved)."""
-    refuse_unproved(Q1, Q2)
-    maps = _search_maps(Q1.op, Q2.op)
-    if not maps:
-        return None
-    return Isomorphism(source=Q1, target=Q2, map=maps[0])
+    Racks are accepted; other unproved tables are refused (_search_maps)."""
+    maps = _search_maps(Q1, Q2)
+    return Isomorphism(source=Q1, target=Q2, map=maps[0]) if maps else None
 
 
 # kept in sqk because perfbench/tracing.py wraps it by name
 def all_automorphism_maps(Q: Quandle) -> list[perm.Perm]:
-    """Every permutation preserving the operation, lexicographically sorted."""
-    return _search_maps(Q.op, Q.op, find_all=True)
+    """Every permutation preserving the operation, lexicographically
+    sorted. Racks are accepted; other unproved tables are refused
+    (_search_maps)."""
+    return _search_maps(Q, Q, find_all=True)

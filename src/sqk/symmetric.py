@@ -35,6 +35,10 @@ class SymmetricQuandle:
     rho: perm.Perm
 
     @property
+    def op(self) -> Table:
+        return self.quandle.op
+
+    @property
     def order(self) -> int:
         return self.quandle.order
 
@@ -45,8 +49,8 @@ class SymmetricQuandle:
         Quandle.violation), then involutivity, equivariance
         rho(a*b) = rho(a)*b and dual compatibility a*rho(b) = a/b. Derived
         on first read and kept, as the quandle's verdict is:
-        attach_involution raises it, and autgroup.inner_group and
-        decomposition.decompose read it.
+        attach_involution raises it, and quandle.refuse_unproved reads it
+        at the gates of the searches and groups.
 
         On a rack the last two are proved at Q.spanning_points.
         Equivariance at c is s_c commuting with rho (see
@@ -223,12 +227,10 @@ def good_involution_walk(Q: Quandle, max_n: int,
 
 def find_symmetric_isomorphism(S1: SymmetricQuandle,
                                S2: SymmetricQuandle) -> Isomorphism | None:
-    """Least quandle isomorphism f with f o rho1 = rho2 o f, or None."""
-    refuse_unproved(S1, S2)
-    maps = _search_maps(S1.quandle.op, S2.quandle.op, S1.rho, S2.rho)
-    if not maps:
-        return None
-    return Isomorphism(source=S1, target=S2, map=maps[0])
+    """Least quandle isomorphism f with f o rho1 = rho2 o f, or None.
+    Unproved pairs are refused (quandle._search_maps)."""
+    maps = _search_maps(S1, S2)
+    return Isomorphism(source=S1, target=S2, map=maps[0]) if maps else None
 
 
 def is_symmetric_isomorphism_map(S1: SymmetricQuandle, S2: SymmetricQuandle,

@@ -104,7 +104,11 @@ def test_check_rack_header(tmp_path):
      + "rho: 0 1 2 3 4 5\n",
      ["rack: yes", "quandle: yes", "kei: no", "rho: present",
       "good involution: no (dual compatibility fails at (1, 3))"]),
-], ids=["Q3 fails", "rho not an involution", "Conj(S3) rho=id"])
+    ("quandle 2\n1 0\n1 0\n",
+     ["rack: no (column 0 is not a bijection)", "quandle: no", "kei: no",
+      "rho: absent"]),
+], ids=["Q3 fails", "rho not an involution", "Conj(S3) rho=id",
+        "column not a bijection"])
 def test_check_names_the_failing_verdict(tmp_path, text, verdicts):
     p = tmp_path / "q.qnd"
     p.write_text(text)
@@ -264,6 +268,28 @@ def test_build_paper_example(tmp_path):
     assert "quandle 4" in text
     assert "rho: 1 0 3 2" in text
     assert "# 0: H0[e]" in text
+
+
+def test_build_reads_the_group_file_relative_to_the_presentation(
+        tmp_path, monkeypatch):
+    # the paper example with its group block moved into pe.grp
+    inline = Path(_catalog_file(tmp_path, "inline.prs", "paper-example"))
+    lines = inline.read_text().splitlines(keepends=True)
+    orbits = "".join(line for line in lines if line.startswith("orbit"))
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "pe.grp").write_text("".join(lines[1:]).replace(orbits, ""))
+    (d / "pe.prs").write_text(lines[0] + "group pe.grp\n" + orbits)
+    expected = run(["build", str(inline)])
+    assert expected[0] == 0
+    assert run(["build", str(d / "pe.prs")]) == expected
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", os.path.join("d", "pe.prs")]) == expected
+    (d / "pe.grp").unlink()
+    code, text = run(["build", str(d / "pe.prs")])
+    assert code == 2
+    assert text.startswith(f"error: cannot read group file '{d / 'pe.grp'}': ")
+    assert text.count("\n") == 1
 
 
 def test_build_level_rejection(tmp_path):

@@ -50,7 +50,7 @@ from sqk.errors import (
     SqkError,
 )
 from sqk.perm import identity
-from sqk.quandle import Isomorphism
+from sqk.quandle import Isomorphism, all_automorphism_maps
 
 
 def presentations():
@@ -552,8 +552,20 @@ def test_a_table_that_is_not_a_rack_is_refused_before_any_search():
     calls = [lambda: aut_group(Q), lambda: symmetric_aut_group(S),
              lambda: find_quandle_isomorphism(Q, Q),
              lambda: find_symmetric_isomorphism(S, S),
-             lambda: enumerate_good_involutions(Q)]
+             lambda: enumerate_good_involutions(Q),
+             lambda: all_automorphism_maps(Q),
+             lambda: quandle._search_maps(Q, Q)]
     for call in calls:
+        with pytest.raises(InternalVerificationFailed,
+                           match="^column 0 is not a bijection$"):
+            call()
+
+
+def test_the_verdict_is_read_before_the_order_bound():
+    # order 13 is above the default bound 12; the table is named first
+    Q = Quandle(op=tuple((0,) * 13 for _ in range(13)))
+    S = SymmetricQuandle(quandle=Q, rho=identity(13))
+    for call in (lambda: aut_group(Q), lambda: symmetric_aut_group(S)):
         with pytest.raises(InternalVerificationFailed,
                            match="^column 0 is not a bijection$"):
             call()
@@ -611,3 +623,31 @@ def test_translation_missing_from_the_closure_is_reported(monkeypatch):
     for S in (transposition_quandle(4), antipodal(8)):
         with pytest.raises(InternalVerificationFailed, match="missing"):
             inner_group(S)
+
+
+def test_a_list_that_is_not_a_group_is_refused():
+    # the chain of the two elements given has order 3: (2 0 1) is missing
+    with pytest.raises(InternalVerificationFailed,
+                       match="^2 permutations generate a group of order 3$"):
+        PermGroup(3, [(0, 1, 2), (1, 2, 0)])
+
+
+def test_a_predicate_that_is_no_subgroup_ends_the_descent_inside_it():
+    # every element but (1 2 0) passes; they are no subgroup of S_3, and the
+    # least element the descent reaches below level 0 passes
+    chain = autgroup._Chain(3, [(1, 2, 0), (1, 0, 2)])
+    with pytest.raises(InternalVerificationFailed,
+                       match="^the descent below level 0 ends inside the subgroup$"):
+        chain.least_outside(lambda g: g != (1, 2, 0))
+
+
+def test_a_translation_missing_from_the_chosen_group_is_reported(monkeypatch):
+    # the group of s_0 alone does not hold s_1
+    def only_s0(S):
+        return PermGroup(S.order,
+                         chain=autgroup._Chain(S.order, [S.quandle.columns[0]]))
+
+    monkeypatch.setattr(decomposition, "inner_group", only_s0)
+    with pytest.raises(InternalVerificationFailed,
+                       match="^translation by 1 is missing from the chosen group$"):
+        decompose(antipodal(8), "inn")
